@@ -17,7 +17,7 @@ import zlib
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import callfile, simulator, vadnet
 from .endpointer import (
@@ -25,11 +25,12 @@ from .endpointer import (
     Mode,
     commit_transcript,
     hypothesis_words,
+    new_endpointer,
     run_call,
 )
-from .evaluator import EvalConfig, EvalReport, pool_scores, score_call, tradeoff
+from .evaluator import CallScore, EvalConfig, pool_scores, score_call, tradeoff
 from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
-from .streams import CallRecord, merge_streams, validate_call
+from .streams import CallRecord, TimelineEvent, VadDecision, merge_streams, validate_call
 
 log = logging.getLogger(__name__)
 
@@ -90,10 +91,16 @@ def load_sim_config(path: Path) -> SimConfig:
 # -- VAD channel --------------------------------------------------------------
 
 
-def _vad_decisions(call: CallRecord, spec: str, seed: int):
-    """Produce per-frame decisions for --vad {model:<p>|oracle|corrupted:<eer>}."""
+VadSource = Callable[[CallRecord], list[VadDecision]]
+
+
+def _vad_source(spec: str, seed: int) -> VadSource:
+    """Parse --vad {model:<p>|oracle|corrupted:<eer>} once, loading any model.
+
+    The returned function gives one call's per-frame decisions.
+    """
     if spec == "oracle":
-        return oracle_vad(call)
+        return oracle_vad
     if spec.startswith("corrupted:"):
         try:
             eer = float(spec.partition(":")[2])
@@ -101,14 +108,30 @@ def _vad_decisions(call: CallRecord, spec: str, seed: int):
             raise UsageError(f"--vad: bad corruption rate in {spec!r}") from exc
         if not 0.0 <= eer < 0.5:
             raise UsageError(f"--vad: corruption rate must lie in [0, 0.5), got {eer}")
-        call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
-        return corrupt_vad(oracle_vad(call), eer, call_seed)
+
+        def corrupted(call: CallRecord) -> list[VadDecision]:
+            call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
+            return corrupt_vad(oracle_vad(call), eer, call_seed)
+
+        return corrupted
     if spec.startswith("model:"):
         model_path = Path(spec.partition(":")[2])
         if not model_path.is_file():
             raise FileNotFoundError(f"--vad model not found: {model_path}")
         model, threshold = vadnet.load_model(model_path)
-        return vadnet.classify_frames(model, call.frames, threshold)
+        d_in = model.layer_dims[0]
+
+        def classify(call: CallRecord) -> list[VadDecision]:
+            # validate_call has checked that every frame has the first's dim
+            dim = call.frames[0].features.shape[-1] if call.frames else d_in
+            if dim != d_in:
+                raise ValueError(
+                    f"{call.call_id}: model expects {d_in} features per frame, "
+                    f"call has {dim}"
+                )
+            return vadnet.classify_frames(model, call.frames, threshold)
+
+        return classify
     raise UsageError(
         f"--vad: expected model:<path>, oracle, or corrupted:<eer>, got {spec!r}"
     )
@@ -131,9 +154,14 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
     return calls
 
 
-def _endpoint_call(call: CallRecord, cfg: EndpointerConfig, vad_spec: str, seed: int):
-    decisions = [] if cfg.mode is Mode.BLANK else _vad_decisions(call, vad_spec, seed)
-    timeline = merge_streams(decisions, call.tokens)
+def _timeline(call: CallRecord, vad: Optional[VadSource]) -> list[TimelineEvent]:
+    """The call's merged timeline; tokens only when there is no VAD (BLANK)."""
+    return merge_streams(vad(call) if vad is not None else [], call.tokens)
+
+
+def _endpoint_call(
+    call: CallRecord, cfg: EndpointerConfig, timeline: list[TimelineEvent]
+):
     endpoints = run_call(cfg, timeline)
     transcripts = commit_transcript(call.tokens, endpoints, call.end_ms)
     return endpoints, transcripts
@@ -242,8 +270,6 @@ def _endpointer_config(args: argparse.Namespace) -> EndpointerConfig:
         deferral_cap_ms=args.deferral_cap_ms,
         frame_ms=args.frame_ms if args.frame_ms is not None else 40,
     )
-    from .endpointer import new_endpointer
-
     try:
         new_endpointer(cfg)
     except ValueError as exc:
@@ -256,6 +282,7 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
     args.frame_ms = frame_ms
     cfg = _endpointer_config(args)
+    vad = None if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for call in calls:
@@ -264,7 +291,7 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
                 f"{call.call_id}: call frame_ms={call.frame_ms} does not match "
                 f"configured frame_ms={cfg.frame_ms}"
             )
-        endpoints, transcripts = _endpoint_call(call, cfg, args.vad, args.seed)
+        endpoints, transcripts = _endpoint_call(call, cfg, _timeline(call, vad))
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
         )
@@ -348,53 +375,71 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--deltas: need at least 2 distinct values, got {args.deltas!r}"
         )
+    if args.frame_ms is not None and args.frame_ms <= 0:
+        raise UsageError(f"--frame-ms: must be positive, got {args.frame_ms}")
     calls = _load_calls(Path(args.calls))
     frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
-    try:
-        eval_tol = args.tolerance_ms
-        rows: list[callfile.ReportRow] = []
-        for mode in modes:
-            per_delta: list[tuple[int, EvalReport]] = []
-            for delta in deltas:
-                if delta % frame_ms != 0:
-                    raise UsageError(
-                        f"--deltas: {delta} is not a multiple of frame_ms={frame_ms}"
-                    )
-                cfg = EndpointerConfig(
-                    mode=mode,
-                    ts_threshold_ms=delta,
-                    blank_run_frames=max(1, delta // frame_ms),
-                    deferral_cap_ms=max(args.deferral_cap_ms, delta),
-                    frame_ms=frame_ms,
+    eval_tol = args.tolerance_ms
+
+    # every flag is checked before the first call runs, so a ValueError
+    # from the sweep below is a data failure (exit 1), not a usage error
+    sweep: list[tuple[EndpointerConfig, EvalConfig]] = []
+    for mode in modes:
+        for delta in deltas:
+            if delta % frame_ms != 0:
+                raise UsageError(
+                    f"--deltas: {delta} is not a multiple of frame_ms={frame_ms}"
                 )
+            cfg = EndpointerConfig(
+                mode=mode,
+                ts_threshold_ms=delta,
+                blank_run_frames=max(1, delta // frame_ms),
+                deferral_cap_ms=max(args.deferral_cap_ms, delta),
+                frame_ms=frame_ms,
+            )
+            try:
+                new_endpointer(cfg)
                 eval_cfg = EvalConfig(delta, eval_tol)
-                scores = []
-                for call in calls:
-                    endpoints, transcripts = _endpoint_call(call, cfg, args.vad, args.seed)
-                    ref_ends = [seg.end_ms for seg in call.segments]
-                    ref_words = [w for seg in call.segments for w in seg.words]
-                    scores.append(
-                        score_call(
-                            ref_ends,
-                            endpoints,
-                            ref_words,
-                            hypothesis_words(transcripts),
-                            eval_cfg,
-                        )
-                    )
-                per_delta.append((delta, pool_scores(scores)))
-            curve = tradeoff(per_delta)
-            log.info(
-                "mode %s: wer by delta %s",
-                mode.value,
-                [(row.delta_ms, round(row.wer, 4)) for row in curve],
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+            sweep.append((cfg, eval_cfg))
+
+    # VAD and merge do not depend on the config: build each call's
+    # timelines once, then run every config over them
+    vad = None
+    if any(mode is not Mode.BLANK for mode in modes):
+        vad = _vad_source(args.vad, args.seed)
+    scores: list[list[CallScore]] = [[] for _ in sweep]
+    for call in calls:
+        blank = _timeline(call, None) if Mode.BLANK in modes else None
+        voiced = _timeline(call, vad) if vad is not None else None
+        ref_ends = [seg.end_ms for seg in call.segments]
+        ref_words = [w for seg in call.segments for w in seg.words]
+        for (cfg, eval_cfg), config_scores in zip(sweep, scores):
+            timeline = blank if cfg.mode is Mode.BLANK else voiced
+            endpoints, transcripts = _endpoint_call(call, cfg, timeline)
+            config_scores.append(
+                score_call(
+                    ref_ends, endpoints, ref_words, hypothesis_words(transcripts), eval_cfg
+                )
             )
-            rows.extend(
-                callfile.ReportRow(mode, d, eval_tol, rep)
-                for d, rep in sorted(per_delta, key=lambda dr: dr[0])
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+
+    rows: list[callfile.ReportRow] = []
+    for k, mode in enumerate(modes):
+        per_delta = [
+            (delta, pool_scores(scores[k * len(deltas) + j]))
+            for j, delta in enumerate(deltas)
+        ]
+        curve = tradeoff(per_delta)
+        log.info(
+            "mode %s: wer by delta %s",
+            mode.value,
+            [(row.delta_ms, round(row.wer, 4)) for row in curve],
+        )
+        rows.extend(
+            callfile.ReportRow(mode, d, eval_tol, rep)
+            for d, rep in sorted(per_delta, key=lambda dr: dr[0])
+        )
     callfile.save_report(rows, Path(args.out))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

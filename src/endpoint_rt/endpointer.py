@@ -47,6 +47,7 @@ from .streams import (
     TokenEvent,
     TokenKind,
     VadDecision,
+    _first_inversion,
 )
 
 log = logging.getLogger(__name__)
@@ -455,11 +456,7 @@ def commit_transcript(
             )
 
     non_blank = [t for t in tokens if t.kind is not TokenKind.BLANK]
-    inv = None
-    for k in range(1, len(non_blank)):
-        if non_blank[k].emit_time_ms < non_blank[k - 1].emit_time_ms:
-            inv = k
-            break
+    inv = _first_inversion([t.emit_time_ms for t in non_blank])
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 

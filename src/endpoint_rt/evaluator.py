@@ -22,6 +22,7 @@ from typing import Iterator, Sequence, Union
 
 from ._kernels import edit_distance_counts
 from .endpointer import EndpointEvent, Trigger
+from .streams import _first_inversion
 
 __all__ = [
     "EvalConfig",
@@ -199,9 +200,9 @@ def align_events(
     """
     times = _hyp_times(hyps)
     for seq, name in ((list(ref_ends), "ref_ends"), (times, "hyps")):
-        for i in range(1, len(seq)):
-            if seq[i] < seq[i - 1]:
-                raise ValueError(f"{name} unsorted: first inversion at index {i}")
+        inv = _first_inversion(seq)
+        if inv is not None:
+            raise ValueError(f"{name} unsorted: first inversion at index {inv}")
 
     lo_off = -cfg.tolerance_ms
     hi_off = cfg.ts_threshold_ms + cfg.tolerance_ms

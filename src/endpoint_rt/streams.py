@@ -157,6 +157,11 @@ class Violation:
 
 
 def _first_inversion(times: list[int]) -> Optional[int]:
+    """Index of the first time below its predecessor, or None if sorted.
+
+    The package's one sortedness check: merge_streams, commit_transcript
+    and align_events all word their errors around it.
+    """
     for i in range(1, len(times)):
         if times[i] < times[i - 1]:
             return i

@@ -287,23 +287,41 @@ def save_model(model: MlpModel, path: str, threshold: float = 0.5) -> None:
 
 
 def load_model(path: str) -> tuple[MlpModel, float]:
-    """Read a checkpoint back; returns (model, operating threshold)."""
+    """Read a checkpoint back; returns (model, operating threshold).
+
+    Every field is length-checked before it is decoded, so a truncated file
+    raises ValueError naming the path and the field that was cut short.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        (n_dims,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
-        if n_dims != 4 or dims[-1] != 1:
-            raise ValueError(f"{path}: unsupported layer dims {list(dims)}")
-        (threshold,) = struct.unpack("<d", fh.read(8))
-        weights = []
-        biases = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).astype(float))
-            biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").astype(float))
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError(f"{path}: trailing bytes after parameters")
+        data = fh.read()
+    pos = 0
+
+    def take(n_bytes: int, what: str) -> bytes:
+        nonlocal pos
+        left = len(data) - pos
+        if left < n_bytes:
+            raise ValueError(
+                f"{path}: checkpoint cut short in {what}: "
+                f"expected {n_bytes} bytes, found {left}"
+            )
+        pos += n_bytes
+        return data[pos - n_bytes : pos]
+
+    (n_dims,) = struct.unpack("<I", take(4, "layer count"))
+    dims = struct.unpack(f"<{n_dims}I", take(4 * n_dims, "layer dims"))
+    if n_dims != 4 or dims[-1] != 1:
+        raise ValueError(f"{path}: unsupported layer dims {list(dims)}")
+    (threshold,) = struct.unpack("<d", take(8, "threshold"))
+    weights = []
+    biases = []
+    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]), start=1):
+        w = np.frombuffer(take(8 * fan_in * fan_out, f"layer {layer} weights"), dtype="<f8")
+        weights.append(w.reshape(fan_in, fan_out).astype(float))
+        b = np.frombuffer(take(8 * fan_out, f"layer {layer} bias"), dtype="<f8")
+        biases.append(b.astype(float))
+    if pos != len(data):
+        raise ValueError(f"{path}: trailing bytes after parameters")
     return MlpModel(tuple(dims), weights, biases), threshold  # type: ignore[arg-type]

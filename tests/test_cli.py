@@ -1,13 +1,23 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
 import re
+import zlib
 
 import pytest
 
-from endpoint_rt import callfile
+from endpoint_rt import callfile, cli, vadnet
 from endpoint_rt.cli import load_sim_config, main
-from endpoint_rt.endpointer import Mode
-from endpoint_rt.vadnet import load_model
+from endpoint_rt.endpointer import (
+    EndpointerConfig,
+    Mode,
+    commit_transcript,
+    hypothesis_words,
+    run_call,
+)
+from endpoint_rt.evaluator import EvalConfig, pool_scores, score_call
+from endpoint_rt.simulator import corrupt_vad, oracle_vad
+from endpoint_rt.streams import merge_streams
+from endpoint_rt.vadnet import init_model, load_model, save_model
 
 
 def run_cli(*argv):
@@ -26,6 +36,7 @@ n_turns = 2
 emission_delay = 0, 0, 0
 feature_dim = 4
 """
+THREE_DIM_CFG = ZERO_DELAY_CFG.replace("feature_dim = 4", "feature_dim = 3")
 
 
 def simulate(tmp_path, out_name="calls", n_calls=2, config_text=ZERO_DELAY_CFG, seed=10):
@@ -37,6 +48,13 @@ def simulate(tmp_path, out_name="calls", n_calls=2, config_text=ZERO_DELAY_CFG, 
     )
     assert code == 0
     return out
+
+
+def untrained_model(tmp_path, d_in=4, name="vad.mdl"):
+    """A checkpoint written without training: enough to drive model: VAD."""
+    path = tmp_path / name
+    save_model(init_model([d_in, 16, 16, 1], seed=3), str(path), threshold=0.5)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +246,34 @@ def test_endpoint_model_vad_missing_file_fails(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("cut", [10, 100, -1])
+def test_endpoint_truncated_checkpoint_fails_cleanly(tmp_path, capsys, cut):
+    calls = simulate(tmp_path)
+    full = untrained_model(tmp_path).read_bytes()
+    path = tmp_path / "cut.mdl"
+    path.write_bytes(full[:cut])
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "e"),
+        "--vad", f"model:{path}",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}: checkpoint cut short" in err
+    assert "Traceback" not in err
+
+
+def test_endpoint_model_with_other_feature_dim_fails(tmp_path, capsys):
+    calls = simulate(tmp_path, config_text=THREE_DIM_CFG)
+    model = untrained_model(tmp_path, d_in=4)
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "e"),
+        "--vad", f"model:{model}",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sim-00000010: model expects 4 features per frame, call has 3" in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -342,6 +388,129 @@ def test_tradeoff_rejects_unknown_mode(tmp_path):
         "--modes", "TS,PAUSE",
     )
     assert code == 2
+
+
+def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path, capsys):
+    calls = simulate(tmp_path)
+    out = str(tmp_path / "r.csv")
+    base = ("tradeoff", "--calls", str(calls), "--out", out)
+    assert run_cli(*base, "--frame-ms", "0") == 2
+    assert "--frame-ms: must be positive" in capsys.readouterr().err
+    assert run_cli(*base, "--tolerance-ms", "0") == 2
+    assert run_cli(*base, "--deltas=-200,200") == 2
+    assert run_cli(*base, "--vad", "psychic") == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_tradeoff_data_failure_exits_1(tmp_path, capsys):
+    calls = simulate(tmp_path, config_text=THREE_DIM_CFG)
+    model = untrained_model(tmp_path, d_in=4)
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+        "--vad", f"model:{model}",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sim-00000010: model expects 4 features per frame, call has 3" in err
+
+
+def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):
+    calls = simulate(tmp_path)
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+        "--modes", "BLANK", "--vad", f"model:{tmp_path / 'missing.mdl'}",
+    )
+    assert code == 0
+
+
+def _counting(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
+    calls = simulate(tmp_path, n_calls=3)
+    model = untrained_model(tmp_path)
+    counts = {"load_model": 0, "classify_frames": 0, "merge_streams": 0}
+    _counting(monkeypatch, vadnet, "load_model", counts)
+    _counting(monkeypatch, vadnet, "classify_frames", counts)
+    _counting(monkeypatch, cli, "merge_streams", counts)
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+        "--vad", f"model:{model}",
+    )
+    assert code == 0
+    # one load per command; per call one classification, and two merges:
+    # tokens only for BLANK, VAD plus tokens for the three other modes
+    assert counts == {"load_model": 1, "classify_frames": 3, "merge_streams": 6}
+
+
+SWEEP_CFG = """
+n_turns = 3
+feature_dim = 4
+"""
+
+
+def _library_vad(spec, seed=0):
+    if spec == "oracle":
+        return oracle_vad
+    if spec.startswith("corrupted:"):
+        rate = float(spec.partition(":")[2])
+        return lambda call: corrupt_vad(
+            oracle_vad(call), rate, (seed + zlib.crc32(call.call_id.encode())) % 2**32
+        )
+    model, threshold = load_model(spec.partition(":")[2])
+    return lambda call: vadnet.classify_frames(model, call.frames, threshold)
+
+
+def _library_report(calls_dir, vad, path, deltas=(200, 400, 600, 800), tol=200):
+    """The sweep built config by config from the library, fresh merge each time."""
+    calls = [callfile.load_call(p) for p in sorted(calls_dir.glob("*.call"))]
+    frame_ms = calls[0].frame_ms
+    rows = []
+    for mode in Mode:
+        for delta in deltas:
+            cfg = EndpointerConfig(
+                mode=mode,
+                ts_threshold_ms=delta,
+                blank_run_frames=max(1, delta // frame_ms),
+                deferral_cap_ms=max(1000, delta),
+                frame_ms=frame_ms,
+            )
+            scores = []
+            for call in calls:
+                decisions = [] if mode is Mode.BLANK else vad(call)
+                endpoints = run_call(cfg, merge_streams(decisions, call.tokens))
+                transcripts = commit_transcript(call.tokens, endpoints, call.end_ms)
+                scores.append(
+                    score_call(
+                        [seg.end_ms for seg in call.segments],
+                        endpoints,
+                        [w for seg in call.segments for w in seg.words],
+                        hypothesis_words(transcripts),
+                        EvalConfig(delta, tol),
+                    )
+                )
+            rows.append(callfile.ReportRow(mode, delta, tol, pool_scores(scores)))
+    callfile.save_report(rows, path)
+
+
+@pytest.mark.parametrize("spec", ["model:", "oracle", "corrupted:0.1"])
+def test_tradeoff_report_matches_a_per_config_library_sweep(tmp_path, spec):
+    calls = simulate(tmp_path, n_calls=3, config_text=SWEEP_CFG)
+    if spec == "model:":
+        spec += str(untrained_model(tmp_path))
+    got = tmp_path / "cli.csv"
+    want = tmp_path / "library.csv"
+    code = run_cli("tradeoff", "--calls", str(calls), "--out", str(got), "--vad", spec)
+    assert code == 0
+    _library_report(calls, _library_vad(spec), want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the MLP VAD: forward, gradients, training, DET/EER, checkpoints."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -315,6 +317,27 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
     save_model(model, str(path))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "cut, field",
+    [(10, "layer count"), (100, "layer 1 weights"), (-1, "layer 3 bias")],
+)
+def test_checkpoint_cut_short_names_path_and_field(tmp_path, cut, field):
+    model = init_model([4, 16, 16, 1], seed=0)
+    path = tmp_path / "vad.mdl"
+    save_model(model, str(path))
+    path.write_bytes(path.read_bytes()[:cut])
+    expected = f"{re.escape(str(path))}: checkpoint cut short in {field}:"
+    with pytest.raises(ValueError, match=expected):
+        load_model(str(path))
+
+
+def test_checkpoint_with_absurd_layer_count_is_cut_short(tmp_path):
+    path = tmp_path / "vad.mdl"
+    path.write_bytes(vadnet.CHECKPOINT_MAGIC + struct.pack("<I", 2**32 - 1) + b"\x00" * 16)
+    with pytest.raises(ValueError, match="cut short in layer dims"):
         load_model(str(path))
 
 
