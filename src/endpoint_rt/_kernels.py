@@ -1,85 +1,25 @@
-"""Edit-distance DP kernels.
+"""Edit-distance DP kernel.
 
-Two interchangeable backends fill the same integer DP matrix:
-
-* ``numba`` -- the classic nested loop, JIT-compiled (default when numba
-  imports cleanly);
-* ``numpy`` -- a row-vectorized fill using the prefix-minimum trick for
-  the insertion recurrence.
-
-Select explicitly with ``ENDPOINT_RT_KERNELS=numba|numpy``; anything else
-is rejected at import.  Both backends produce bit-identical matrices, so
-backend choice never changes a result (``benchmarks/bench_kernels.py``
-compares their speed).  The backtrace that turns a matrix into
-substitution/deletion/insertion counts is shared and resolves ties in a
-fixed order: substitution, then deletion, then insertion.
+``edit_matrix`` fills the integer unit-cost DP matrix one row at a time,
+vectorized with numpy: substitution and deletion come from the previous
+row, and the insertion recurrence along the row is a prefix minimum.  The
+backtrace in ``edit_distance_counts`` turns the matrix into
+substitution/deletion/insertion counts and resolves ties in a fixed order:
+substitution, then deletion, then insertion.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# the one backend; kept as a name because run records report it
+BACKEND = "numpy"
 
 
-_ENV_FLAG = "ENDPOINT_RT_KERNELS"
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not _HAVE_NUMBA:
-            raise RuntimeError(
-                f"{_ENV_FLAG}=numba requested but numba is not importable"
-            )
-        return choice
-    if choice:
-        raise RuntimeError(
-            f"unknown {_ENV_FLAG}={choice!r}; expected 'numba' or 'numpy'"
-        )
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-
-@njit(cache=True)
-def _edit_matrix_numba(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # pragma: no cover
-    n = a.shape[0]
-    m = b.shape[0]
-    dp = np.empty((n + 1, m + 1), dtype=np.int64)
-    for j in range(m + 1):
-        dp[0, j] = j
-    for i in range(1, n + 1):
-        dp[i, 0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            best = dp[i - 1, j - 1] + cost
-            if dp[i - 1, j] + 1 < best:
-                best = dp[i - 1, j] + 1
-            if dp[i, j - 1] + 1 < best:
-                best = dp[i, j - 1] + 1
-            dp[i, j] = best
-    return dp
-
-
-def _edit_matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def edit_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full unit-cost edit-distance DP matrix for int id sequences."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
     n = a.shape[0]
     m = b.shape[0]
     dp = np.empty((n + 1, m + 1), dtype=np.int64)
@@ -95,15 +35,6 @@ def _edit_matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # dp[i, j] = min_{k<=j} (base[k] + j - k): prefix minimum of base[k]-k
         dp[i] = np.minimum.accumulate(base - cols) + cols
     return dp
-
-
-def edit_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full unit-cost edit-distance DP matrix for int id sequences."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if BACKEND == "numba":
-        return _edit_matrix_numba(a, b)
-    return _edit_matrix_numpy(a, b)
 
 
 def edit_distance_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:

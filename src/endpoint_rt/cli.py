@@ -154,6 +154,16 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
     return calls
 
 
+def _check_frame_ms(calls: Sequence[CallRecord], frame_ms: int) -> None:
+    """Every call must sit on the configured frame grid."""
+    for call in calls:
+        if call.frame_ms != frame_ms:
+            raise ValueError(
+                f"{call.call_id}: call frame_ms={call.frame_ms} does not match "
+                f"configured frame_ms={frame_ms}"
+            )
+
+
 def _timeline(call: CallRecord, vad: Optional[VadSource]) -> list[TimelineEvent]:
     """The call's merged timeline; tokens only when there is no VAD (BLANK)."""
     return merge_streams(vad(call) if vad is not None else [], call.tokens)
@@ -282,15 +292,11 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
     args.frame_ms = frame_ms
     cfg = _endpointer_config(args)
+    _check_frame_ms(calls, cfg.frame_ms)
     vad = None if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for call in calls:
-        if call.frame_ms != cfg.frame_ms:
-            raise ValueError(
-                f"{call.call_id}: call frame_ms={call.frame_ms} does not match "
-                f"configured frame_ms={cfg.frame_ms}"
-            )
         endpoints, transcripts = _endpoint_call(call, cfg, _timeline(call, vad))
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
@@ -334,14 +340,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         ref_ends = [seg.end_ms for seg in call.segments]
         ref_words = [w for seg in call.segments for w in seg.words]
-        hyp_words = [
-            text for t in transcripts for text, _ in t.words
-        ]
-        s = score_call(ref_ends, endpoints, ref_words, hyp_words, eval_cfg)
+        s = score_call(
+            ref_ends, endpoints, ref_words, hypothesis_words(transcripts), eval_cfg
+        )
         scores.append(s)
-        m_hits, m_miss, m_fa = s.hits, s.misses, s.false_alarms
         print(
-            f"{call.call_id}: hits={m_hits} misses={m_miss} false_alarms={m_fa} "
+            f"{call.call_id}: hits={s.hits} misses={s.misses} false_alarms={s.false_alarms} "
             f"errors={s.substitutions + s.deletions + s.insertions}/{s.ref_words}"
         )
     report = pool_scores(scores)
@@ -403,6 +407,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             sweep.append((cfg, eval_cfg))
+    _check_frame_ms(calls, frame_ms)
 
     # VAD and merge do not depend on the config: build each call's
     # timelines once, then run every config over them

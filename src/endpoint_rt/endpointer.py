@@ -105,7 +105,6 @@ class _PendingFire:
     rule: str  # "eow" | "tseow"
     fire_time: int
     silence_start: int
-    eow_time: int = 0
     speech_at_boundary: bool = False
 
 
@@ -153,7 +152,6 @@ class Endpointer:
         self._blank_run_start = 0
         # nonspeech frame run (VAD modes)
         self._run_start: Optional[int] = None
-        self._run_end = 0
         self._run_fired = False
         self._last_nonblank: Optional[tuple[TokenKind, int]] = None
         self._pending: Union[_PendingFire, _Deferral, None] = None
@@ -215,12 +213,11 @@ class Endpointer:
     def _consume_eow(self) -> None:
         self._last_nonblank = None
 
-    def _eow_in_hand(self, by_time: int) -> Optional[int]:
-        if self._last_nonblank is not None:
-            kind, when = self._last_nonblank
-            if kind is TokenKind.EOW and when <= by_time:
-                return when
-        return None
+    def _eow_in_hand(self, by_time: int) -> bool:
+        if self._last_nonblank is None:
+            return False
+        kind, when = self._last_nonblank
+        return kind is TokenKind.EOW and when <= by_time
 
     # -- pending resolution ---------------------------------------------------
 
@@ -248,8 +245,7 @@ class Endpointer:
             self._emit(out, p.fire_time, Trigger.EOW, p.silence_start)
             self._consume_eow()
             return
-        eow_time = self._eow_in_hand(p.fire_time)
-        if eow_time is not None:
+        if self._eow_in_hand(p.fire_time):
             self._emit(out, p.fire_time, Trigger.TS_AND_EOW_IMMEDIATE, p.silence_start)
             self._consume_eow()
             return
@@ -296,8 +292,7 @@ class Endpointer:
 
         if self._run_start is None:
             self._run_start = t
-        self._run_end = t + self.cfg.frame_ms
-        span = self._run_end - self._run_start
+        span = t + self.cfg.frame_ms - self._run_start
 
         if self.cfg.mode is Mode.TS:
             if self._armed and not self._run_fired and span >= self.cfg.ts_threshold_ms:
@@ -334,7 +329,6 @@ class Endpointer:
             "eow",
             max(self._run_start + self.cfg.frame_ms, eow_time),
             self._run_start,
-            eow_time=eow_time,
         )
 
     def _on_token(self, tok: TokenEvent, t: int, out: list[EndpointEvent]) -> None:
@@ -379,32 +373,14 @@ class Endpointer:
     # -- end of stream ----------------------------------------------------------
 
     def _flush(self, eos_time: int, out: list[EndpointEvent]) -> None:
+        # a fire still pending was stamped after every event, so any EOW in
+        # hand is at or before its fire time and _adjudicate settles it as
+        # it would mid-stream; a deferral left open times out at the end
+        if isinstance(self._pending, _PendingFire):
+            self._adjudicate(self._pending, out)
         p = self._pending
         self._pending = None
-        if isinstance(p, _PendingFire):
-            if p.rule == "eow":
-                self._emit(out, p.fire_time, Trigger.EOW, p.silence_start)
-                self._consume_eow()
-                return
-            eow_time = self._eow_in_hand(p.fire_time)
-            if eow_time is not None:
-                self._emit(
-                    out, p.fire_time, Trigger.TS_AND_EOW_IMMEDIATE, p.silence_start
-                )
-                self._consume_eow()
-                return
-            if p.speech_at_boundary:
-                return
-            deadline = p.silence_start + self.cfg.deferral_cap_ms
-            when = min(deadline, eos_time)
-            self._emit(
-                out,
-                when,
-                Trigger.DEFERRAL_TIMEOUT,
-                p.silence_start,
-                max(0, when - p.fire_time),
-            )
-        elif isinstance(p, _Deferral):
+        if isinstance(p, _Deferral):
             when = min(p.deadline, eos_time)
             self._emit(
                 out,
@@ -449,11 +425,11 @@ def commit_transcript(
     final turn only when at least one non-blank token exists there.
     """
     boundaries = [ep.time_ms for ep in endpoints]
-    for k in range(1, len(boundaries)):
-        if boundaries[k] < boundaries[k - 1]:
-            raise ValueError(
-                f"endpoints out of order: {boundaries[k]} after {boundaries[k - 1]}"
-            )
+    inv = _first_inversion(boundaries)
+    if inv is not None:
+        raise ValueError(
+            f"endpoints out of order: {boundaries[inv]} after {boundaries[inv - 1]}"
+        )
 
     non_blank = [t for t in tokens if t.kind is not TokenKind.BLANK]
     inv = _first_inversion([t.emit_time_ms for t in non_blank])

@@ -211,13 +211,40 @@ def test_endpoint_rejects_bad_vad_spec(tmp_path):
     )
 
 
-def test_endpoint_rejects_mismatched_frame_ms(tmp_path):
+def test_endpoint_rejects_mismatched_frame_ms(tmp_path, capsys):
     calls = simulate(tmp_path)
-    code = run_cli(
-        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "e"),
-        "--frame-ms", "20", "--delta-ms", "200",
-    )
-    assert code == 1
+    # a 20 ms call among 40 ms ones: the first call sets the grid
+    mixed = simulate(tmp_path, out_name="mixed")
+    cfg = write_config(tmp_path, ZERO_DELAY_CFG)
+    assert run_cli(
+        "simulate", "--config", str(cfg), "--out", str(mixed),
+        "--n-calls", "1", "--seed", "12", "--frame-ms", "20",
+    ) == 0
+    capsys.readouterr()
+    cases = [
+        (calls, ["--frame-ms", "20"], "sim-00000010: call frame_ms=40 does not "
+         "match configured frame_ms=20"),
+        (mixed, [], "sim-00000012: call frame_ms=20 does not match "
+         "configured frame_ms=40"),
+    ]
+    for k, (calls_dir, flags, message) in enumerate(cases):
+        ep_out = tmp_path / f"e{k}"
+        code = run_cli(
+            "endpoint", "--calls", str(calls_dir), "--out", str(ep_out),
+            "--delta-ms", "200", *flags,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ep_out.exists()
+
+        report = tmp_path / f"r{k}.csv"
+        code = run_cli(
+            "tradeoff", "--calls", str(calls_dir), "--out", str(report),
+            "--deltas", "200,400", *flags,
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not report.exists()
 
 
 def test_endpoint_with_trained_model_vad(tmp_path):

@@ -281,6 +281,52 @@ def test_tseow_open_deferral_times_out_at_end_of_stream():
     ]
 
 
+# ---------------------------------------------------------------------------
+# end of stream while a fire is still pending (stamped after the last event)
+
+
+def settle_at_end(mode, vad, tokens, **kw):
+    """Endpoints fired before EndOfStream, and the one EndOfStream settles."""
+    machine = new_endpointer(EndpointerConfig(mode=mode, **kw))
+    timeline = merge_streams(list(vad), list(tokens))
+    before = [ep for ev in timeline[:-1] if (ep := machine.step(ev)) is not None]
+    ep = machine.step(timeline[-1])
+    at_end = None if ep is None else (
+        ep.time_ms, ep.trigger, ep.silence_start_ms, ep.deferred_by_ms
+    )
+    return before, at_end
+
+
+def test_end_of_stream_times_out_a_pending_tseow_fire():
+    # threshold completes at 600 ms, the stream ends at 560 ms: no EOW in
+    # hand, so the fire becomes a deferral that times out at end of stream
+    before, at_end = settle_at_end(Mode.TS_AND_EOW, vad_seq("s" * 10 + "n" * 5), [sub(100)])
+    assert before == []
+    assert at_end == (560, Trigger.DEFERRAL_TIMEOUT, 400, 0)
+
+
+def test_end_of_stream_settles_a_pending_tseow_fire_as_immediate():
+    before, at_end = settle_at_end(
+        Mode.TS_AND_EOW, vad_seq("s" * 10 + "n" * 5), [sub(100), eow(300)]
+    )
+    assert before == []
+    assert at_end == (600, Trigger.TS_AND_EOW_IMMEDIATE, 400, 0)
+
+
+def test_end_of_stream_keeps_speech_at_the_threshold_cancelling():
+    before, at_end = settle_at_end(
+        Mode.TS_AND_EOW, vad_seq("s" * 10 + "n" * 5 + "s"), [sub(100)]
+    )
+    assert (before, at_end) == ([], None)
+
+
+def test_end_of_stream_settles_a_pending_eow_fire():
+    # silence from 160 ms: the fire is stamped one frame in, at 200 ms
+    before, at_end = settle_at_end(Mode.EOW, vad_seq("ssss" + "n"), [sub(50), eow(100)])
+    assert before == []
+    assert at_end == (200, Trigger.EOW, 160, 0)
+
+
 def test_tseow_fires_once_per_run_even_after_timeout():
     eps = run(Mode.TS_AND_EOW, vad_seq("ss" + "n" * 60), [sub(60)])
     assert len(eps) == 1

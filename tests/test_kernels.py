@@ -1,9 +1,8 @@
-"""Tests for the edit-distance kernel and its backend selection."""
+"""Tests for the edit-distance kernel."""
 
 import numpy as np
 import pytest
 
-from endpoint_rt import _kernels
 from endpoint_rt._kernels import BACKEND, edit_distance_counts, edit_matrix
 
 from oracles import brute_edit_counts
@@ -14,7 +13,8 @@ def _ids(seq):
 
 
 def test_backend_is_a_known_name():
-    assert BACKEND in ("numba", "numpy")
+    # run records report it, so it must stay importable and named
+    assert BACKEND == "numpy"
 
 
 def test_known_example_counts():
@@ -56,13 +56,16 @@ def test_matrix_corner_is_the_distance():
     assert list(mat[:, 0]) == [0, 1, 2, 3, 4]
 
 
-def test_backends_agree_on_random_inputs():
+def test_every_matrix_cell_is_the_prefix_distance():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        a = _ids(rng.integers(0, 5, size=rng.integers(0, 12)))
-        b = _ids(rng.integers(0, 5, size=rng.integers(0, 12)))
-        ref_mat = _kernels._edit_matrix_numpy(a, b)
-        assert np.array_equal(edit_matrix(a, b), ref_mat)
+        a = [int(x) for x in rng.integers(0, 5, size=rng.integers(0, 12))]
+        b = [int(x) for x in rng.integers(0, 5, size=rng.integers(0, 12))]
+        mat = edit_matrix(_ids(a), _ids(b))
+        assert mat.shape == (len(a) + 1, len(b) + 1)
+        for i in range(len(a) + 1):
+            for j in range(len(b) + 1):
+                assert mat[i, j] == brute_edit_counts(a[:i], b[:j])[0], (a, b, i, j)
 
 
 def test_counts_match_brute_force_oracle():
