@@ -27,7 +27,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class FormatError(ValueError):
     """A file does not parse as the format it claims to be."""
 
 
-def _fail(path: Union[str, Path], lineno: int, message: str) -> None:
+def _fail(path: Union[str, Path], lineno: int, message: str) -> NoReturn:
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
@@ -96,9 +96,19 @@ def _encode(value: Optional[str]) -> str:
     return value
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    """The file as ASCII text; a non-ASCII byte is an error naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line number, counted the way splitlines counts
+        lineno = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        _fail(path, lineno, f"non-ASCII byte 0x{data[exc.start]:02x}")
+
+
 def _read_lines(path: Union[str, Path]) -> list[str]:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         _fail(path, 1, f"missing {FORMAT_LINE!r} header")
     return lines
@@ -355,8 +365,7 @@ def save_report(rows: Sequence[ReportRow], path: Union[str, Path]) -> None:
 
 
 def load_report(path: Union[str, Path]) -> list[ReportRow]:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != f"# {FORMAT_LINE}":
         _fail(path, 1, f"missing '# {FORMAT_LINE}' header")
     reader = csv.reader(lines[1:])

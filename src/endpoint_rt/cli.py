@@ -57,7 +57,13 @@ def load_sim_config(path: Path) -> SimConfig:
     """Parse a key=value config file into a SimConfig."""
     known = {f.name for f in dataclass_fields(SimConfig)}
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise UsageError(f"{path}:{lineno}: not UTF-8 text") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
