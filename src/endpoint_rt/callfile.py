@@ -34,8 +34,10 @@ import numpy as np
 from .endpointer import EndpointEvent, Mode, Trigger, TurnTranscript
 from .evaluator import EvalReport
 from .streams import (
+    NO_LABEL,
+    NONSPEECH_CODE,
+    SPEECH_CODE,
     CallRecord,
-    FrameRecord,
     Label,
     ReferenceSegment,
     TokenEvent,
@@ -117,14 +119,28 @@ def _read_lines(path: Union[str, Path]) -> list[str]:
 # -- call files ---------------------------------------------------------------
 
 
+_LABEL_CODE = {
+    _PLACEHOLDER: NO_LABEL,
+    Label.NONSPEECH.value: NONSPEECH_CODE,
+    Label.SPEECH.value: SPEECH_CODE,
+}
+_LABEL_TEXT = {code: text for text, code in _LABEL_CODE.items()}
+_TOKEN_KINDS = {kind.value: kind for kind in TokenKind}
+
+
 def save_call(call: CallRecord, path: Union[str, Path]) -> None:
-    dim = call.frames[0].features.shape[0] if call.frames else 0
-    out = [FORMAT_LINE, f"call {_encode(call.call_id)} {call.frame_ms} {dim}"]
-    for fr in call.frames:
-        label = fr.label.value if fr.label is not None else _PLACEHOLDER
-        teacher = fr.teacher_label.value if fr.teacher_label is not None else _PLACEHOLDER
-        feats = " ".join(repr(float(v)) for v in fr.features)
-        out.append(f"frame {fr.index} {label} {teacher} {feats}".rstrip())
+    out = [
+        FORMAT_LINE,
+        f"call {_encode(call.call_id)} {call.frame_ms} {call.features.shape[1]}",
+    ]
+    for index, label, teacher, row in zip(
+        call.frame_index.tolist(),
+        call.labels.tolist(),
+        call.teacher_labels.tolist(),
+        call.features.tolist(),
+    ):
+        labels = f"{_LABEL_TEXT[label]} {_LABEL_TEXT[teacher]}"
+        out.append(f"frame {index} {labels} {' '.join(map(repr, row))}".rstrip())
     for tok in call.tokens:
         idx = _PLACEHOLDER if tok.word_index is None else str(tok.word_index)
         out.append(
@@ -136,28 +152,47 @@ def save_call(call: CallRecord, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _first_bad_frame_line(path: Union[str, Path], lines: list[str]) -> None:
+    """Fail on the first frame line whose index or features do not convert."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if parts and parts[0] == "frame":
+            try:
+                if not _INT64.min <= int(parts[1]) <= _INT64.max:
+                    raise ValueError(f"frame index {parts[1]} out of range")
+                for value in parts[4:]:
+                    float(value)
+            except ValueError as exc:
+                _fail(path, lineno, f"bad frame record: {exc}")
+
+
 def load_call(path: Union[str, Path]) -> CallRecord:
+    """Parse a call file; every frame line is split once, all features convert at once.
+
+    A malformed line raises FormatError naming ``path:line``.
+    """
     lines = _read_lines(path)
     call_id = ""
     frame_ms = 0
     dim = 0
-    frames: list[FrameRecord] = []
+    header_lineno = 0
+    index: list[int] = []
+    labels: list[int] = []
+    teachers: list[int] = []
+    values: list[str] = []  # every frame's feature strings, row after row
     tokens: list[TokenEvent] = []
     segments: list[ReferenceSegment] = []
-    saw_header = False
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         tag = parts[0]
         try:
-            if tag == "call":
-                if saw_header:
-                    _fail(path, lineno, "duplicate call header")
-                call_id, frame_ms, dim = parts[1], int(parts[2]), int(parts[3])
-                saw_header = True
-            elif tag == "frame":
-                if not saw_header:
+            if tag == "frame":
+                if not header_lineno:
                     _fail(path, lineno, "frame record before call header")
                 if len(parts) != 4 + dim:
                     _fail(
@@ -165,31 +200,38 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                         lineno,
                         f"frame line has {len(parts) - 4} feature values, expected {dim}",
                     )
-                label = _opt(parts[2])
-                teacher = _opt(parts[3])
-                frames.append(
-                    FrameRecord(
-                        index=int(parts[1]),
-                        time_ms=int(parts[1]) * frame_ms,
-                        features=np.array([float(v) for v in parts[4:]]),
-                        label=Label(label) if label else None,
-                        teacher_label=Label(teacher) if teacher else None,
-                    )
-                )
+                index.append(int(parts[1]))
+                try:
+                    labels.append(_LABEL_CODE[parts[2]])
+                    teachers.append(_LABEL_CODE[parts[3]])
+                except KeyError as exc:
+                    raise ValueError(f"{exc.args[0]!r} is not a valid Label") from None
+                values += parts[4:]
             elif tag == "token":
                 if len(parts) != 5:
                     _fail(path, lineno, f"token line has {len(parts)} fields, expected 5")
+                try:
+                    kind = _TOKEN_KINDS[parts[2]]
+                except KeyError:
+                    raise ValueError(f"{parts[2]!r} is not a valid TokenKind") from None
                 idx = _opt(parts[4])
                 tokens.append(
                     TokenEvent(
-                        emit_time_ms=int(parts[1]),
-                        kind=TokenKind(parts[2]),
-                        text=_opt(parts[3]) or "",
-                        word_index=int(idx) if idx is not None else None,
+                        int(parts[1]),
+                        kind,
+                        _opt(parts[3]) or "",
+                        int(idx) if idx is not None else None,
                     )
                 )
+            elif tag == "call":
+                if header_lineno:
+                    _fail(path, lineno, "duplicate call header")
+                call_id, frame_ms, dim = parts[1], int(parts[2]), int(parts[3])
+                if dim < 0:
+                    _fail(path, lineno, f"negative feature dim {dim}")
+                header_lineno = lineno
             elif tag == "segment":
-                if not saw_header:
+                if not header_lineno:
                     _fail(path, lineno, "segment record before call header")
                 segments.append(
                     ReferenceSegment(
@@ -205,12 +247,21 @@ def load_call(path: Union[str, Path]) -> CallRecord:
             if isinstance(exc, FormatError):
                 raise
             _fail(path, lineno, f"bad {tag} record: {exc}")
-    if not saw_header:
+    if not header_lineno:
         _fail(path, len(lines), "no call header line")
+    try:
+        frame_index = np.array(index, dtype=np.int64)
+        features = np.array(values, dtype=np.float64).reshape(len(index), dim)
+    except (ValueError, OverflowError) as exc:
+        _first_bad_frame_line(path, lines)
+        _fail(path, header_lineno, f"bad call record: {exc}")
     return CallRecord(
-        call_id=call_id,
-        frame_ms=frame_ms,
-        frames=tuple(frames),
+        call_id,
+        frame_ms,
+        frame_index=frame_index,
+        features=features,
+        labels=np.array(labels, dtype=np.int8),
+        teacher_labels=np.array(teachers, dtype=np.int8),
         tokens=tuple(tokens),
         segments=tuple(segments),
     )

@@ -19,18 +19,28 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import callfile, simulator, vadnet
 from .endpointer import (
     EndpointerConfig,
     Mode,
     commit_transcript,
-    hypothesis_words,
     new_endpointer,
     run_call,
 )
-from .evaluator import CallScore, EvalConfig, pool_scores, score_call, tradeoff
+from .evaluator import CallScore, EvalConfig, pool_scores, score_against
 from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
-from .streams import CallRecord, TimelineEvent, VadDecision, merge_streams, validate_call
+from .streams import (
+    NO_LABEL,
+    SPEECH_CODE,
+    CallRecord,
+    Label,
+    TimelineEvent,
+    VadDecision,
+    merge_streams,
+    validate_call,
+)
 
 log = logging.getLogger(__name__)
 
@@ -128,9 +138,8 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         d_in = model.layer_dims[0]
 
         def classify(call: CallRecord) -> list[VadDecision]:
-            # validate_call has checked that every frame has the first's dim
-            dim = call.frames[0].features.shape[-1] if call.frames else d_in
-            if dim != d_in:
+            dim = call.features.shape[1]
+            if len(call.frame_index) and dim != d_in:
                 raise ValueError(
                     f"{call.call_id}: model expects {d_in} features per frame, "
                     f"call has {dim}"
@@ -201,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for k in range(args.n_calls):
         call = gen_call(replace(cfg, seed=cfg.seed + k))
         callfile.save_call(call, out_dir / f"{call.call_id}.call")
-        log.info("wrote %s (%d frames)", call.call_id, len(call.frames))
+        log.info("wrote %s (%d frames)", call.call_id, len(call.frame_index))
     print(f"wrote {args.n_calls} call files to {out_dir}")
     return 0
 
@@ -249,22 +258,18 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
     if n_hold == 0:
         log.warning("holdout fraction rounds to 0 calls; evaluating on training data")
 
-    train_frames = [fr for c in train_calls for fr in c.frames]
-    dim = train_frames[0].features.shape[0]
-    model = vadnet.init_model([dim, hidden[0], hidden[1], 1], seed=args.seed)
-    losses = vadnet.train(model, train_frames, train_cfg, use_teacher=args.teacher)
+    x, codes = _frame_arrays(train_calls, args.teacher, args.calls, "training")
+    model = vadnet.init_model([x.shape[1], hidden[0], hidden[1], 1], seed=args.seed)
+    y = (codes == SPEECH_CODE).astype(float)
+    losses = vadnet.train_arrays(model, x, y, train_cfg)
 
-    hold_frames = [fr for c in hold_calls for fr in c.frames]
-    missing = [k for k, fr in enumerate(hold_frames) if fr.label is None]
-    if missing:
-        raise ValueError(f"held-out frame {missing[0]} has no ground-truth label")
-    decisions = vadnet.classify_frames(model, hold_frames, 0.5)
-    posteriors = [d.posterior for d in decisions]
-    labels = [fr.label for fr in hold_frames]
-    curve = vadnet.det_curve(posteriors, labels)
+    hold_x, hold_codes = _frame_arrays(hold_calls, False, args.calls, "held-out")
+    is_speech = (hold_codes == SPEECH_CODE).tolist()
+    labels = [Label.SPEECH if s else Label.NONSPEECH for s in is_speech]
+    curve = vadnet.det_curve(vadnet.posteriors(model, hold_x), labels)
     point = vadnet.eer(curve)
     vadnet.save_model(model, Path(args.out), threshold=point.threshold)
-    print(f"trained on {len(train_frames)} frames ({len(train_calls)} calls)")
+    print(f"trained on {len(x)} frames ({len(train_calls)} calls)")
     print(f"final_epoch_loss={losses[-1]:.6f}")
     print(
         f"held_out_calls={len(hold_calls) if n_hold else 0} "
@@ -272,6 +277,31 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
     )
     print(f"wrote model checkpoint to {args.out}")
     return 0
+
+
+def _frame_arrays(
+    calls: Sequence[CallRecord], teacher: bool, calls_dir: str, role: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The calls' stacked features and label (or teacher label) codes.
+
+    Every frame must carry the label; ``role`` names the calls in errors.
+    """
+    calls = [c for c in calls if len(c.frame_index)]
+    if not calls:
+        raise ValueError(f"{calls_dir}: the {role} calls hold no frames")
+    dim = calls[0].features.shape[1]
+    for call in calls:
+        if call.features.shape[1] != dim:
+            raise ValueError(
+                f"{call.call_id}: {call.features.shape[1]} features per frame, "
+                f"{calls[0].call_id} has {dim}"
+            )
+    codes = np.concatenate([c.teacher_labels if teacher else c.labels for c in calls])
+    missing = np.flatnonzero(codes == NO_LABEL)
+    if missing.size:
+        column = "teacher_label" if teacher else "label"
+        raise ValueError(f"{role} frame {missing[0]} has no {column}")
+    return np.concatenate([c.features for c in calls]), codes
 
 
 def _endpointer_config(args: argparse.Namespace) -> EndpointerConfig:
@@ -344,11 +374,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{ep_path}: mode {ep_mode.value} differs from {mode.value}"
             )
-        ref_ends = [seg.end_ms for seg in call.segments]
-        ref_words = [w for seg in call.segments for w in seg.words]
-        s = score_call(
-            ref_ends, endpoints, ref_words, hypothesis_words(transcripts), eval_cfg
-        )
+        s = score_against(call, endpoints, transcripts, eval_cfg)
         scores.append(s)
         print(
             f"{call.call_id}: hits={s.hits} misses={s.misses} false_alarms={s.false_alarms} "
@@ -424,16 +450,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     for call in calls:
         blank = _timeline(call, None) if Mode.BLANK in modes else None
         voiced = _timeline(call, vad) if vad is not None else None
-        ref_ends = [seg.end_ms for seg in call.segments]
-        ref_words = [w for seg in call.segments for w in seg.words]
         for (cfg, eval_cfg), config_scores in zip(sweep, scores):
             timeline = blank if cfg.mode is Mode.BLANK else voiced
             endpoints, transcripts = _endpoint_call(call, cfg, timeline)
-            config_scores.append(
-                score_call(
-                    ref_ends, endpoints, ref_words, hypothesis_words(transcripts), eval_cfg
-                )
-            )
+            config_scores.append(score_against(call, endpoints, transcripts, eval_cfg))
 
     rows: list[callfile.ReportRow] = []
     for k, mode in enumerate(modes):
@@ -441,12 +461,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             (delta, pool_scores(scores[k * len(deltas) + j]))
             for j, delta in enumerate(deltas)
         ]
-        curve = tradeoff(per_delta)
-        log.info(
-            "mode %s: wer by delta %s",
-            mode.value,
-            [(row.delta_ms, round(row.wer, 4)) for row in curve],
-        )
         rows.extend(
             callfile.ReportRow(mode, d, eval_tol, rep)
             for d, rep in sorted(per_delta, key=lambda dr: dr[0])

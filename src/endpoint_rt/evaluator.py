@@ -1,4 +1,4 @@
-"""Scoring for endpoint detection: alignment, P/R/F1, WER, latency, trade-offs.
+"""Scoring for endpoint detection: alignment, P/R/F1, WER, latency.
 
 Detected endpoints are aligned to reference turn ends with a tolerance
 window, one-to-one and in order.  A hypothesis at time h matches a
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from ._kernels import edit_distance_counts
-from .endpointer import EndpointEvent, Trigger
-from .streams import _first_inversion
+from .endpointer import EndpointEvent, Trigger, TurnTranscript, hypothesis_words
+from .streams import CallRecord, _first_inversion
 
 __all__ = [
     "EvalConfig",
@@ -32,14 +32,13 @@ __all__ = [
     "LatencyStats",
     "CallScore",
     "EvalReport",
-    "TradeoffRow",
     "align_events",
     "prf",
     "wer",
     "latency_stats",
     "score_call",
+    "score_against",
     "pool_scores",
-    "tradeoff",
 ]
 
 
@@ -161,27 +160,6 @@ class EvalReport:
     deferral_timeouts: int
 
 
-class TradeoffRow:
-    """One point of a latency/accuracy curve, ordered by delta."""
-
-    __slots__ = ("delta_ms", "mean_latency_ms", "wer", "f1")
-
-    def __init__(self, delta_ms: int, mean_latency_ms: float, wer: float, f1: float):
-        self.delta_ms = delta_ms
-        self.mean_latency_ms = mean_latency_ms
-        self.wer = wer
-        self.f1 = f1
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.delta_ms, self.mean_latency_ms, self.wer, self.f1))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TradeoffRow(delta_ms={self.delta_ms}, "
-            f"mean_latency_ms={self.mean_latency_ms}, wer={self.wer}, f1={self.f1})"
-        )
-
-
 def _hyp_times(hyps: Sequence[Union[EndpointEvent, int]]) -> list[int]:
     return [h.time_ms if isinstance(h, EndpointEvent) else int(h) for h in hyps]
 
@@ -293,6 +271,26 @@ def score_call(
     )
 
 
+def score_against(
+    call: CallRecord,
+    endpoints: Sequence[EndpointEvent],
+    transcripts: Sequence[TurnTranscript],
+    cfg: EvalConfig,
+) -> CallScore:
+    """Score one call's endpoints and committed transcript against its reference.
+
+    The reference is the call's segments: their ends are the turn ends,
+    their words the reference word sequence.
+    """
+    return score_call(
+        [seg.end_ms for seg in call.segments],
+        endpoints,
+        [w for seg in call.segments for w in seg.words],
+        hypothesis_words(transcripts),
+        cfg,
+    )
+
+
 def pool_scores(scores: Sequence[CallScore]) -> EvalReport:
     """Micro-average: sum counts across calls, then form every ratio once."""
     hits = sum(s.hits for s in scores)
@@ -328,18 +326,3 @@ def pool_scores(scores: Sequence[CallScore]) -> EvalReport:
         median_latency_ms=med_lat,
         deferral_timeouts=sum(s.deferral_timeouts for s in scores),
     )
-
-
-def tradeoff(reports: Sequence[tuple[int, EvalReport]]) -> list[TradeoffRow]:
-    """Sort per-delta reports into latency/accuracy curve rows."""
-    if len(reports) < 2:
-        raise ValueError("tradeoff needs at least 2 distinct delta values")
-    deltas = [d for d, _ in reports]
-    if len(set(deltas)) != len(deltas):
-        dupes = sorted({d for d in deltas if deltas.count(d) > 1})
-        raise ValueError(f"duplicate delta values: {dupes}")
-    rows = [
-        TradeoffRow(d, rep.mean_latency_ms, rep.wer, rep.f1)
-        for d, rep in sorted(reports, key=lambda dr: dr[0])
-    ]
-    return rows

@@ -19,15 +19,15 @@ per turn, spanning the whole turn, listing its words).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .streams import (
+    NO_LABEL,
+    SPEECH_CODE,
     CallRecord,
-    FrameRecord,
-    Label,
     ReferenceSegment,
     TokenEvent,
     TokenKind,
@@ -206,19 +206,6 @@ def gen_call(cfg: SimConfig) -> CallRecord:
 
     flips = rng.random(n_frames) < cfg.teacher_flip_prob
 
-    frames = [
-        FrameRecord(
-            index=i,
-            time_ms=i * f,
-            features=eps[i],
-            label=Label.SPEECH if labels[i] else Label.NONSPEECH,
-            teacher_label=(
-                Label.SPEECH if (labels[i] ^ flips[i]) else Label.NONSPEECH
-            ),
-        )
-        for i in range(n_frames)
-    ]
-
     call_id = f"sim-{cfg.seed:08d}"
     segments = [
         ReferenceSegment(call_id, start, end, texts) for start, end, texts in turns
@@ -226,7 +213,10 @@ def gen_call(cfg: SimConfig) -> CallRecord:
     return CallRecord(
         call_id=call_id,
         frame_ms=f,
-        frames=tuple(frames),
+        frame_index=np.arange(n_frames, dtype=np.int64),
+        features=eps,
+        labels=labels.astype(np.int8),
+        teacher_labels=(labels ^ flips).astype(np.int8),
         tokens=tuple(tokens),
         segments=tuple(segments),
     )
@@ -245,38 +235,30 @@ def resample_features(
         raise ValueError(
             f"feature_separability: must be non-negative, got {separability}"
         )
+    _check_labeled(call)
     rng = np.random.default_rng(seed)
-    n = len(call.frames)
-    dim = call.frames[0].features.shape[0] if n else 0
-    eps = rng.standard_normal((n, dim))
-    shift = separability / 2.0
-    frames = []
-    for k, fr in enumerate(call.frames):
-        if fr.label is None:
-            raise ValueError(f"frame {k} has no label")
-        row = eps[k]
-        row[0] += shift if fr.label is Label.SPEECH else -shift
-        frames.append(
-            FrameRecord(fr.index, fr.time_ms, row, fr.label, fr.teacher_label)
-        )
-    return CallRecord(
-        call_id=call.call_id,
-        frame_ms=call.frame_ms,
-        frames=tuple(frames),
-        tokens=call.tokens,
-        segments=call.segments,
-    )
+    features = rng.standard_normal(call.features.shape)
+    if len(features):  # an empty call may have no feature columns at all
+        shift = separability / 2.0
+        features[:, 0] += np.where(call.labels == SPEECH_CODE, shift, -shift)
+    return replace(call, features=features)
+
+
+def _check_labeled(call: CallRecord) -> None:
+    missing = np.flatnonzero(call.labels == NO_LABEL)
+    if missing.size:
+        raise ValueError(f"frame {missing[0]} has no label")
 
 
 def oracle_vad(call: CallRecord) -> list[VadDecision]:
     """Perfect decisions straight from ground-truth labels."""
-    out = []
-    for k, fr in enumerate(call.frames):
-        if fr.label is None:
-            raise ValueError(f"frame {k} has no label")
-        is_speech = fr.label is Label.SPEECH
-        out.append(VadDecision(fr.index, fr.time_ms, 1.0 if is_speech else 0.0, is_speech))
-    return out
+    _check_labeled(call)
+    f = call.frame_ms
+    is_speech = call.labels == SPEECH_CODE
+    return [
+        VadDecision(i, i * f, 1.0 if s else 0.0, s)
+        for i, s in zip(call.frame_index.tolist(), is_speech.tolist())
+    ]
 
 
 def corrupt_vad(

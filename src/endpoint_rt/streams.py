@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +40,9 @@ class TokenKind(str, Enum):
 class FrameRecord:
     """One acoustic frame: features plus optional labels.
 
-    ``label`` is the ground-truth voice activity for the frame;
+    A call keeps its frames as columns; ``CallRecord.frames`` hands out
+    FrameRecords as views of them.  ``label`` is the ground-truth voice
+    activity for the frame;
     ``teacher_label`` is the (possibly noisy) label a teacher system would
     have assigned, kept separately so training can consume either column.
     """
@@ -111,15 +114,123 @@ class ReferenceSegment:
     words: tuple[str, ...] = ()
 
 
+# Codes of a call's ``labels`` and ``teacher_labels`` columns.
+NO_LABEL = -1
+NONSPEECH_CODE = 0
+SPEECH_CODE = 1
+_LABEL_CODES = {
+    None: NO_LABEL,
+    Label.NONSPEECH: NONSPEECH_CODE,
+    Label.SPEECH: SPEECH_CODE,
+}
+_CODE_LABELS = (Label.NONSPEECH, Label.SPEECH, None)  # by code; -1 picks None
+
+
+def _label_codes(labels) -> np.ndarray:
+    return np.array([_LABEL_CODES[lab] for lab in labels], dtype=np.int8)
+
+
+_COLUMNS = (  # name, dtype, ndim
+    ("frame_index", np.int64, 1),
+    ("features", np.float64, 2),
+    ("labels", np.int8, 1),
+    ("teacher_labels", np.int8, 1),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class CallRecord:
-    """A complete simulated or recorded call."""
+    """A complete simulated or recorded call, its frames held as columns.
+
+    Frame k has index ``frame_index[k]``, feature row ``features[k]`` (the
+    array is n x d) and label codes ``labels[k]`` and ``teacher_labels[k]``
+    (1 speech, 0 nonspeech, -1 absent).  Its time is always
+    ``frame_index[k] * frame_ms``.  The record owns its arrays and marks
+    them read-only; ``frames`` derives per-frame FrameRecord views on first
+    use, and ``from_frames`` builds a call from FrameRecords.
+    """
 
     call_id: str
     frame_ms: int
-    frames: tuple[FrameRecord, ...] = ()
+    frame_index: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    features: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
+    teacher_labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
     tokens: tuple[TokenEvent, ...] = ()
     segments: tuple[ReferenceSegment, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.frame_index)
+        for name, dtype, ndim in _COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.ndim != ndim or column.shape[0] != n:
+                raise ValueError(
+                    f"{self.call_id}: {name} has shape {column.shape}, "
+                    f"expected {ndim} dimension(s) and {n} rows"
+                )
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        for name in ("labels", "teacher_labels"):
+            codes = getattr(self, name)
+            bad = np.flatnonzero((codes < NO_LABEL) | (codes > SPEECH_CODE))
+            if bad.size:
+                raise ValueError(f"{self.call_id}: frame {bad[0]}: bad {name} code")
+
+    @classmethod
+    def from_frames(
+        cls,
+        call_id: str,
+        frame_ms: int,
+        frames: Sequence[FrameRecord] = (),
+        tokens: Sequence[TokenEvent] = (),
+        segments: Sequence[ReferenceSegment] = (),
+    ) -> "CallRecord":
+        """Build a call from FrameRecords, stacking their features once.
+
+        Raises ValueError naming the first frame whose time is not
+        ``index * frame_ms`` or whose feature dim differs from the first
+        frame's.
+        """
+        rows = [np.asarray(fr.features, dtype=np.float64) for fr in frames]
+        for k, (fr, row) in enumerate(zip(frames, rows)):
+            if fr.time_ms != fr.index * frame_ms:
+                raise ValueError(
+                    f"{call_id}: frame {k}: time {fr.time_ms} off the frame grid "
+                    f"(expected {fr.index * frame_ms})"
+                )
+            if row.ndim != 1:
+                raise ValueError(
+                    f"{call_id}: frame {k}: features of shape {row.shape} are not a vector"
+                )
+            if row.shape != rows[0].shape:
+                raise ValueError(
+                    f"{call_id}: frame {k}: feature dim {row.shape[0]} differs from "
+                    f"the first frame's {rows[0].shape[0]}"
+                )
+        return cls(
+            call_id,
+            frame_ms,
+            frame_index=np.array([fr.index for fr in frames], dtype=np.int64),
+            features=np.stack(rows) if rows else np.empty((0, 0)),
+            labels=_label_codes(fr.label for fr in frames),
+            teacher_labels=_label_codes(fr.teacher_label for fr in frames),
+            tokens=tuple(tokens),
+            segments=tuple(segments),
+        )
+
+    @cached_property
+    def frames(self) -> tuple[FrameRecord, ...]:
+        """Per-frame views of the columns, built on first use."""
+        f = self.frame_ms
+        return tuple(
+            FrameRecord(i, i * f, row, _CODE_LABELS[a], _CODE_LABELS[b])
+            for i, row, a, b in zip(
+                self.frame_index.tolist(),
+                self.features,
+                self.labels.tolist(),
+                self.teacher_labels.tolist(),
+            )
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CallRecord):
@@ -127,20 +238,23 @@ class CallRecord:
         return (
             self.call_id == other.call_id
             and self.frame_ms == other.frame_ms
-            and self.frames == other.frames
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name, _, _ in _COLUMNS
+            )
             and self.tokens == other.tokens
             and self.segments == other.segments
         )
 
     def __hash__(self) -> int:
-        return hash((self.call_id, self.frame_ms, len(self.frames)))
+        return hash((self.call_id, self.frame_ms, len(self.frame_index)))
 
     @property
     def end_ms(self) -> int:
         """End of the frame grid (exclusive): last frame time + frame_ms."""
-        if not self.frames:
+        if not len(self.frame_index):
             return 0
-        return self.frames[-1].time_ms + self.frame_ms
+        return (int(self.frame_index[-1]) + 1) * self.frame_ms
 
 
 @dataclass(frozen=True)
@@ -211,6 +325,8 @@ def validate_call(call: CallRecord) -> list[Violation]:
 
     Returns violations as data (empty list for a well-formed call); never
     raises for content problems, so invalid calls can be reported in full.
+    Frame times off the grid and mixed feature dims cannot reach it: the
+    record's columns rule them out when the call is built.
     """
     violations: list[Violation] = []
 
@@ -220,34 +336,22 @@ def validate_call(call: CallRecord) -> list[Violation]:
         )
         return violations  # the frame grid is meaningless below here
 
-    feature_dim: Optional[int] = None
-    for k, frame in enumerate(call.frames):
-        if frame.index < 0:
-            violations.append(
-                Violation("frames.index", k, f"negative frame index {frame.index}")
+    index = call.frame_index
+    for k in np.flatnonzero(index < 0).tolist():
+        violations.append(
+            Violation("frames.index", k, f"negative frame index {index[k]}")
+        )
+    for k in (np.flatnonzero(index[1:] <= index[:-1]) + 1).tolist():
+        violations.append(
+            Violation(
+                "frames.index",
+                k,
+                f"frame index {index[k]} does not follow previous {index[k - 1]}",
             )
-        if frame.time_ms != frame.index * call.frame_ms:
-            violations.append(
-                Violation(
-                    "frames.time_ms",
-                    k,
-                    f"time {frame.time_ms} off the frame grid "
-                    f"(expected {frame.index * call.frame_ms})",
-                )
-            )
-        dim = int(np.asarray(frame.features).shape[-1]) if frame.features is not None else 0
-        if feature_dim is None:
-            feature_dim = dim
-        elif dim != feature_dim:
-            violations.append(
-                Violation(
-                    "frames.features",
-                    k,
-                    f"feature dim {dim} differs from first frame's {feature_dim}",
-                )
-            )
+        )
+    violations.sort(key=lambda v: v.index)  # frame order: callers report the first
 
-    end_cap = call.end_ms if call.frames else None
+    end_cap = call.end_ms if len(index) else None
 
     last_emit: Optional[int] = None
     eow_seen_at: dict[int, int] = {}

@@ -110,11 +110,15 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.
     return p, acts
 
 
+def posteriors(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Posterior probability of speech per row of x, strictly inside (0, 1)."""
+    p, _ = _forward_batch(model, x)
+    return np.clip(p, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+
+
 def forward(model: MlpModel, features: np.ndarray) -> float:
     """Posterior probability of speech for one frame, strictly inside (0, 1)."""
-    p, _ = _forward_batch(model, np.asarray(features, dtype=float).reshape(1, -1))
-    tiny = np.finfo(float).tiny
-    return float(np.clip(p[0], tiny, 1.0 - np.finfo(float).epsneg))
+    return float(posteriors(model, np.asarray(features, dtype=float).reshape(1, -1))[0])
 
 
 def loss_and_grads(
@@ -265,9 +269,7 @@ def classify_frames(
     if not frames:
         return []
     x = np.stack([np.asarray(f.features, dtype=float) for f in frames])
-    p, _ = _forward_batch(model, x)
-    tiny = np.finfo(float).tiny
-    p = np.clip(p, tiny, 1.0 - np.finfo(float).epsneg)
+    p = posteriors(model, x)
     return [
         VadDecision(f.index, f.time_ms, float(pi), bool(pi >= threshold))
         for f, pi in zip(frames, p)

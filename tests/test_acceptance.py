@@ -27,7 +27,6 @@ from endpoint_rt.endpointer import (
     Mode,
     Trigger,
     commit_transcript,
-    hypothesis_words,
     new_endpointer,
     run_call,
 )
@@ -36,7 +35,7 @@ from endpoint_rt.evaluator import (
     EvalConfig,
     align_events,
     pool_scores,
-    score_call,
+    score_against,
     wer,
 )
 from endpoint_rt.simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
@@ -148,14 +147,7 @@ def _pool_corpus(corpus, timeline_for, ep_cfg, eval_cfg):
     for call in corpus:
         endpoints = run_call(ep_cfg, timeline_for(call))
         transcripts = commit_transcript(call.tokens, endpoints, call.end_ms)
-        score = score_call(
-            [seg.end_ms for seg in call.segments],
-            endpoints,
-            [w for seg in call.segments for w in seg.words],
-            hypothesis_words(transcripts),
-            eval_cfg,
-        )
-        scores.append(score)
+        scores.append(score_against(call, endpoints, transcripts, eval_cfg))
         per_call[call.call_id] = (endpoints, transcripts)
     return pool_scores(scores), per_call
 

@@ -43,7 +43,7 @@ def test_call_round_trip_is_exact(tmp_path):
 
 def test_call_round_trip_preserves_awkward_floats(tmp_path):
     frame = FrameRecord(0, 0, np.array([1e-17, -0.1, 12345678.9]), Label.SPEECH)
-    call = CallRecord("c", 40, frames=(frame,))
+    call = CallRecord.from_frames("c", 40, frames=(frame,))
     path = tmp_path / "b.call"
     save_call(call, path)
     loaded = load_call(path)
@@ -51,7 +51,7 @@ def test_call_round_trip_preserves_awkward_floats(tmp_path):
 
 
 def test_call_round_trip_keeps_optional_fields_absent(tmp_path):
-    call = CallRecord(
+    call = CallRecord.from_frames(
         "c",
         40,
         frames=(FrameRecord(0, 0, np.array([0.5]), label=None, teacher_label=None),),
@@ -68,6 +68,96 @@ def test_call_round_trip_keeps_optional_fields_absent(tmp_path):
     assert loaded.tokens[0].text == ""
     assert loaded.tokens[1].word_index is None
     assert loaded == call
+
+
+def test_call_round_trip_is_bit_exact_on_random_doubles(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.integers(0, 2**64, size=(300, 4), dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 1.5
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                float("inf"), -float("inf"), 1e-17, 0.1]
+    values.flat[: len(specials)] = specials
+    n = len(values)
+    call = CallRecord(
+        "c",
+        40,
+        frame_index=np.arange(n),
+        features=values,
+        labels=np.full(n, 1),
+        teacher_labels=np.full(n, -1),
+    )
+    path = tmp_path / "r.call"
+    save_call(call, path)
+    loaded = load_call(path)
+    assert loaded.features.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert loaded == call
+
+
+def test_load_call_returns_columns_and_frame_views(tmp_path):
+    path = tmp_path / "a.call"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c 20 2\n"
+        "frame 3 speech - 0.5 -1\n"
+        "frame 5 nonspeech speech 1_0 nan\n"
+    )
+    call = load_call(path)
+    assert call.frame_index.dtype == np.int64
+    assert call.frame_index.tolist() == [3, 5]
+    assert call.features.dtype == np.float64 and call.features.shape == (2, 2)
+    assert call.labels.dtype == np.int8 and call.labels.tolist() == [1, 0]
+    assert call.teacher_labels.tolist() == [-1, 1]
+    assert call.end_ms == 120
+    with pytest.raises(ValueError, match="read-only"):
+        call.features[0, 0] = 1.0
+    first, second = call.frames
+    assert call.frames is call.frames
+    assert (first.index, first.time_ms, first.label, first.teacher_label) == (
+        3, 60, Label.SPEECH, None
+    )
+    assert (second.index, second.time_ms, second.label, second.teacher_label) == (
+        5, 100, Label.NONSPEECH, Label.SPEECH
+    )
+    assert second.features[0] == 10.0 and math.isnan(second.features[1])
+    assert np.shares_memory(first.features, call.features)
+
+
+def test_load_call_names_the_line_of_a_bad_feature_value(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c 40 2\nframe 0 speech - 0.5 1\nframe 1 speech - 0.5 0x1\n"
+    )
+    with pytest.raises(
+        FormatError,
+        match=r"bad.call:4: bad frame record: could not convert string to float: '0x1'$",
+    ):
+        load_call(path)
+
+
+def test_load_call_names_the_line_of_an_out_of_range_frame_index(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 1\nframe 0 - - 1\nframe {2**63} - - 1\n")
+    with pytest.raises(FormatError, match=r"bad.call:4: bad frame record: "):
+        load_call(path)
+
+
+def test_load_call_rejects_a_bad_label(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 1\nframe 0 loud - 1\n")
+    with pytest.raises(
+        FormatError, match=r"bad.call:3: bad frame record: 'loud' is not a valid Label$"
+    ):
+        load_call(path)
+
+
+def test_load_call_rejects_a_negative_or_absurd_feature_dim(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 -2\n")
+    with pytest.raises(FormatError, match=r"bad.call:2: negative feature dim -2$"):
+        load_call(path)
+    path.write_text(f"{FORMAT_LINE}\n\ncall c 40 {10**20}\n")
+    with pytest.raises(FormatError, match=r"bad.call:3: bad call record: "):
+        load_call(path)
 
 
 def test_call_file_starts_with_the_format_line(tmp_path):
@@ -134,7 +224,7 @@ def test_load_call_rejects_unparsable_numbers(tmp_path):
 
 
 def test_save_call_rejects_unserializable_text(tmp_path):
-    call = CallRecord(
+    call = CallRecord.from_frames(
         "c", 40, tokens=(TokenEvent(0, TokenKind.SUBWORD, "two words", 0),)
     )
     with pytest.raises(ValueError, match="cannot serialize"):

@@ -175,6 +175,18 @@ def test_train_vad_fails_cleanly_without_calls(tmp_path):
     assert run_cli("train-vad", "--calls", str(tmp_path / "nope"), "--out", "m.mdl") == 1
 
 
+def test_train_vad_on_calls_without_frames_fails_cleanly(tmp_path, capsys):
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    for k in range(3):
+        (calls / f"c{k}.call").write_text(f"{callfile.FORMAT_LINE}\ncall c{k} 40 4\n")
+    model = tmp_path / "m.mdl"
+    code = run_cli("train-vad", "--calls", str(calls), "--out", str(model))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {calls}: the training calls hold no frames\n"
+    assert not model.exists()
+
+
 # ---------------------------------------------------------------------------
 # endpoint
 
@@ -557,6 +569,22 @@ def test_missing_subcommand_is_a_usage_error():
 def test_unreadable_calls_directory_fails(tmp_path):
     (tmp_path / "empty").mkdir()
     assert run_cli("endpoint", "--calls", str(tmp_path / "empty"), "--out", "x") == 1
+
+
+def test_swapped_frame_lines_name_the_call_file(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=1)
+    path = calls / "sim-00000010.call"
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("frame "))
+    lines[first + 3], lines[first + 4] = lines[first + 4], lines[first + 3]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run_cli("endpoint", "--calls", str(calls), "--out", str(tmp_path / "e"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid call: frames.index[4]: "
+        "frame index 3 does not follow previous 4\n"
+    )
 
 
 def test_corrupt_call_file_fails_cleanly(tmp_path):

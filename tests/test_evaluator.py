@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from endpoint_rt.endpointer import EndpointEvent, Trigger
+from endpoint_rt.endpointer import EndpointEvent, Trigger, TurnTranscript
 from endpoint_rt.evaluator import (
     CallScore,
     EvalConfig,
@@ -13,10 +13,11 @@ from endpoint_rt.evaluator import (
     latency_stats,
     pool_scores,
     prf,
+    score_against,
     score_call,
-    tradeoff,
     wer,
 )
+from endpoint_rt.streams import CallRecord, ReferenceSegment
 
 from oracles import brute_edit_counts, exhaustive_match
 
@@ -206,6 +207,25 @@ def test_score_call_collects_all_counts():
     assert score.deferral_timeouts == 1
 
 
+def test_score_against_reads_the_reference_from_the_call_segments():
+    call = CallRecord.from_frames(
+        "c",
+        40,
+        segments=(
+            ReferenceSegment("c", 0, 1000, ("ka", "zo")),
+            ReferenceSegment("c", 2000, 3000, ("mi",)),
+        ),
+    )
+    eps = [EndpointEvent(1100, Trigger.TS, 900), EndpointEvent(3100, Trigger.TS, 2900)]
+    turns = [
+        TurnTranscript(0, 0, 1100, (("ka", True),)),
+        TurnTranscript(1, 1100, 3100, (("mi", True), ("lo", False))),
+    ]
+    assert score_against(call, eps, turns, CFG) == score_call(
+        [1000, 3000], eps, ["ka", "zo", "mi"], ["ka", "mi", "lo"], CFG
+    )
+
+
 def test_pool_scores_micro_averages():
     a = CallScore(
         hits=1, misses=1, false_alarms=0, latencies=(100,),
@@ -243,7 +263,7 @@ def test_pool_scores_of_empty_counts():
 
 
 # ---------------------------------------------------------------------------
-# configuration and tradeoff assembly
+# configuration
 
 
 def test_eval_config_rejects_nonpositive_parameters():
@@ -251,38 +271,3 @@ def test_eval_config_rejects_nonpositive_parameters():
         EvalConfig(200, 0)
     with pytest.raises(ValueError, match="ts_threshold_ms"):
         EvalConfig(0, 200)
-
-
-def _report(wer_value=0.1, f1=0.9, lat=100.0):
-    return pool_scores(
-        [
-            CallScore(
-                9, 1, 1, (int(lat),) * 9,
-                substitutions=1, deletions=0, insertions=0, ref_words=10,
-            )
-        ]
-    )
-
-
-def test_tradeoff_sorts_rows_by_delta():
-    rows = tradeoff([(400, _report()), (200, _report()), (800, _report())])
-    assert [row.delta_ms for row in rows] == [200, 400, 800]
-
-
-def test_tradeoff_rejects_too_few_points():
-    with pytest.raises(ValueError, match="at least 2"):
-        tradeoff([(200, _report())])
-
-
-def test_tradeoff_rejects_duplicate_deltas():
-    with pytest.raises(ValueError, match=r"duplicate delta values: \[200\]"):
-        tradeoff([(200, _report()), (200, _report()), (400, _report())])
-
-
-def test_tradeoff_row_iterates_in_column_order():
-    rows = tradeoff([(200, _report()), (400, _report())])
-    delta, lat, wer_value, f1 = rows[0]
-    assert delta == 200
-    assert lat == rows[0].mean_latency_ms
-    assert wer_value == rows[0].wer
-    assert f1 == rows[0].f1

@@ -249,7 +249,7 @@ def test_oracle_vad_mirrors_the_labels():
 
 def test_oracle_vad_rejects_unlabeled_frames():
     frame = FrameRecord(0, 0, np.zeros(2), label=None)
-    call = CallRecord("c", 40, frames=(frame,))
+    call = CallRecord.from_frames("c", 40, frames=(frame,))
     with pytest.raises(ValueError, match="frame 0 has no label"):
         oracle_vad(call)
 

@@ -98,20 +98,53 @@ def test_merge_rejects_unsorted_tokens():
 
 
 def test_end_ms_is_exclusive_frame_grid_end():
-    call = CallRecord("c", 40, frames=tuple(_frame(i) for i in range(5)))
+    call = CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(5)))
     assert call.end_ms == 5 * 40
 
 
 def test_end_ms_of_empty_call_is_zero():
-    assert CallRecord("c", 40).end_ms == 0
+    assert CallRecord.from_frames("c", 40).end_ms == 0
 
 
 def test_call_equality_compares_feature_arrays():
-    a = CallRecord("c", 40, frames=(_frame(0),))
-    b = CallRecord("c", 40, frames=(_frame(0),))
+    a = CallRecord.from_frames("c", 40, frames=(_frame(0),))
+    b = CallRecord.from_frames("c", 40, frames=(_frame(0),))
     assert a == b
     other = FrameRecord(0, 0, np.ones(2), Label.SPEECH)
-    assert a != CallRecord("c", 40, frames=(other,))
+    assert a != CallRecord.from_frames("c", 40, frames=(other,))
+
+
+def test_call_columns_must_agree_in_length():
+    with pytest.raises(ValueError, match=r"^c: labels has shape \(1,\), expected"):
+        CallRecord(
+            "c", 40, frame_index=[0, 1], features=np.zeros((2, 3)),
+            labels=[1], teacher_labels=[1, 1],
+        )
+    with pytest.raises(ValueError, match=r"^c: features has shape \(2,\), expected 2"):
+        CallRecord(
+            "c", 40, frame_index=[0, 1], features=np.zeros(2),
+            labels=[1, 1], teacher_labels=[1, 1],
+        )
+
+
+def test_call_rejects_unknown_label_codes():
+    with pytest.raises(ValueError, match="^c: frame 1: bad teacher_labels code"):
+        CallRecord(
+            "c", 40, frame_index=[0, 1], features=np.zeros((2, 1)),
+            labels=[1, 0], teacher_labels=[-1, 2],
+        )
+
+
+def test_from_frames_keeps_every_frame_field():
+    frames = (
+        FrameRecord(0, 0, np.array([1.0, 2.0]), Label.SPEECH, None),
+        FrameRecord(2, 80, np.array([3.0, -0.0]), None, Label.NONSPEECH),
+    )
+    call = CallRecord.from_frames("c", 40, frames)
+    assert call.frames == frames
+    assert call.labels.tolist() == [1, -1]
+    assert call.teacher_labels.tolist() == [-1, 0]
+    assert call.end_ms == 120
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +159,7 @@ def _valid_call():
         TokenEvent(240, TokenKind.BLANK),
     )
     segments = (ReferenceSegment("c", 0, 400, ("ka",)),)
-    return CallRecord("c", 40, frames, tokens, segments)
+    return CallRecord.from_frames("c", 40, frames, tokens, segments)
 
 
 def test_validate_accepts_well_formed_call():
@@ -134,38 +167,49 @@ def test_validate_accepts_well_formed_call():
 
 
 def test_validate_flags_nonpositive_frame_ms():
-    out = validate_call(CallRecord("c", 0))
+    out = validate_call(CallRecord.from_frames("c", 0))
     assert [v.field for v in out] == ["frame_ms"]
     assert out[0].index == -1
 
 
 def test_validate_flags_negative_frame_index():
     bad = FrameRecord(-1, -40, np.zeros(2), Label.SPEECH)
-    out = validate_call(CallRecord("c", 40, frames=(bad,)))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=(bad,)))
     assert ("frames.index", 0) in [(v.field, v.index) for v in out]
 
 
 def test_validate_flags_off_grid_frame_time():
+    # a frame's time is index * frame_ms by construction: building the call fails
     bad = FrameRecord(1, 45, np.zeros(2), Label.SPEECH)
-    out = validate_call(CallRecord("c", 40, frames=(_frame(0), bad)))
-    assert ("frames.time_ms", 1) in [(v.field, v.index) for v in out]
+    with pytest.raises(ValueError, match=r"^c: frame 1: time 45 off the frame grid \(expected 40\)$"):
+        CallRecord.from_frames("c", 40, frames=(_frame(0), bad))
 
 
 def test_validate_flags_feature_dim_mismatch():
+    # the features are one n x d array: building the call fails
     odd = FrameRecord(1, 40, np.zeros(3), Label.SPEECH)
-    out = validate_call(CallRecord("c", 40, frames=(_frame(0), odd)))
-    assert ("frames.features", 1) in [(v.field, v.index) for v in out]
+    with pytest.raises(ValueError, match=r"^c: frame 1: feature dim 3 differs from the first frame's 2$"):
+        CallRecord.from_frames("c", 40, frames=(_frame(0), odd))
+
+
+def test_validate_flags_frame_indices_out_of_order():
+    frames = (_frame(0), _frame(2), _frame(1), _frame(3), _frame(3))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=frames))
+    assert [(v.field, v.index, v.message) for v in out] == [
+        ("frames.index", 2, "frame index 1 does not follow previous 2"),
+        ("frames.index", 4, "frame index 3 does not follow previous 3"),
+    ]
 
 
 def test_validate_flags_unsorted_tokens():
     tokens = (TokenEvent(100, TokenKind.BLANK), TokenEvent(50, TokenKind.BLANK))
-    out = validate_call(CallRecord("c", 40, frames=tuple(_frame(i) for i in range(5)), tokens=tokens))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(5)), tokens=tokens))
     assert ("tokens.emit_time_ms", 1) in [(v.field, v.index) for v in out]
 
 
 def test_validate_flags_blank_with_text():
     tokens = (TokenEvent(0, TokenKind.BLANK, "oops"),)
-    out = validate_call(CallRecord("c", 40, frames=(_frame(0),), tokens=tokens))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=(_frame(0),), tokens=tokens))
     assert ("tokens.text", 0) in [(v.field, v.index) for v in out]
 
 
@@ -174,13 +218,13 @@ def test_validate_flags_subword_after_its_eow():
         TokenEvent(0, TokenKind.EOW, "", 7),
         TokenEvent(40, TokenKind.SUBWORD, "ka", 7),
     )
-    out = validate_call(CallRecord("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
     assert ("tokens.word_index", 1) in [(v.field, v.index) for v in out]
 
 
 def test_validate_flags_token_beyond_call_end():
     tokens = (TokenEvent(500, TokenKind.BLANK),)
-    out = validate_call(CallRecord("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
     assert ("tokens.emit_time_ms", 0) in [(v.field, v.index) for v in out]
 
 
@@ -190,7 +234,7 @@ def test_validate_flags_empty_and_overlapping_segments():
         ReferenceSegment("c", 50, 200),
     )
     out = validate_call(
-        CallRecord("c", 40, frames=tuple(_frame(i) for i in range(10)), segments=segments)
+        CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(10)), segments=segments)
     )
     keyed = [(v.field, v.index) for v in out]
     assert ("segments.start_ms", 0) in keyed  # empty span
@@ -200,7 +244,7 @@ def test_validate_flags_empty_and_overlapping_segments():
 def test_validate_flags_segment_beyond_call_end():
     segments = (ReferenceSegment("c", 0, 1000),)
     out = validate_call(
-        CallRecord("c", 40, frames=tuple(_frame(i) for i in range(3)), segments=segments)
+        CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), segments=segments)
     )
     assert ("segments.end_ms", 0) in [(v.field, v.index) for v in out]
 
