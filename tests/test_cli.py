@@ -390,7 +390,10 @@ def test_evaluate_rejects_bad_tolerance(tmp_path):
 def test_tradeoff_writes_full_factorial(tmp_path, capsys):
     calls = simulate(tmp_path, n_calls=2)
     report_path = tmp_path / "sweep.csv"
-    code = run_cli("tradeoff", "--calls", str(calls), "--out", str(report_path))
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(report_path),
+        "--deltas", "600,200,800,400",  # rows still come out by ascending delta
+    )
     assert code == 0
     rows = callfile.load_report(report_path)
     assert len(rows) == 16  # 4 modes x 4 deltas
@@ -404,11 +407,12 @@ def test_tradeoff_writes_full_factorial(tmp_path, capsys):
 
 def test_tradeoff_rejects_a_single_delta(tmp_path):
     calls = simulate(tmp_path)
-    code = run_cli(
-        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
-        "--deltas", "200",
-    )
-    assert code == 2
+    for deltas in ("200", "200,200,400"):
+        code = run_cli(
+            "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+            "--deltas", deltas,
+        )
+        assert code == 2
 
 
 def test_tradeoff_rejects_off_grid_delta(tmp_path):

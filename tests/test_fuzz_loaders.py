@@ -195,9 +195,12 @@ def test_non_ascii_byte_names_the_file_and_line(tmp_path):
     path.write_bytes(
         f"{callfile.FORMAT_LINE}\ncall c 40 1\n".encode() + "frame 0 speech - 0.5é\n".encode()
     )
-    with pytest.raises(callfile.FormatError, match=rf"bad.call:3: non-ASCII byte 0xc3"):
+    with pytest.raises(callfile.FormatError, match=r"bad.call:3: non-ASCII byte 0xc3"):
         callfile.load_call(path)
     report = tmp_path / "bad.csv"
     report.write_bytes(b"# format=1\nmode,\xffdelta_ms\n")
-    with pytest.raises(callfile.FormatError, match=rf"bad.csv:2: non-ASCII byte 0xff"):
+    with pytest.raises(callfile.FormatError, match=r"bad.csv:2: non-ASCII byte 0xff"):
+        callfile.load_report(report)
+    report.write_bytes(b"# format=1\r\n\x80mode\n")  # first byte of a line
+    with pytest.raises(callfile.FormatError, match=r"bad.csv:2: non-ASCII byte 0x80"):
         callfile.load_report(report)
