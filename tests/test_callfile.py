@@ -224,7 +224,7 @@ def test_load_call_rejects_unparsable_numbers(tmp_path):
 
 
 def test_save_call_rejects_unserializable_text(tmp_path):
-    call = CallRecord.from_frames(
+    call = CallRecord(
         "c", 40, tokens=(TokenEvent(0, TokenKind.SUBWORD, "two words", 0),)
     )
     with pytest.raises(ValueError, match="cannot serialize"):

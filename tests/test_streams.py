@@ -103,7 +103,7 @@ def test_end_ms_is_exclusive_frame_grid_end():
 
 
 def test_end_ms_of_empty_call_is_zero():
-    assert CallRecord.from_frames("c", 40).end_ms == 0
+    assert CallRecord("c", 40).end_ms == 0
 
 
 def test_call_equality_compares_feature_arrays():
@@ -167,7 +167,7 @@ def test_validate_accepts_well_formed_call():
 
 
 def test_validate_flags_nonpositive_frame_ms():
-    out = validate_call(CallRecord.from_frames("c", 0))
+    out = validate_call(CallRecord("c", 0))
     assert [v.field for v in out] == ["frame_ms"]
     assert out[0].index == -1
 
