@@ -281,6 +281,34 @@ def test_tseow_open_deferral_times_out_at_end_of_stream():
     ]
 
 
+def test_tseow_late_resolved_fire_discharges_an_eow_at_the_deadline():
+    # sparse VAD: the threshold (200 ms) is only seen at 480 ms, after an
+    # EOW that landed exactly on the deadline (0 + cap = 400 ms)
+    vad = [VadDecision(0, 0, 0.0, False), VadDecision(12, 480, 0.0, False)]
+    eps = run(Mode.TS_AND_EOW, vad, [eow(400)], deferral_cap_ms=400)
+    assert [(e.time_ms, e.trigger, e.silence_start_ms, e.deferred_by_ms) for e in eps] == [
+        (400, Trigger.TS_AND_EOW_DEFERRED, 0, 200)
+    ]
+
+
+def test_tseow_speech_and_silence_at_the_same_ms_keep_the_fire_cancelled():
+    # speech at 40 ms cancels the fire stamped at 80 ms; the silence that
+    # restarts at the same 40 ms does not re-arm it, so the EOW at 100 ms
+    # finds no deferral (a speech_at_boundary derived as "the run restarted"
+    # would miss this: the new run starts where the old one did)
+    vad = [
+        VadDecision(0, 0, 1.0, True),
+        VadDecision(1, 40, 0.0, False),
+        VadDecision(1, 40, 1.0, True),
+        VadDecision(1, 40, 0.0, False),
+        VadDecision(3, 120, 1.0, True),
+    ]
+    eps = run(
+        Mode.TS_AND_EOW, vad, [eow(100)], ts_threshold_ms=40, deferral_cap_ms=80
+    )
+    assert eps == []
+
+
 # ---------------------------------------------------------------------------
 # end of stream while a fire is still pending (stamped after the last event)
 
