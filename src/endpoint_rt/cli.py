@@ -26,7 +26,6 @@ from .endpointer import (
     EndpointerConfig,
     Mode,
     commit_transcript,
-    new_endpointer,
     run_call,
 )
 from .evaluator import CallScore, EvalConfig, pool_scores, score_against
@@ -304,30 +303,27 @@ def _frame_arrays(
     return np.concatenate([c.features for c in calls]), codes
 
 
-def _endpointer_config(args: argparse.Namespace) -> EndpointerConfig:
+def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerConfig:
     try:
         mode = Mode(args.mode)
     except ValueError as exc:
         raise UsageError(f"--mode: unknown endpointing mode {args.mode!r}") from exc
-    cfg = EndpointerConfig(
-        mode=mode,
-        ts_threshold_ms=args.delta_ms,
-        blank_run_frames=args.blank_frames,
-        deferral_cap_ms=args.deferral_cap_ms,
-        frame_ms=args.frame_ms if args.frame_ms is not None else 40,
-    )
     try:
-        new_endpointer(cfg)
+        return EndpointerConfig(
+            mode=mode,
+            ts_threshold_ms=args.delta_ms,
+            blank_run_frames=args.blank_frames,
+            deferral_cap_ms=args.deferral_cap_ms,
+            frame_ms=frame_ms,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def cmd_endpoint(args: argparse.Namespace) -> int:
     calls = _load_calls(Path(args.calls))
     frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
-    args.frame_ms = frame_ms
-    cfg = _endpointer_config(args)
+    cfg = _endpointer_config(args, frame_ms)
     _check_frame_ms(calls, cfg.frame_ms)
     vad = None if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     out_dir = Path(args.out)
@@ -426,15 +422,14 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"--deltas: {delta} is not a multiple of frame_ms={frame_ms}"
                 )
-            cfg = EndpointerConfig(
-                mode=mode,
-                ts_threshold_ms=delta,
-                blank_run_frames=max(1, delta // frame_ms),
-                deferral_cap_ms=max(args.deferral_cap_ms, delta),
-                frame_ms=frame_ms,
-            )
             try:
-                new_endpointer(cfg)
+                cfg = EndpointerConfig(
+                    mode=mode,
+                    ts_threshold_ms=delta,
+                    blank_run_frames=max(1, delta // frame_ms),
+                    deferral_cap_ms=max(args.deferral_cap_ms, delta),
+                    frame_ms=frame_ms,
+                )
                 eval_cfg = EvalConfig(delta, eval_tol)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc

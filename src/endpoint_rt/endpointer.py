@@ -29,6 +29,13 @@ an EOW landing exactly on T an immediate endpoint rather than a deferred
 one, and what keeps EOW-gated endpoints from ever splitting a word whose
 subwords straggle in at or before T.
 
+The EOW-gated rules read one token fact: the EOW slot, which holds the
+emit time of the last non-blank token while that token is an EOW no
+endpoint has consumed yet, and is empty otherwise.  A deferral ends at a
+late EOW through one discharge path, whether the EOW arrives while the
+deferral is open or was already in the slot when a sparse timeline
+resolved the fire late.
+
 After emitting, the machine disarms until the next speech frame (token
 modes: until the next non-blank token), so each maximal nonspeech run
 yields at most one endpoint.
@@ -71,11 +78,33 @@ class Trigger(str, Enum):
 
 @dataclass(frozen=True)
 class EndpointerConfig:
+    """One machine's rule and thresholds; invalid values raise ValueError."""
+
     mode: Mode
     ts_threshold_ms: int = 200
     blank_run_frames: int = 6
     deferral_cap_ms: int = 1000
     frame_ms: int = 40
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode: unknown endpointing mode {self.mode!r}")
+        if self.frame_ms <= 0:
+            raise ValueError(f"frame_ms: must be positive, got {self.frame_ms}")
+        if self.ts_threshold_ms <= 0 or self.ts_threshold_ms % self.frame_ms != 0:
+            raise ValueError(
+                f"ts_threshold_ms: {self.ts_threshold_ms} is not a positive multiple "
+                f"of frame_ms={self.frame_ms}"
+            )
+        if self.deferral_cap_ms < self.ts_threshold_ms:
+            raise ValueError(
+                f"deferral_cap_ms: {self.deferral_cap_ms} is below "
+                f"ts_threshold_ms={self.ts_threshold_ms}"
+            )
+        if self.blank_run_frames < 1:
+            raise ValueError(
+                f"blank_run_frames: must be >= 1, got {self.blank_run_frames}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,7 +131,6 @@ class TurnTranscript:
 class _PendingFire:
     """An EOW-gated endpoint stamped at fire_time, awaiting time > fire_time."""
 
-    rule: str  # "eow" | "tseow"
     fire_time: int
     silence_start: int
     speech_at_boundary: bool = False
@@ -116,25 +144,7 @@ class _Deferral:
 
 
 def new_endpointer(cfg: EndpointerConfig) -> "Endpointer":
-    """Validate a configuration and build a fresh machine from it."""
-    if not isinstance(cfg.mode, Mode):
-        raise ValueError(f"mode: unknown endpointing mode {cfg.mode!r}")
-    if cfg.frame_ms <= 0:
-        raise ValueError(f"frame_ms: must be positive, got {cfg.frame_ms}")
-    if cfg.ts_threshold_ms <= 0 or cfg.ts_threshold_ms % cfg.frame_ms != 0:
-        raise ValueError(
-            f"ts_threshold_ms: {cfg.ts_threshold_ms} is not a positive multiple "
-            f"of frame_ms={cfg.frame_ms}"
-        )
-    if cfg.deferral_cap_ms < cfg.ts_threshold_ms:
-        raise ValueError(
-            f"deferral_cap_ms: {cfg.deferral_cap_ms} is below "
-            f"ts_threshold_ms={cfg.ts_threshold_ms}"
-        )
-    if cfg.blank_run_frames < 1:
-        raise ValueError(
-            f"blank_run_frames: must be >= 1, got {cfg.blank_run_frames}"
-        )
+    """A fresh machine for a configuration (checked when it was built)."""
     return Endpointer(cfg)
 
 
@@ -152,8 +162,9 @@ class Endpointer:
         self._blank_run_start = 0
         # nonspeech frame run (VAD modes)
         self._run_start: Optional[int] = None
-        self._run_fired = False
-        self._last_nonblank: Optional[tuple[TokenKind, int]] = None
+        # the EOW slot: emit time of an unconsumed EOW that is the last
+        # non-blank token, else None
+        self._eow: Optional[int] = None
         self._pending: Union[_PendingFire, _Deferral, None] = None
 
     # -- public -------------------------------------------------------------
@@ -182,6 +193,8 @@ class Endpointer:
             self._flush(t, out)
             self._finished = True
         else:
+            # after this, a pending fire is stamped at or after t and an
+            # open deferral's deadline lies at or after t
             self._resolve(t, out)
             if isinstance(event.payload, VadDecision):
                 self._on_vad(event.payload, t, out)
@@ -210,14 +223,27 @@ class Endpointer:
         self._armed = False
         log.debug("endpoint %s at %d ms (silence from %d)", trigger, time_ms, silence_start)
 
-    def _consume_eow(self) -> None:
-        self._last_nonblank = None
+    def _discharge(self, deferral: _Deferral, when: int, out: list[EndpointEvent]) -> None:
+        """End a deferral at the EOW emitted at ``when``, within its deadline."""
+        self._pending = None
+        self._eow = None
+        self._emit(
+            out,
+            when,
+            Trigger.TS_AND_EOW_DEFERRED,
+            deferral.silence_start,
+            when - deferral.trigger_time,
+        )
 
-    def _eow_in_hand(self, by_time: int) -> bool:
-        if self._last_nonblank is None:
-            return False
-        kind, when = self._last_nonblank
-        return kind is TokenKind.EOW and when <= by_time
+    def _time_out(self, deferral: _Deferral, when: int, out: list[EndpointEvent]) -> None:
+        self._pending = None
+        self._emit(
+            out,
+            when,
+            Trigger.DEFERRAL_TIMEOUT,
+            deferral.silence_start,
+            max(0, when - deferral.trigger_time),
+        )
 
     # -- pending resolution ---------------------------------------------------
 
@@ -225,29 +251,22 @@ class Endpointer:
         p = self._pending
         if isinstance(p, _PendingFire) and now > p.fire_time:
             self._adjudicate(p, out)
-        p = self._pending
+            p = self._pending
         if isinstance(p, _Deferral) and now > p.deadline:
-            self._emit(
-                out,
-                p.deadline,
-                Trigger.DEFERRAL_TIMEOUT,
-                p.silence_start,
-                p.deadline - p.trigger_time,
-            )
-            self._pending = None
+            self._time_out(p, p.deadline, out)
 
     def _adjudicate(self, p: _PendingFire, out: list[EndpointEvent]) -> None:
         """Settle a pending fire once the clock has passed its fire time."""
         self._pending = None
-        if p.rule == "eow":
+        if self.cfg.mode is Mode.EOW:
             # any cancelling SUBWORD at or before fire_time already cleared
             # the pending entry, so the condition held through fire_time
             self._emit(out, p.fire_time, Trigger.EOW, p.silence_start)
-            self._consume_eow()
+            self._eow = None
             return
-        if self._eow_in_hand(p.fire_time):
+        if self._eow is not None and self._eow <= p.fire_time:
             self._emit(out, p.fire_time, Trigger.TS_AND_EOW_IMMEDIATE, p.silence_start)
-            self._consume_eow()
+            self._eow = None
             return
         if p.speech_at_boundary:
             return  # speech resumed the instant the threshold completed
@@ -256,119 +275,82 @@ class Endpointer:
             p.fire_time,
             p.silence_start + self.cfg.deferral_cap_ms,
         )
-        # an EOW may already sit between the fire time and the deadline
-        # (sparse timelines resolve late); discharge it immediately
-        if self._last_nonblank is not None:
-            kind, when = self._last_nonblank
-            if kind is TokenKind.EOW and deferral.trigger_time < when <= deferral.deadline:
-                self._emit(
-                    out,
-                    when,
-                    Trigger.TS_AND_EOW_DEFERRED,
-                    deferral.silence_start,
-                    when - deferral.trigger_time,
-                )
-                self._consume_eow()
-                return
-        self._pending = deferral
+        # an EOW already in the slot lies after the fire time; sparse
+        # timelines resolve late, so it may also lie before the deadline
+        if self._eow is not None and self._eow <= deferral.deadline:
+            self._discharge(deferral, self._eow, out)
+        else:
+            self._pending = deferral
 
     # -- event handlers -------------------------------------------------------
 
     def _on_vad(self, dec: VadDecision, t: int, out: list[EndpointEvent]) -> None:
-        if self.cfg.mode is Mode.BLANK:
+        mode = self.cfg.mode
+        if mode is Mode.BLANK:
             return
         if dec.is_speech:
-            if isinstance(self._pending, _Deferral):
+            p = self._pending
+            if isinstance(p, _Deferral):
                 self._pending = None  # speech resumption cancels the deferral
-            elif isinstance(self._pending, _PendingFire) and t <= self._pending.fire_time:
-                if self._pending.rule == "tseow":
-                    self._pending.speech_at_boundary = True
-                # an "eow" pending survives: its silence span completed and
-                # the closing token is in hand
+            elif isinstance(p, _PendingFire) and mode is Mode.TS_AND_EOW:
+                p.speech_at_boundary = True
+            # an EOW-mode pending fire survives: its silence span completed
+            # and the closing token is in hand
             self._run_start = None
-            self._run_fired = False
             self._armed = True
             return
 
         if self._run_start is None:
             self._run_start = t
-        span = t + self.cfg.frame_ms - self._run_start
-
-        if self.cfg.mode is Mode.TS:
-            if self._armed and not self._run_fired and span >= self.cfg.ts_threshold_ms:
-                self._run_fired = True
-                self._emit(
-                    out,
-                    self._run_start + self.cfg.ts_threshold_ms,
-                    Trigger.TS,
-                    self._run_start,
-                )
-        elif self.cfg.mode is Mode.TS_AND_EOW:
-            if (
-                self._armed
-                and not self._run_fired
-                and self._pending is None
-                and span >= self.cfg.ts_threshold_ms
-            ):
-                self._run_fired = True
-                self._pending = _PendingFire(
-                    "tseow",
-                    self._run_start + self.cfg.ts_threshold_ms,
-                    self._run_start,
-                )
-        elif self.cfg.mode is Mode.EOW:
+        if mode is Mode.EOW:
             self._maybe_arm_eow_fire()
+            return
+        # TS and TS_AND_EOW: one threshold per run, armed until it is met
+        if (
+            self._armed
+            and self._pending is None
+            and t + self.cfg.frame_ms - self._run_start >= self.cfg.ts_threshold_ms
+        ):
+            fire_time = self._run_start + self.cfg.ts_threshold_ms
+            if mode is Mode.TS:
+                self._emit(out, fire_time, Trigger.TS, self._run_start)
+            else:
+                self._pending = _PendingFire(fire_time, self._run_start)
 
     def _maybe_arm_eow_fire(self) -> None:
-        if not (self._armed and self._pending is None and self._run_start is not None):
-            return
-        if self._last_nonblank is None or self._last_nonblank[0] is not TokenKind.EOW:
-            return
-        eow_time = self._last_nonblank[1]
-        self._pending = _PendingFire(
-            "eow",
-            max(self._run_start + self.cfg.frame_ms, eow_time),
-            self._run_start,
-        )
+        if (
+            self._armed
+            and self._pending is None
+            and self._run_start is not None
+            and self._eow is not None
+        ):
+            self._pending = _PendingFire(
+                max(self._run_start + self.cfg.frame_ms, self._eow), self._run_start
+            )
 
     def _on_token(self, tok: TokenEvent, t: int, out: list[EndpointEvent]) -> None:
-        if tok.kind is TokenKind.BLANK:
-            if self.cfg.mode is Mode.BLANK:
-                if self._blank_run == 0:
-                    self._blank_run_start = t
-                self._blank_run += 1
-                if self._armed and self._blank_run >= self.cfg.blank_run_frames:
-                    self._emit(out, t, Trigger.BLANK_RUN, self._blank_run_start)
-            return
-
         if self.cfg.mode is Mode.BLANK:
-            self._blank_run = 0
-            self._armed = True
+            if tok.kind is not TokenKind.BLANK:
+                self._blank_run = 0
+                self._armed = True
+                return
+            if self._blank_run == 0:
+                self._blank_run_start = t
+            self._blank_run += 1
+            if self._armed and self._blank_run >= self.cfg.blank_run_frames:
+                self._emit(out, t, Trigger.BLANK_RUN, self._blank_run_start)
             return
 
-        self._last_nonblank = (tok.kind, t)
         if tok.kind is TokenKind.SUBWORD:
-            p = self._pending
-            if isinstance(p, _PendingFire) and p.rule == "eow" and t <= p.fire_time:
+            self._eow = None
+            if isinstance(self._pending, _PendingFire) and self.cfg.mode is Mode.EOW:
                 self._pending = None  # the word reopened before the endpoint stood
-            return
-
-        # EOW
-        p = self._pending
-        if isinstance(p, _Deferral):
-            if t <= p.deadline:
-                self._emit(
-                    out,
-                    t,
-                    Trigger.TS_AND_EOW_DEFERRED,
-                    p.silence_start,
-                    t - p.trigger_time,
-                )
-                self._consume_eow()
-                self._pending = None
-            return
-        if self.cfg.mode is Mode.EOW:
-            self._maybe_arm_eow_fire()
+        elif tok.kind is TokenKind.EOW:
+            self._eow = t
+            if isinstance(self._pending, _Deferral):
+                self._discharge(self._pending, t, out)
+            elif self.cfg.mode is Mode.EOW:
+                self._maybe_arm_eow_fire()
 
     # -- end of stream ----------------------------------------------------------
 
@@ -378,24 +360,15 @@ class Endpointer:
         # it would mid-stream; a deferral left open times out at the end
         if isinstance(self._pending, _PendingFire):
             self._adjudicate(self._pending, out)
-        p = self._pending
-        self._pending = None
-        if isinstance(p, _Deferral):
-            when = min(p.deadline, eos_time)
-            self._emit(
-                out,
-                when,
-                Trigger.DEFERRAL_TIMEOUT,
-                p.silence_start,
-                max(0, when - p.trigger_time),
-            )
+        if isinstance(self._pending, _Deferral):
+            self._time_out(self._pending, min(self._pending.deadline, eos_time), out)
 
 
 def run_call(
     cfg: EndpointerConfig, timeline: Sequence[TimelineEvent]
 ) -> list[EndpointEvent]:
     """Fold step() over a merged timeline; returns all endpoints in order."""
-    machine = new_endpointer(cfg)
+    machine = Endpointer(cfg)
     endpoints: list[EndpointEvent] = []
     for event in timeline:
         ep = machine.step(event)
