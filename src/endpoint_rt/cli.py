@@ -194,7 +194,13 @@ def _endpoint_call(
 # -- subcommands --------------------------------------------------------------
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag}: must be >= 1, got {value}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_count("--n-calls", args.n_calls)
     cfg = load_sim_config(args.config) if args.config else SimConfig()
     overrides: dict[str, object] = {"seed": args.seed}
     if args.frame_ms is not None:
@@ -219,18 +225,21 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
         hidden = tuple(int(h) for h in args.hidden.split(","))
         if len(hidden) != 2:
             raise ValueError("expected two comma-separated sizes")
+        if min(hidden) < 1:
+            raise ValueError(f"sizes must be >= 1, got {args.hidden!r}")
     except ValueError as exc:
         raise UsageError(f"--hidden: {exc}") from exc
     if not 0.0 <= args.holdout < 1.0:
         raise UsageError(f"--holdout: must lie in [0, 1), got {args.holdout}")
+    _check_count("--epochs", args.epochs)
+    _check_count("--batch-size", args.batch_size)
     train_cfg = vadnet.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-
-    calls = _load_calls(Path(args.calls))
+    sep = None
     if args.features != "file":
         if not args.features.startswith("oracle:"):
             raise UsageError(
@@ -243,6 +252,9 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
             raise UsageError(f"--features: bad separability in {args.features!r}") from exc
         if sep < 0:
             raise UsageError(f"--features: separability must be non-negative, got {sep}")
+
+    calls = _load_calls(Path(args.calls))
+    if sep is not None:
         calls = [
             simulator.resample_features(
                 call, sep, (args.seed + zlib.crc32(call.call_id.encode())) % 2**32

@@ -266,7 +266,7 @@ def score_call(
         substitutions=w.substitutions,
         deletions=w.deletions,
         insertions=w.insertions,
-        ref_words=w.ref_words if w.ref_words else len(ref_words),
+        ref_words=len(ref_words),
         deferral_timeouts=timeouts,
     )
 

@@ -111,6 +111,13 @@ def test_simulate_rejects_invalid_config_values(tmp_path):
 # simulate
 
 
+def test_simulate_rejects_a_negative_call_count_before_writing(tmp_path, capsys):
+    out = tmp_path / "calls"
+    assert run_cli("simulate", "--out", str(out), "--n-calls", "-3") == 2
+    assert capsys.readouterr().err == "error: --n-calls: must be >= 1, got -3\n"
+    assert not out.exists()
+
+
 def test_simulate_writes_seeded_call_files(tmp_path, capsys):
     out = simulate(tmp_path, n_calls=3, seed=10)
     names = sorted(p.name for p in out.glob("*.call"))
@@ -160,7 +167,7 @@ def test_train_vad_checkpoint_is_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_train_vad_rejects_bad_flags(tmp_path):
+def test_train_vad_rejects_bad_flags(tmp_path, capsys):
     calls = simulate(tmp_path)
     model = str(tmp_path / "m.mdl")
     assert run_cli("train-vad", "--calls", str(calls), "--out", model, "--hidden", "16") == 2
@@ -169,6 +176,13 @@ def test_train_vad_rejects_bad_flags(tmp_path):
         run_cli("train-vad", "--calls", str(calls), "--out", model, "--features", "magic")
         == 2
     )
+    # count and size flags fail before any call file is read
+    missing = str(tmp_path / "no-calls")
+    for flag, value in (("--epochs", "0"), ("--batch-size", "0"), ("--hidden", "0,16")):
+        capsys.readouterr()
+        assert run_cli("train-vad", "--calls", missing, "--out", model, flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not (tmp_path / "m.mdl").exists()
 
 
 def test_train_vad_fails_cleanly_without_calls(tmp_path):
