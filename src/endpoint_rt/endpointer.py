@@ -236,6 +236,7 @@ class Endpointer:
         )
 
     def _time_out(self, deferral: _Deferral, when: int, out: list[EndpointEvent]) -> None:
+        """End a deferral no EOW answered, at its deadline or the stream's end."""
         self._pending = None
         self._emit(
             out,
@@ -305,7 +306,8 @@ class Endpointer:
         if mode is Mode.EOW:
             self._maybe_arm_eow_fire()
             return
-        # TS and TS_AND_EOW: one threshold per run, armed until it is met
+        # TS and TS_AND_EOW: one threshold crossing per run; an endpoint
+        # disarms the run and a pending fire blocks a second one
         if (
             self._armed
             and self._pending is None
@@ -329,25 +331,26 @@ class Endpointer:
             )
 
     def _on_token(self, tok: TokenEvent, t: int, out: list[EndpointEvent]) -> None:
-        if self.cfg.mode is Mode.BLANK:
-            if tok.kind is not TokenKind.BLANK:
-                self._blank_run = 0
-                self._armed = True
-                return
-            if self._blank_run == 0:
-                self._blank_run_start = t
-            self._blank_run += 1
-            if self._armed and self._blank_run >= self.cfg.blank_run_frames:
-                self._emit(out, t, Trigger.BLANK_RUN, self._blank_run_start)
+        if tok.kind is TokenKind.BLANK:
+            if self.cfg.mode is Mode.BLANK:
+                if self._blank_run == 0:
+                    self._blank_run_start = t
+                self._blank_run += 1
+                if self._armed and self._blank_run >= self.cfg.blank_run_frames:
+                    self._emit(out, t, Trigger.BLANK_RUN, self._blank_run_start)
             return
 
-        if tok.kind is TokenKind.SUBWORD:
+        if self.cfg.mode is Mode.BLANK:
+            self._blank_run = 0
+            self._armed = True
+        elif tok.kind is TokenKind.SUBWORD:
             self._eow = None
             if isinstance(self._pending, _PendingFire) and self.cfg.mode is Mode.EOW:
                 self._pending = None  # the word reopened before the endpoint stood
-        elif tok.kind is TokenKind.EOW:
+        else:  # EOW
             self._eow = t
             if isinstance(self._pending, _Deferral):
+                # step() timed out a deferral whose deadline lies before t
                 self._discharge(self._pending, t, out)
             elif self.cfg.mode is Mode.EOW:
                 self._maybe_arm_eow_fire()

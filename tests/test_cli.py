@@ -101,21 +101,23 @@ def test_config_file_rejects_bare_lines(tmp_path):
     assert code == 2
 
 
-def test_simulate_rejects_invalid_config_values(tmp_path):
+def test_simulate_rejects_invalid_config_values(tmp_path, capsys):
     path = write_config(tmp_path, "turn_dur_ms = 900, 700\n")
     code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
     assert code == 2
+    capsys.readouterr()
+    # a bad call count fails before the config is read or a file written
+    code = run_cli(
+        "simulate", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x"),
+        "--n-calls", "-3",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --n-calls: must be >= 1, got -3\n"
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def test_simulate_rejects_a_negative_call_count_before_writing(tmp_path, capsys):
-    out = tmp_path / "calls"
-    assert run_cli("simulate", "--out", str(out), "--n-calls", "-3") == 2
-    assert capsys.readouterr().err == "error: --n-calls: must be >= 1, got -3\n"
-    assert not out.exists()
 
 
 def test_simulate_writes_seeded_call_files(tmp_path, capsys):
