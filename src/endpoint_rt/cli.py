@@ -23,10 +23,12 @@ import numpy as np
 
 from . import callfile, simulator, vadnet
 from .endpointer import (
+    EndpointEvent,
     EndpointerConfig,
     Mode,
+    TurnTranscript,
     commit_transcript,
-    run_call,
+    run_sweep,
 )
 from .evaluator import CallScore, EvalConfig, pool_scores, score_against
 from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
@@ -184,11 +186,17 @@ def _timeline(call: CallRecord, vad: Optional[VadSource]) -> list[TimelineEvent]
 
 
 def _endpoint_call(
-    call: CallRecord, cfg: EndpointerConfig, timeline: list[TimelineEvent]
-):
-    endpoints = run_call(cfg, timeline)
-    transcripts = commit_transcript(call.tokens, endpoints, call.end_ms)
-    return endpoints, transcripts
+    call: CallRecord, cfgs: Sequence[EndpointerConfig], timeline: list[TimelineEvent]
+) -> list[tuple[list[EndpointEvent], list[TurnTranscript]]]:
+    """Each config's endpoints and transcripts; each distinct list commits once."""
+    committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
+    results = []
+    for endpoints in run_sweep(cfgs, timeline):
+        key = tuple(endpoints)
+        if key not in committed:
+            committed[key] = commit_transcript(call.tokens, endpoints, call.end_ms)
+        results.append((endpoints, committed[key]))
+    return results
 
 
 # -- subcommands --------------------------------------------------------------
@@ -333,15 +341,18 @@ def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerCon
 
 
 def cmd_endpoint(args: argparse.Namespace) -> int:
+    # with --frame-ms given, the flags are checked before any file is read;
+    # without it, frame_ms comes from the first call
+    cfg = None if args.frame_ms is None else _endpointer_config(args, args.frame_ms)
     calls = _load_calls(Path(args.calls))
-    frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
-    cfg = _endpointer_config(args, frame_ms)
+    if cfg is None:
+        cfg = _endpointer_config(args, calls[0].frame_ms)
     _check_frame_ms(calls, cfg.frame_ms)
     vad = None if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for call in calls:
-        endpoints, transcripts = _endpoint_call(call, cfg, _timeline(call, vad))
+        [(endpoints, transcripts)] = _endpoint_call(call, [cfg], _timeline(call, vad))
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
         )
@@ -354,14 +365,14 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    calls = _load_calls(Path(args.calls))
-    ep_dir = Path(args.endpoints)
-    if not ep_dir.is_dir():
-        raise FileNotFoundError(f"endpoints directory not found: {ep_dir}")
     try:
         eval_cfg = EvalConfig(args.delta_ms, args.tolerance_ms)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    calls = _load_calls(Path(args.calls))
+    ep_dir = Path(args.endpoints)
+    if not ep_dir.is_dir():
+        raise FileNotFoundError(f"endpoints directory not found: {ep_dir}")
 
     scores = []
     mode: Optional[Mode] = None
@@ -419,6 +430,13 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--deltas: need at least 2 distinct values, got {args.deltas!r}"
         )
+    # a cap below a delta is raised to that delta; one below every delta
+    # is a mistake, not a cap
+    if args.deferral_cap_ms < min(deltas):
+        raise UsageError(
+            f"--deferral-cap-ms: {args.deferral_cap_ms} is below the smallest "
+            f"delta {min(deltas)}"
+        )
     if args.frame_ms is not None and args.frame_ms <= 0:
         raise UsageError(f"--frame-ms: must be positive, got {args.frame_ms}")
     calls = _load_calls(Path(args.calls))
@@ -449,17 +467,17 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     _check_frame_ms(calls, frame_ms)
 
     # VAD and merge do not depend on the config: build each call's
-    # timelines once, then run every config over them
+    # timeline once (BLANK reads only its tokens), then sweep every config
     vad = None
     if any(mode is not Mode.BLANK for mode in modes):
         vad = _vad_source(args.vad, args.seed)
+    cfgs = [cfg for cfg, _ in sweep]
     scores: list[list[CallScore]] = [[] for _ in sweep]
     for call in calls:
-        blank = _timeline(call, None) if Mode.BLANK in modes else None
-        voiced = _timeline(call, vad) if vad is not None else None
-        for (cfg, eval_cfg), config_scores in zip(sweep, scores):
-            timeline = blank if cfg.mode is Mode.BLANK else voiced
-            endpoints, transcripts = _endpoint_call(call, cfg, timeline)
+        results = _endpoint_call(call, cfgs, _timeline(call, vad))
+        for (endpoints, transcripts), (_, eval_cfg), config_scores in zip(
+            results, sweep, scores
+        ):
             config_scores.append(score_against(call, endpoints, transcripts, eval_cfg))
 
     rows: list[callfile.ReportRow] = []

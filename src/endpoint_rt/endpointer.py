@@ -39,6 +39,11 @@ resolved the fire late.
 After emitting, the machine disarms until the next speech frame (token
 modes: until the next non-blank token), so each maximal nonspeech run
 yields at most one endpoint.
+
+``run_call`` folds ``step()`` over a timeline and is the reference.
+``run_sweep`` gives the same endpoints for many configs from one read of
+a timeline: ``TS`` and ``BLANK`` from their runs, the EOW-gated modes
+through ``run_call``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .streams import (
     EndOfStream,
@@ -195,7 +202,8 @@ class Endpointer:
         else:
             # after this, a pending fire is stamped at or after t and an
             # open deferral's deadline lies at or after t
-            self._resolve(t, out)
+            if self._pending is not None:
+                self._resolve(t, out)
             if isinstance(event.payload, VadDecision):
                 self._on_vad(event.payload, t, out)
             elif isinstance(event.payload, TokenEvent):
@@ -205,7 +213,8 @@ class Endpointer:
                 raise ValueError(f"unknown payload type {type(event.payload).__name__}")
             # a condition established by this event may already lie in the
             # past (sparse timelines); settle it against the current clock
-            self._resolve(t, out)
+            if self._pending is not None:
+                self._resolve(t, out)
         assert len(out) <= 1, "one event can resolve at most one endpoint"
         return out[0] if out else None
 
@@ -378,6 +387,98 @@ def run_call(
         if ep is not None:
             endpoints.append(ep)
     return endpoints
+
+
+def run_sweep(
+    cfgs: Sequence[EndpointerConfig], timeline: Sequence[TimelineEvent]
+) -> list[list[EndpointEvent]]:
+    """The endpoints ``run_call`` gives for each config, from one timeline.
+
+    The timeline is read once into arrays of VAD decision times and
+    speech flags and of token times and BLANK flags.  ``TS`` and ``BLANK``
+    come from runs: ``TS`` ends every maximal run of consecutive nonspeech
+    decisions whose first time s and last time l satisfy
+    l + frame_ms - s >= delta, at s + delta; ``BLANK`` ends every maximal
+    run of at least N consecutive BLANK tokens at its N-th blank, with the
+    first blank's time as silence start.  ``EOW`` reads only ``frame_ms``,
+    so one ``run_call`` serves every delta; ``TS_AND_EOW`` goes through
+    ``run_call`` once per distinct delta, cap and frame.  A timeline
+    ``run_call`` rejects raises the same error here, whatever the modes.
+    """
+    vad_t: list[int] = []
+    speech: list[bool] = []
+    tok_t: list[int] = []
+    blank: list[bool] = []
+    last: Optional[int] = None
+    finished = False
+    for event in timeline:  # step()'s checks, in its order
+        if finished:
+            raise RuntimeError("endpointer already saw EndOfStream")
+        t = event.time_ms
+        if last is not None and t < last:
+            raise ValueError(f"out-of-order event at {t} ms after {last} ms")
+        last = t
+        p = event.payload
+        if isinstance(p, EndOfStream):
+            finished = True
+        elif isinstance(p, VadDecision):
+            vad_t.append(t)
+            speech.append(bool(p.is_speech))
+        elif isinstance(p, TokenEvent):
+            tok_t.append(t)
+            blank.append(p.kind is TokenKind.BLANK)
+        else:
+            raise ValueError(f"unknown payload type {type(p).__name__}")
+
+    vad_times = np.array(vad_t, dtype=np.int64)
+    nonspeech_first, nonspeech_last = _runs(~np.array(speech, dtype=bool))
+    tok_times = np.array(tok_t, dtype=np.int64)
+    blank_first, blank_last = _runs(np.array(blank, dtype=bool))
+
+    def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
+        if cfg.mode is Mode.TS:
+            starts = vad_times[nonspeech_first]
+            spans = vad_times[nonspeech_last] + cfg.frame_ms - starts
+            delta = cfg.ts_threshold_ms
+            return [
+                EndpointEvent(s + delta, Trigger.TS, s)
+                for s in starts[spans >= delta].tolist()
+            ]
+        if cfg.mode is Mode.BLANK:
+            n = cfg.blank_run_frames
+            first = blank_first[blank_last - blank_first + 1 >= n]
+            ends = tok_times[first + n - 1]
+            return [
+                EndpointEvent(t, Trigger.BLANK_RUN, s)
+                for s, t in zip(tok_times[first].tolist(), ends.tolist())
+            ]
+        return run_call(cfg, timeline)
+
+    shared: dict[tuple, list[EndpointEvent]] = {}
+    out = []
+    for cfg in cfgs:
+        key = _rule_inputs(cfg)
+        if key not in shared:
+            shared[key] = endpoints(cfg)
+        out.append(list(shared[key]))
+    return out
+
+
+def _rule_inputs(cfg: EndpointerConfig) -> tuple:
+    """The config fields cfg's rule reads; configs equal in them agree."""
+    if cfg.mode is Mode.BLANK:
+        return (cfg.mode, cfg.blank_run_frames)
+    if cfg.mode is Mode.EOW:
+        return (cfg.mode, cfg.frame_ms)
+    if cfg.mode is Mode.TS:
+        return (cfg.mode, cfg.ts_threshold_ms, cfg.frame_ms)
+    return (cfg.mode, cfg.ts_threshold_ms, cfg.deferral_cap_ms, cfg.frame_ms)
+
+
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of every maximal run of True in ``flags``."""
+    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
 def commit_transcript(

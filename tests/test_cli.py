@@ -399,6 +399,26 @@ def test_evaluate_rejects_bad_tolerance(tmp_path):
     assert code == 2
 
 
+def test_evaluate_checks_its_flags_before_any_file(tmp_path, capsys):
+    calls = simulate(tmp_path)
+    code = run_cli(
+        "evaluate", "--calls", str(calls), "--endpoints", str(tmp_path / "nope"),
+        "--tolerance-ms", "0",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: tolerance_ms: must be positive, got 0\n"
+
+
+def test_endpoint_with_frame_ms_checks_its_flags_before_any_file(tmp_path, capsys):
+    code = run_cli(
+        "endpoint", "--calls", str(tmp_path / "nope"), "--out", str(tmp_path / "eps"),
+        "--frame-ms", "40", "--blank-frames", "0",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: blank_run_frames: must be >= 1, got 0\n"
+    assert not (tmp_path / "eps").exists()
+
+
 # ---------------------------------------------------------------------------
 # tradeoff
 
@@ -461,6 +481,32 @@ def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_tradeoff_rejects_a_cap_below_every_delta_before_loading(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "tradeoff", "--calls", str(tmp_path / "nope"), "--out", str(out),
+        "--deferral-cap-ms", "-5",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --deferral-cap-ms: -5 is below the smallest delta 200\n"
+    )
+    assert not out.exists()
+
+
+def test_tradeoff_raises_a_cap_below_some_deltas_to_each_delta(tmp_path):
+    calls = simulate(tmp_path, n_calls=2, config_text=SWEEP_CFG)
+    got = tmp_path / "cli.csv"
+    want = tmp_path / "library.csv"
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(got),
+        "--deferral-cap-ms", "400",
+    )
+    assert code == 0
+    _library_report(calls, oracle_vad, want, cap=400)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_tradeoff_data_failure_exits_1(tmp_path, capsys):
     calls = simulate(tmp_path, config_text=THREE_DIM_CFG)
     model = untrained_model(tmp_path, d_in=4)
@@ -496,17 +542,21 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     calls = simulate(tmp_path, n_calls=3)
     model = untrained_model(tmp_path)
     counts = {"load_model": 0, "classify_frames": 0, "merge_streams": 0}
+    commits = {"commit_transcript": 0}
     _counting(monkeypatch, vadnet, "load_model", counts)
     _counting(monkeypatch, vadnet, "classify_frames", counts)
     _counting(monkeypatch, cli, "merge_streams", counts)
+    _counting(monkeypatch, cli, "commit_transcript", commits)
     code = run_cli(
         "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
         "--vad", f"model:{model}",
     )
     assert code == 0
-    # one load per command; per call one classification, and two merges:
-    # tokens only for BLANK, VAD plus tokens for the three other modes
-    assert counts == {"load_model": 1, "classify_frames": 3, "merge_streams": 6}
+    # one load per command; per call one classification and one merge,
+    # since BLANK reads only the tokens of the VAD plus tokens timeline
+    assert counts == {"load_model": 1, "classify_frames": 3, "merge_streams": 3}
+    # the four EOW deltas share one endpoint list, so one commit per call
+    assert commits["commit_transcript"] <= 3 * 13
 
 
 SWEEP_CFG = """
@@ -527,7 +577,9 @@ def _library_vad(spec, seed=0):
     return lambda call: vadnet.classify_frames(model, call.frames, threshold)
 
 
-def _library_report(calls_dir, vad, path, deltas=(200, 400, 600, 800), tol=200):
+def _library_report(
+    calls_dir, vad, path, deltas=(200, 400, 600, 800), tol=200, cap=1000
+):
     """The sweep built config by config from the library, fresh merge each time."""
     calls = [callfile.load_call(p) for p in sorted(calls_dir.glob("*.call"))]
     frame_ms = calls[0].frame_ms
@@ -538,7 +590,7 @@ def _library_report(calls_dir, vad, path, deltas=(200, 400, 600, 800), tol=200):
                 mode=mode,
                 ts_threshold_ms=delta,
                 blank_run_frames=max(1, delta // frame_ms),
-                deferral_cap_ms=max(1000, delta),
+                deferral_cap_ms=max(cap, delta),
                 frame_ms=frame_ms,
             )
             scores = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from endpoint_rt.endpointer import (
+    EndpointEvent,
     EndpointerConfig,
     Endpointer,
     Mode,
@@ -163,6 +164,16 @@ def test_streaming_steps_equal_batch_fold():
     machine = new_endpointer(cfg)
     streamed = [ep for ev in timeline if (ep := machine.step(ev)) is not None]
     assert streamed == run_call(cfg, timeline)
+
+
+def test_step_returns_a_fire_from_the_event_that_stamps_it_in_the_past():
+    # a sparse decision at 400 ms completes a threshold stamped at 200 ms;
+    # the same step settles the fire instead of the next event
+    vad = [VadDecision(0, 0, 0.0, False), VadDecision(10, 400, 0.0, False)]
+    machine = new_endpointer(EndpointerConfig(mode=Mode.TS_AND_EOW))
+    returned = [machine.step(ev) for ev in merge_streams(vad, [eow(0)])]
+    immediate = EndpointEvent(200, Trigger.TS_AND_EOW_IMMEDIATE, 0, 0)
+    assert returned == [None, None, immediate, None]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded random timelines through run_call, pinned by digest.
+"""Seeded random timelines through run_call and run_sweep.
 
 Every endpoint that run_call produces over a few thousand random
 timelines is serialized and hashed, one sha256 per mode.  The pinned
@@ -7,14 +7,23 @@ leave every one of them unchanged.  The timelines cover dense and sparse
 VAD, two VAD decisions at the same millisecond, tokens tied with frames
 and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
-event.
+event.  run_sweep must give run_call's endpoints on the same timelines,
+and fail as run_call fails on timelines it rejects.
 """
 
 import hashlib
 import random
 from collections import Counter
 
-from endpoint_rt.endpointer import EndpointerConfig, Mode, Trigger, run_call
+import pytest
+
+from endpoint_rt.endpointer import (
+    EndpointerConfig,
+    Mode,
+    Trigger,
+    run_call,
+    run_sweep,
+)
 from endpoint_rt.streams import (
     EndOfStream,
     TimelineEvent,
@@ -117,3 +126,90 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
     digests, triggers = run_all()
     assert set(triggers) == set(Trigger), f"triggers seen: {dict(triggers)}"
     assert digests == PINNED
+
+
+def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
+    """cfg and 1-3 more of its mode and frame, with other delta, cap and blank run."""
+    cfgs = [cfg]
+    for _ in range(rng.randint(1, 3)):
+        delta = cfg.frame_ms * rng.randint(1, 12)
+        cfgs.append(
+            EndpointerConfig(
+                mode=cfg.mode,
+                ts_threshold_ms=delta,
+                blank_run_frames=rng.randint(1, 6),
+                deferral_cap_ms=delta + rng.choice([0, cfg.frame_ms, 10 * rng.randint(0, 60)]),
+                frame_ms=cfg.frame_ms,
+            )
+        )
+    return cfgs
+
+
+def test_run_sweep_matches_run_call_on_random_timelines():
+    rng = random.Random(20261018)  # the pinned digests' timelines
+    variants = random.Random(7)
+    shared_eow = 0
+    for case in range(N_TIMELINES):
+        cfg, timeline = random_case(rng)
+        cfgs = sweep_configs(variants, cfg)
+        want = [run_call(c, timeline) for c in cfgs]
+        assert run_sweep(cfgs, timeline) == want, f"case {case}: {cfgs}"
+        if cfg.mode is Mode.EOW and len({c.ts_threshold_ms for c in cfgs}) > 1:
+            shared_eow += 1
+    assert shared_eow > 1000  # one EOW run_call answered several deltas
+
+
+def test_run_sweep_keeps_the_order_of_mixed_configs():
+    rng = random.Random(20261018)
+    order = random.Random(11)
+    for case in range(300):
+        cfg, timeline = random_case(rng)
+        cfgs = [
+            EndpointerConfig(mode, delta, blanks, delta + cfg.frame_ms, cfg.frame_ms)
+            for mode in MODES
+            for delta, blanks in ((cfg.frame_ms, 1), (cfg.ts_threshold_ms, 3))
+        ]
+        order.shuffle(cfgs)
+        want = [run_call(c, timeline) for c in cfgs]
+        assert run_sweep(cfgs, timeline) == want, f"case {case}: {cfgs}"
+
+
+def _vad(t: int, speech: bool) -> TimelineEvent:
+    return TimelineEvent(t, VadDecision(t // 40, t, float(speech), speech))
+
+
+REJECTED = {
+    "out of order": [
+        _vad(0, False),
+        _vad(80, False),
+        _vad(40, True),
+        TimelineEvent(80, EndOfStream()),
+    ],
+    "after EndOfStream": [_vad(0, False), TimelineEvent(0, EndOfStream()), _vad(40, False)],
+    "unknown payload": [
+        _vad(0, False),
+        TimelineEvent(20, TokenEvent(20, TokenKind.BLANK)),
+        TimelineEvent(40, "speech"),
+        TimelineEvent(40, EndOfStream()),
+    ],
+}
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    pytest.fail(f"{fn.__name__} accepted the timeline")
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+@pytest.mark.parametrize(
+    "modes", [[m] for m in MODES] + [MODES], ids=lambda ms: "+".join(m.value for m in ms)
+)
+def test_run_sweep_rejects_what_run_call_rejects(name, modes):
+    timeline = REJECTED[name]
+    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in modes]
+    want = _error(run_call, cfgs[0], timeline)
+    assert all(_error(run_call, c, timeline) == want for c in cfgs)
+    assert _error(run_sweep, cfgs, timeline) == want
