@@ -302,14 +302,20 @@ def load_endpoints(
             elif parts[0] == "mode":
                 mode = Mode(parts[1])
             elif parts[0] == "endpoint":
-                endpoints.append(
-                    EndpointEvent(
-                        time_ms=int(parts[1]),
-                        trigger=Trigger(parts[2]),
-                        silence_start_ms=int(parts[3]),
-                        deferred_by_ms=int(parts[4]),
-                    )
+                ep = EndpointEvent(
+                    time_ms=int(parts[1]),
+                    trigger=Trigger(parts[2]),
+                    silence_start_ms=int(parts[3]),
+                    deferred_by_ms=int(parts[4]),
                 )
+                if endpoints and ep.time_ms < endpoints[-1].time_ms:
+                    _fail(
+                        path,
+                        lineno,
+                        f"endpoint at {ep.time_ms} ms precedes the previous "
+                        f"endpoint at {endpoints[-1].time_ms} ms",
+                    )
+                endpoints.append(ep)
             else:
                 _fail(path, lineno, f"unknown record tag {parts[0]!r}")
         except (ValueError, IndexError) as exc:

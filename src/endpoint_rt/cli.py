@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import zlib
@@ -30,7 +31,7 @@ from .endpointer import (
     commit_transcript,
     run_sweep,
 )
-from .evaluator import CallScore, EvalConfig, pool_scores, score_against
+from .evaluator import CallScore, EvalConfig, pool_scores, score_against, score_runs
 from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
 from .streams import (
     NO_LABEL,
@@ -38,6 +39,7 @@ from .streams import (
     CallRecord,
     Label,
     TimelineEvent,
+    TokenKind,
     VadDecision,
     merge_streams,
     validate_call,
@@ -139,13 +141,21 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         d_in = model.layer_dims[0]
 
         def classify(call: CallRecord) -> list[VadDecision]:
+            if not len(call.frame_index):
+                return []
             dim = call.features.shape[1]
-            if len(call.frame_index) and dim != d_in:
+            if dim != d_in:
                 raise ValueError(
                     f"{call.call_id}: model expects {d_in} features per frame, "
                     f"call has {dim}"
                 )
-            return vadnet.classify_frames(model, call.frames, threshold)
+            index = call.frame_index.tolist()
+            return vadnet.decisions(
+                index,
+                [i * call.frame_ms for i in index],
+                vadnet.posteriors(model, call.features),
+                threshold,
+            )
 
         return classify
     raise UsageError(
@@ -189,12 +199,13 @@ def _endpoint_call(
     call: CallRecord, cfgs: Sequence[EndpointerConfig], timeline: list[TimelineEvent]
 ) -> list[tuple[list[EndpointEvent], list[TurnTranscript]]]:
     """Each config's endpoints and transcripts; each distinct list commits once."""
+    non_blank = [tok for tok in call.tokens if tok.kind is not TokenKind.BLANK]
     committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
     results = []
     for endpoints in run_sweep(cfgs, timeline):
         key = tuple(endpoints)
         if key not in committed:
-            committed[key] = commit_transcript(call.tokens, endpoints, call.end_ms)
+            committed[key] = commit_transcript(non_blank, endpoints, call.end_ms)
         results.append((endpoints, committed[key]))
     return results
 
@@ -241,6 +252,8 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
         raise UsageError(f"--holdout: must lie in [0, 1), got {args.holdout}")
     _check_count("--epochs", args.epochs)
     _check_count("--batch-size", args.batch_size)
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr: must be a positive finite number, got {args.lr}")
     train_cfg = vadnet.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -258,8 +271,10 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
             sep = float(args.features.partition(":")[2])
         except ValueError as exc:
             raise UsageError(f"--features: bad separability in {args.features!r}") from exc
-        if sep < 0:
-            raise UsageError(f"--features: separability must be non-negative, got {sep}")
+        if not (math.isfinite(sep) and sep >= 0):
+            raise UsageError(
+                f"--features: separability must be finite and non-negative, got {sep}"
+            )
 
     calls = _load_calls(Path(args.calls))
     if sep is not None:
@@ -475,10 +490,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     scores: list[list[CallScore]] = [[] for _ in sweep]
     for call in calls:
         results = _endpoint_call(call, cfgs, _timeline(call, vad))
-        for (endpoints, transcripts), (_, eval_cfg), config_scores in zip(
-            results, sweep, scores
-        ):
-            config_scores.append(score_against(call, endpoints, transcripts, eval_cfg))
+        runs = [(eps, turns, ec) for (eps, turns), (_, ec) in zip(results, sweep)]
+        for config_scores, score in zip(scores, score_runs(call, runs)):
+            config_scores.append(score)
 
     rows: list[callfile.ReportRow] = []
     for k, mode in enumerate(modes):

@@ -43,7 +43,7 @@ yields at most one endpoint.
 ``run_call`` folds ``step()`` over a timeline and is the reference.
 ``run_sweep`` gives the same endpoints for many configs from one read of
 a timeline: ``TS`` and ``BLANK`` from their runs, the EOW-gated modes
-through ``run_call``.
+through ``run_call`` over the timeline without its BLANK tokens.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class EndpointerConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointEvent:
     """A detected turn end: when, by which rule, and from which silence."""
 
@@ -400,15 +400,23 @@ def run_sweep(
     decisions whose first time s and last time l satisfy
     l + frame_ms - s >= delta, at s + delta; ``BLANK`` ends every maximal
     run of at least N consecutive BLANK tokens at its N-th blank, with the
-    first blank's time as silence start.  ``EOW`` reads only ``frame_ms``,
-    so one ``run_call`` serves every delta; ``TS_AND_EOW`` goes through
-    ``run_call`` once per distinct delta, cap and frame.  A timeline
-    ``run_call`` rejects raises the same error here, whatever the modes.
+    first blank's time as silence start.
+
+    The EOW-gated modes step the machine over the timeline without its
+    BLANK tokens.  Their token handler returns at once on a BLANK, so a
+    BLANK's only effect is the pending-fire resolution ``step()`` runs
+    before it; the next event's ``step()`` runs the same resolution before
+    its own handler, and EndOfStream settles anything still open.  ``EOW``
+    reads only ``frame_ms``, so one ``run_call`` serves every delta;
+    ``TS_AND_EOW`` goes through ``run_call`` once per distinct delta, cap
+    and frame.  A timeline ``run_call`` rejects raises the same error
+    here, whatever the modes.
     """
     vad_t: list[int] = []
     speech: list[bool] = []
     tok_t: list[int] = []
     blank: list[bool] = []
+    heard: list[TimelineEvent] = []  # the timeline without its BLANK tokens
     last: Optional[int] = None
     finished = False
     for event in timeline:  # step()'s checks, in its order
@@ -419,16 +427,20 @@ def run_sweep(
             raise ValueError(f"out-of-order event at {t} ms after {last} ms")
         last = t
         p = event.payload
-        if isinstance(p, EndOfStream):
-            finished = True
-        elif isinstance(p, VadDecision):
+        if isinstance(p, VadDecision):
             vad_t.append(t)
             speech.append(bool(p.is_speech))
         elif isinstance(p, TokenEvent):
             tok_t.append(t)
-            blank.append(p.kind is TokenKind.BLANK)
+            is_blank = p.kind is TokenKind.BLANK
+            blank.append(is_blank)
+            if is_blank:
+                continue
+        elif isinstance(p, EndOfStream):
+            finished = True
         else:
             raise ValueError(f"unknown payload type {type(p).__name__}")
+        heard.append(event)
 
     vad_times = np.array(vad_t, dtype=np.int64)
     nonspeech_first, nonspeech_last = _runs(~np.array(speech, dtype=bool))
@@ -452,7 +464,7 @@ def run_sweep(
                 EndpointEvent(t, Trigger.BLANK_RUN, s)
                 for s, t in zip(tok_times[first].tolist(), ends.tolist())
             ]
-        return run_call(cfg, timeline)
+        return run_call(cfg, heard)
 
     shared: dict[tuple, list[EndpointEvent]] = {}
     out = []

@@ -38,6 +38,7 @@ __all__ = [
     "latency_stats",
     "score_call",
     "score_against",
+    "score_runs",
     "pool_scores",
 ]
 
@@ -252,7 +253,13 @@ def score_call(
 ) -> CallScore:
     """All poolable counts for a single call."""
     m = align_events(ref_ends, endpoints, cfg)
-    w = wer(ref_words, hyp_words)
+    return _counts(m, wer(ref_words, hyp_words), endpoints)
+
+
+def _counts(
+    m: Matching, w: WerResult, endpoints: Sequence[Union[EndpointEvent, int]]
+) -> CallScore:
+    """A call's poolable counts from its matching and its WER."""
     timeouts = sum(
         1
         for e in endpoints
@@ -266,9 +273,33 @@ def score_call(
         substitutions=w.substitutions,
         deletions=w.deletions,
         insertions=w.insertions,
-        ref_words=len(ref_words),
+        ref_words=w.ref_words,
         deferral_timeouts=timeouts,
     )
+
+
+_Run = tuple[Sequence[EndpointEvent], Sequence[TurnTranscript], EvalConfig]
+
+
+def score_runs(call: CallRecord, runs: Sequence[_Run]) -> list[CallScore]:
+    """Score many (endpoints, transcripts, config) runs of one call.
+
+    The reference is the call's segments: their ends are the turn ends,
+    their words the reference word sequence.  It is built once, and the
+    WER edit distance runs once per distinct hypothesis word list, so runs
+    that commit the same words share one.
+    """
+    ref_ends = [seg.end_ms for seg in call.segments]
+    ref_words = [w for seg in call.segments for w in seg.words]
+    wers: dict[tuple[str, ...], WerResult] = {}
+    scores = []
+    for endpoints, transcripts, cfg in runs:
+        hyp = tuple(hypothesis_words(transcripts))
+        if hyp not in wers:
+            wers[hyp] = wer(ref_words, hyp)
+        m = align_events(ref_ends, endpoints, cfg)
+        scores.append(_counts(m, wers[hyp], endpoints))
+    return scores
 
 
 def score_against(
@@ -277,18 +308,9 @@ def score_against(
     transcripts: Sequence[TurnTranscript],
     cfg: EvalConfig,
 ) -> CallScore:
-    """Score one call's endpoints and committed transcript against its reference.
-
-    The reference is the call's segments: their ends are the turn ends,
-    their words the reference word sequence.
-    """
-    return score_call(
-        [seg.end_ms for seg in call.segments],
-        endpoints,
-        [w for seg in call.segments for w in seg.words],
-        hypothesis_words(transcripts),
-        cfg,
-    )
+    """Score one call's endpoints and committed transcript against its reference."""
+    [score] = score_runs(call, [(endpoints, transcripts, cfg)])
+    return score
 
 
 def pool_scores(scores: Sequence[CallScore]) -> EvalReport:

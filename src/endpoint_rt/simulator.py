@@ -19,6 +19,7 @@ per turn, spanning the whole turn, listing its words).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -68,9 +69,10 @@ def _check_config(cfg: SimConfig) -> None:
         raise ValueError(f"n_turns: must be positive, got {cfg.n_turns}")
     if cfg.feature_dim < 1:
         raise ValueError(f"feature_dim: must be positive, got {cfg.feature_dim}")
-    if cfg.feature_separability < 0:
+    if not (math.isfinite(cfg.feature_separability) and cfg.feature_separability >= 0):
         raise ValueError(
-            f"feature_separability: must be non-negative, got {cfg.feature_separability}"
+            f"feature_separability: must be finite and non-negative, "
+            f"got {cfg.feature_separability}"
         )
     if not 0.0 <= cfg.teacher_flip_prob < 1.0:
         raise ValueError(
@@ -85,11 +87,10 @@ def _check_config(cfg: SimConfig) -> None:
         raise ValueError(
             f"subwords_per_word: need 1 <= min <= max, got ({k_lo}, {k_hi})"
         )
-    mean, std, clip_max = cfg.emission_delay
-    if mean < 0 or std < 0 or clip_max < 0:
+    if not all(math.isfinite(v) and v >= 0 for v in cfg.emission_delay):
         raise ValueError(
-            f"emission_delay: all of (mean, std, clip_max) must be non-negative, "
-            f"got {cfg.emission_delay}"
+            f"emission_delay: all of (mean, std, clip_max) must be finite and "
+            f"non-negative, got {cfg.emission_delay}"
         )
 
 
@@ -231,9 +232,9 @@ def resample_features(
     vectors change, drawn at the requested separability.  This swaps the
     feature channel's quality without re-simulating the conversation.
     """
-    if separability < 0:
+    if not (math.isfinite(separability) and separability >= 0):
         raise ValueError(
-            f"feature_separability: must be non-negative, got {separability}"
+            f"feature_separability: must be finite and non-negative, got {separability}"
         )
     _check_labeled(call)
     rng = np.random.default_rng(seed)

@@ -68,7 +68,7 @@ class FrameRecord:
         return hash((self.index, self.time_ms, self.label, self.teacher_label))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenEvent:
     """A token emission with its (possibly delayed) emission time."""
 
@@ -78,7 +78,7 @@ class TokenEvent:
     word_index: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VadDecision:
     """Per-frame VAD output: posterior plus the thresholded decision."""
 
@@ -88,7 +88,7 @@ class VadDecision:
     is_speech: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndOfStream:
     """Terminal timeline marker; carries no payload of its own."""
 
@@ -96,7 +96,7 @@ class EndOfStream:
 TimelinePayload = Union[VadDecision, TokenEvent, EndOfStream]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEvent:
     """One entry of the merged timeline."""
 

@@ -269,10 +269,25 @@ def classify_frames(
     if not frames:
         return []
     x = np.stack([np.asarray(f.features, dtype=float) for f in frames])
-    p = posteriors(model, x)
+    return decisions(
+        [f.index for f in frames],
+        [f.time_ms for f in frames],
+        posteriors(model, x),
+        threshold,
+    )
+
+
+def decisions(
+    index: Sequence[int], times: Sequence[int], p: np.ndarray, threshold: float
+) -> list[VadDecision]:
+    """One decision per frame from its posterior: speech iff p >= threshold.
+
+    A call's columns classify without per-frame records:
+    ``decisions(index, times, posteriors(model, call.features), threshold)``.
+    """
     return [
-        VadDecision(f.index, f.time_ms, float(pi), bool(pi >= threshold))
-        for f, pi in zip(frames, p)
+        VadDecision(i, t, pi, bool(pi >= threshold))
+        for i, t, pi in zip(index, times, p.tolist())
     ]
 
 

@@ -269,6 +269,25 @@ def test_load_endpoints_rejects_bad_trigger(tmp_path):
         load_endpoints(path)
 
 
+def test_load_endpoints_rejects_out_of_order_endpoints(tmp_path):
+    path = tmp_path / "swapped.endpoints"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c\nmode TS\n"
+        "endpoint 600 TS 400 0\nendpoint 1800 TS 1600 0\nendpoint 1200 TS 1000 0\n"
+    )
+    message = f"{path}:6: endpoint at 1200 ms precedes the previous endpoint at 1800 ms"
+    with pytest.raises(FormatError) as err:
+        load_endpoints(path)
+    assert str(err.value) == message
+
+
+def test_load_endpoints_keeps_endpoints_at_one_time(tmp_path):
+    eps = [EndpointEvent(600, Trigger.TS, 400), EndpointEvent(600, Trigger.EOW, 400)]
+    path = tmp_path / "tied.endpoints"
+    save_endpoints("c", Mode.EOW, eps, path)
+    assert load_endpoints(path) == ("c", Mode.EOW, eps)
+
+
 # ---------------------------------------------------------------------------
 # transcript files
 

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from endpoint_rt import callfile, cli, vadnet
+from endpoint_rt import callfile, cli, evaluator, vadnet
 from endpoint_rt.cli import load_sim_config, main
 from endpoint_rt.endpointer import (
     EndpointerConfig,
@@ -116,6 +116,24 @@ def test_simulate_rejects_invalid_config_values(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("feature_separability = nan", "feature_separability"),
+        ("feature_separability = inf", "feature_separability"),
+        ("emission_delay = nan, 1, 2", "emission_delay"),
+        ("emission_delay = 150, inf, 400", "emission_delay"),
+    ],
+)
+def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, line, key):
+    path = write_config(tmp_path, line + "\n")
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "must be finite" in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -178,12 +196,26 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
         run_cli("train-vad", "--calls", str(calls), "--out", model, "--features", "magic")
         == 2
     )
-    # count and size flags fail before any call file is read
+    # count, size, rate and feature flags fail before any call file is read
     missing = str(tmp_path / "no-calls")
-    for flag, value in (("--epochs", "0"), ("--batch-size", "0"), ("--hidden", "0,16")):
+    for flag, value in (
+        ("--epochs", "0"),
+        ("--batch-size", "0"),
+        ("--hidden", "0,16"),
+        ("--lr", "nan"),
+        ("--lr", "-1"),
+        ("--lr", "0"),
+        ("--features", "oracle:nan"),
+        ("--features", "oracle:inf"),
+    ):
         capsys.readouterr()
         assert run_cli("train-vad", "--calls", missing, "--out", model, flag, value) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    capsys.readouterr()
+    assert run_cli("train-vad", "--calls", missing, "--out", model, "--lr", "inf") == 2
+    assert capsys.readouterr().err == (
+        "error: --lr: must be a positive finite number, got inf\n"
+    )
     assert not (tmp_path / "m.mdl").exists()
 
 
@@ -218,6 +250,28 @@ def test_endpoint_writes_pairs_per_call(tmp_path, capsys):
     _, mode, endpoints = callfile.load_endpoints(out / "sim-00000010.endpoints")
     assert mode is Mode.TS
     assert endpoints  # a two-turn call always ends at least one turn
+
+
+@pytest.mark.parametrize("mode", [m.value for m in Mode])
+def test_endpoint_files_match_the_library(tmp_path, mode):
+    # noisy emission, so calls hold blanks and words split across endpoints
+    calls = simulate(tmp_path, n_calls=2, config_text=SWEEP_CFG)
+    out = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(out), "--mode", mode,
+        "--delta-ms", "200",
+    )
+    assert code == 0
+    for path in sorted(calls.glob("*.call")):
+        call = callfile.load_call(path)
+        cfg = EndpointerConfig(Mode(mode), ts_threshold_ms=200, frame_ms=call.frame_ms)
+        vad = [] if cfg.mode is Mode.BLANK else oracle_vad(call)
+        endpoints = run_call(cfg, merge_streams(vad, call.tokens))
+        turns = commit_transcript(call.tokens, endpoints, call.end_ms)
+        stem = out / call.call_id
+        loaded = callfile.load_endpoints(f"{stem}.endpoints")
+        assert loaded == (call.call_id, cfg.mode, endpoints)
+        assert callfile.load_transcripts(f"{stem}.transcript") == (call.call_id, turns)
 
 
 def test_endpoint_rejects_unknown_mode(tmp_path):
@@ -388,6 +442,24 @@ def test_evaluate_fails_on_missing_pair(tmp_path):
     assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
 
 
+def test_evaluate_names_the_file_of_out_of_order_endpoints(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=2)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = eps / "sim-00000011.endpoints"
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("endpoint "))
+    later, earlier = (int(lines[k].split()[1]) for k in (first + 1, first))
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{first + 2}: endpoint at {earlier} ms precedes the previous "
+        f"endpoint at {later} ms\n"
+    )
+
+
 def test_evaluate_rejects_bad_tolerance(tmp_path):
     calls = simulate(tmp_path)
     eps = tmp_path / "eps"
@@ -541,22 +613,38 @@ def _counting(monkeypatch, owner, name, counts):
 def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     calls = simulate(tmp_path, n_calls=3)
     model = untrained_model(tmp_path)
-    counts = {"load_model": 0, "classify_frames": 0, "merge_streams": 0}
+    counts = {"load_model": 0, "posteriors": 0, "classify_frames": 0, "merge_streams": 0}
     commits = {"commit_transcript": 0}
     _counting(monkeypatch, vadnet, "load_model", counts)
+    _counting(monkeypatch, vadnet, "posteriors", counts)
     _counting(monkeypatch, vadnet, "classify_frames", counts)
     _counting(monkeypatch, cli, "merge_streams", counts)
     _counting(monkeypatch, cli, "commit_transcript", commits)
+    scored = []
+    wer = evaluator.wer
+
+    def recording_wer(ref_words, hyp_words):
+        scored.append((tuple(ref_words), tuple(hyp_words)))
+        return wer(ref_words, hyp_words)
+
+    monkeypatch.setattr(evaluator, "wer", recording_wer)
     code = run_cli(
         "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
         "--vad", f"model:{model}",
     )
     assert code == 0
-    # one load per command; per call one classification and one merge,
-    # since BLANK reads only the tokens of the VAD plus tokens timeline
-    assert counts == {"load_model": 1, "classify_frames": 3, "merge_streams": 3}
+    # one load per command; per call one classification from the call's
+    # columns (no per-frame records) and one merge, since BLANK reads only
+    # the tokens of the VAD plus tokens timeline
+    assert counts == {
+        "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 3
+    }
     # the four EOW deltas share one endpoint list, so one commit per call
     assert commits["commit_transcript"] <= 3 * 13
+    # WER runs once per distinct hypothesis of a call (the calls' references
+    # differ), and the EOW deltas' shared transcript is one hypothesis
+    assert len({ref for ref, _ in scored}) == 3
+    assert len(scored) == len(set(scored)) <= 3 * 13
 
 
 SWEEP_CFG = """

@@ -7,13 +7,15 @@ leave every one of them unchanged.  The timelines cover dense and sparse
 VAD, two VAD decisions at the same millisecond, tokens tied with frames
 and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
-event.  run_sweep must give run_call's endpoints on the same timelines,
-and fail as run_call fails on timelines it rejects.
+event.  The EOW-gated modes give the same endpoints with the BLANK
+tokens dropped.  run_sweep must give run_call's endpoints on the same
+timelines, and fail as run_call fails on timelines it rejects.
 """
 
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +128,25 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
     digests, triggers = run_all()
     assert set(triggers) == set(Trigger), f"triggers seen: {dict(triggers)}"
     assert digests == PINNED
+
+
+def _is_blank(payload) -> bool:
+    return isinstance(payload, TokenEvent) and payload.kind is TokenKind.BLANK
+
+
+def test_eow_gated_modes_ignore_blank_tokens_on_random_timelines():
+    # run_sweep steps the EOW-gated machines over the timeline without its
+    # BLANK tokens; this is the equality it rests on
+    rng = random.Random(20261018)  # the pinned digests' timelines
+    dropped = 0
+    for case in range(N_TIMELINES):
+        cfg, timeline = random_case(rng)
+        heard = [ev for ev in timeline if not _is_blank(ev.payload)]
+        dropped += len(timeline) - len(heard)
+        for mode in (Mode.EOW, Mode.TS_AND_EOW):
+            gated = replace(cfg, mode=mode)
+            assert run_call(gated, heard) == run_call(gated, timeline), f"case {case}"
+    assert dropped > N_TIMELINES  # the timelines hold BLANK tokens to drop
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:

@@ -1,11 +1,13 @@
 """Tests for event alignment, PRF/WER/latency scoring, and pooling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from endpoint_rt.endpointer import EndpointEvent, Trigger, TurnTranscript
+from endpoint_rt import evaluator
+from endpoint_rt.endpointer import EndpointEvent, Trigger, TurnTranscript, hypothesis_words
 from endpoint_rt.evaluator import (
     CallScore,
     EvalConfig,
@@ -15,6 +17,7 @@ from endpoint_rt.evaluator import (
     prf,
     score_against,
     score_call,
+    score_runs,
     wer,
 )
 from endpoint_rt.streams import CallRecord, ReferenceSegment
@@ -224,6 +227,69 @@ def test_score_against_reads_the_reference_from_the_call_segments():
     assert score_against(call, eps, turns, CFG) == score_call(
         [1000, 3000], eps, ["ka", "zo", "mi"], ["ka", "mi", "lo"], CFG
     )
+
+
+VOCAB = ["ka", "zo", "mi", "lo"]
+
+
+def _random_call(rng):
+    segments = []
+    start = 0
+    for _ in range(rng.randint(0, 3)):
+        end = start + rng.randint(200, 1500)
+        words = tuple(rng.choices(VOCAB, k=rng.randint(0, 3)))
+        segments.append(ReferenceSegment("c", start, end, words))
+        start = end + rng.randint(0, 500)
+    return CallRecord.from_frames("c", 40, segments=segments)
+
+
+def _random_run(rng, hypotheses):
+    """Random endpoints and config, with a transcript of a hypothesis from the pool."""
+    times = sorted(rng.randrange(5000) for _ in range(rng.randint(0, 5)))
+    eps = [EndpointEvent(t, rng.choice(list(Trigger)), max(0, t - 400)) for t in times]
+    words = rng.choice(hypotheses)
+    cut = rng.randint(0, len(words))
+    turns = [
+        TurnTranscript(0, 0, 1000, tuple((w, True) for w in words[:cut])),
+        TurnTranscript(1, 1000, 2000, tuple((w, False) for w in words[cut:])),
+    ]
+    if not words and rng.random() < 0.5:
+        turns = []  # no turn at all, as well as turns without words
+    return eps, turns, EvalConfig(rng.choice([200, 400, 600]), rng.choice([100, 200]))
+
+
+def test_score_runs_scores_each_run_as_score_against_does(monkeypatch):
+    rng = random.Random(5)
+    hyp_lists = []
+
+    def recording_wer(ref_words, hyp_words):
+        hyp_lists.append(tuple(hyp_words))
+        return wer(ref_words, hyp_words)
+
+    monkeypatch.setattr(evaluator, "wer", recording_wer)
+    n_runs = 0
+    for case in range(200):
+        call = _random_call(rng)
+        hypotheses = [[], ["ka"]] + [rng.choices(VOCAB, k=rng.randint(1, 5)) for _ in range(3)]
+        runs = [_random_run(rng, hypotheses) for _ in range(rng.randint(1, 12))]
+        n_runs += len(runs)
+        want = [score_against(call, *run) for run in runs]
+        del hyp_lists[:]
+        assert score_runs(call, runs) == want, f"case {case}"
+        # one WER per distinct hypothesis of the call
+        assert len(hyp_lists) == len(set(hyp_lists))
+        assert set(hyp_lists) == {tuple(hypothesis_words(turns)) for _, turns, _ in runs}
+        assert want == [
+            score_call(
+                [seg.end_ms for seg in call.segments],
+                eps,
+                [w for seg in call.segments for w in seg.words],
+                hypothesis_words(turns),
+                cfg,
+            )
+            for eps, turns, cfg in runs
+        ]
+    assert n_runs > 1000
 
 
 def test_pool_scores_micro_averages():

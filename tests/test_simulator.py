@@ -42,6 +42,10 @@ from endpoint_rt.streams import (
         ("subwords_per_word", (0, 3)),
         ("emission_delay", (-1.0, 50.0, 400.0)),
         ("emission_delay", (150.0, -1.0, 400.0)),
+        ("feature_separability", float("nan")),
+        ("feature_separability", float("inf")),
+        ("emission_delay", (float("nan"), 1.0, 2.0)),
+        ("emission_delay", (150.0, 50.0, float("inf"))),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
@@ -231,6 +235,9 @@ def test_resample_features_rejects_negative_separability():
     call = gen_call(SimConfig(seed=47, n_turns=1))
     with pytest.raises(ValueError, match="non-negative"):
         resample_features(call, -1.0, seed=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="feature_separability: must be finite"):
+            resample_features(call, bad, seed=0)
 
 
 # ---------------------------------------------------------------------------

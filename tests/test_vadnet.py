@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from endpoint_rt import vadnet
-from endpoint_rt.streams import FrameRecord, Label
+from endpoint_rt.streams import FrameRecord, Label, VadDecision
 from endpoint_rt.vadnet import (
     MlpModel,
     TrainConfig,
     classify_frames,
+    decisions,
     det_curve,
     eer,
     forward,
@@ -287,6 +288,17 @@ def test_classify_frames_threshold_semantics():
         assert d.is_speech == (d.posterior >= 0.5)
         assert 0.0 < d.posterior < 1.0
     assert classify_frames(model, [], 0.5) == []
+
+
+def test_decisions_call_a_posterior_at_the_threshold_speech():
+    p = np.array([0.5, np.nextafter(0.5, 0.0), 0.75])
+    got = decisions([3, 4, 6], [120, 160, 240], p, threshold=0.5)
+    assert got == [
+        VadDecision(3, 120, 0.5, True),
+        VadDecision(4, 160, float(p[1]), False),
+        VadDecision(6, 240, 0.75, True),
+    ]
+    assert all(type(d.posterior) is float and type(d.is_speech) is bool for d in got)
 
 
 def test_checkpoint_round_trip_preserves_everything(tmp_path):
