@@ -25,14 +25,10 @@ from .evaluator import (
     CallScore,
     EvalConfig,
     EvalReport,
-    LatencyStats,
     Matching,
-    PrfResult,
     WerResult,
     align_events,
-    latency_stats,
     pool_scores,
-    prf,
     score_against,
     score_call,
     score_runs,
@@ -64,7 +60,6 @@ from .vadnet import (
     init_model,
     load_model,
     save_model,
-    train,
 )
 
 __version__ = "0.1.0"
@@ -82,12 +77,10 @@ __all__ = [
     "EvalReport",
     "FrameRecord",
     "Label",
-    "LatencyStats",
     "Matching",
     "MlpModel",
     "Mode",
     "OperatingPoint",
-    "PrfResult",
     "ReferenceSegment",
     "SimConfig",
     "TimelineEvent",
@@ -110,13 +103,11 @@ __all__ = [
     "gen_call",
     "hypothesis_words",
     "init_model",
-    "latency_stats",
     "load_model",
     "merge_streams",
     "new_endpointer",
     "oracle_vad",
     "pool_scores",
-    "prf",
     "resample_features",
     "run_call",
     "run_sweep",
@@ -124,7 +115,6 @@ __all__ = [
     "score_against",
     "score_call",
     "score_runs",
-    "train",
     "validate_call",
     "wer",
 ]

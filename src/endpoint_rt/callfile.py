@@ -298,8 +298,12 @@ def load_endpoints(
         parts = line.split()
         try:
             if parts[0] == "call":
+                if call_id:
+                    _fail(path, lineno, "duplicate call line")
                 call_id = parts[1]
             elif parts[0] == "mode":
+                if mode is not None:
+                    _fail(path, lineno, "duplicate mode line")
                 mode = Mode(parts[1])
             elif parts[0] == "endpoint":
                 ep = EndpointEvent(
@@ -346,6 +350,23 @@ def save_transcripts(
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
+def _check_turn(
+    path: Union[str, Path], lineno: int, turn: TurnTranscript, turns: list[TurnTranscript]
+) -> None:
+    """Turn k comes k-th and spans forward from the previous turn's end."""
+    if turn.turn_index != len(turns):
+        _fail(path, lineno, f"turn {turn.turn_index} where turn {len(turns)} is due")
+    if turn.start_ms > turn.end_ms:
+        _fail(path, lineno, f"turn ends at {turn.end_ms} ms, before its start")
+    if turns and turn.start_ms < turns[-1].end_ms:
+        _fail(
+            path,
+            lineno,
+            f"turn starts at {turn.start_ms} ms, before turn {len(turns) - 1} "
+            f"ends at {turns[-1].end_ms} ms",
+        )
+
+
 def load_transcripts(path: Union[str, Path]) -> tuple[str, list[TurnTranscript]]:
     lines = _read_lines(path)
     call_id = ""
@@ -356,20 +377,17 @@ def load_transcripts(path: Union[str, Path]) -> tuple[str, list[TurnTranscript]]
         parts = line.split()
         try:
             if parts[0] == "call":
+                if call_id:
+                    _fail(path, lineno, "duplicate call line")
                 call_id = parts[1]
             elif parts[0] == "turn":
                 words = tuple(
                     (w[:-1], False) if w.endswith("*") else (w, True)
                     for w in parts[4:]
                 )
-                turns.append(
-                    TurnTranscript(
-                        turn_index=int(parts[1]),
-                        start_ms=int(parts[2]),
-                        end_ms=int(parts[3]),
-                        words=words,
-                    )
-                )
+                turn = TurnTranscript(int(parts[1]), int(parts[2]), int(parts[3]), words)
+                _check_turn(path, lineno, turn, turns)
+                turns.append(turn)
             else:
                 _fail(path, lineno, f"unknown record tag {parts[0]!r}")
         except (ValueError, IndexError) as exc:

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -54,21 +53,13 @@ class UsageError(Exception):
 
 # -- config file --------------------------------------------------------------
 
-_TUPLE_FIELDS = {
-    "turn_dur_ms": 2,
-    "gap_dur_ms": 2,
-    "word_dur_ms": 2,
-    "pause_dur_ms": 2,
-    "subwords_per_word": 2,
-    "emission_delay": 3,
-}
-_FLOAT_FIELDS = {"feature_separability", "teacher_flip_prob"}
-_INT_FIELDS = {"seed", "n_turns", "feature_dim", "frame_ms"}
-
-
 def load_sim_config(path: Path) -> SimConfig:
-    """Parse a key=value config file into a SimConfig."""
-    known = {f.name for f in dataclass_fields(SimConfig)}
+    """Parse a key=value config file into a SimConfig.
+
+    Each value parses as the key's ``SimConfig()`` default is typed: a
+    scalar of that type, or a tuple of that length and element types.
+    """
+    defaults = vars(SimConfig())  # field name -> default
     values: dict[str, object] = {}
     data = path.read_bytes()
     try:
@@ -84,24 +75,17 @@ def load_sim_config(path: Path) -> SimConfig:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in known:
+        if key not in defaults:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        default = defaults[key]
         try:
-            if key in _TUPLE_FIELDS:
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != _TUPLE_FIELDS[key]:
-                    raise ValueError(
-                        f"expected {_TUPLE_FIELDS[key]} comma-separated values"
-                    )
-                cast = float if key == "emission_delay" else int
-                values[key] = tuple(cast(p) for p in parts)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(value)
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
-            else:  # pragma: no cover - every known key is classified above
-                raise ValueError("unhandled key")
+            if isinstance(default, tuple):
+                parts = value.split(",")
+                if len(parts) != len(default):
+                    raise ValueError(f"expected {len(default)} comma-separated values")
+                values[key] = tuple(type(d)(p.strip()) for d, p in zip(default, parts))
+            else:
+                values[key] = type(default)(value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
     return SimConfig(**values)  # type: ignore[arg-type]
@@ -149,10 +133,9 @@ def _vad_source(spec: str, seed: int) -> VadSource:
                     f"{call.call_id}: model expects {d_in} features per frame, "
                     f"call has {dim}"
                 )
-            index = call.frame_index.tolist()
+            # Python ints: an int64 product could wrap on an absurd index
             return vadnet.decisions(
-                index,
-                [i * call.frame_ms for i in index],
+                [i * call.frame_ms for i in call.frame_index.tolist()],
                 vadnet.posteriors(model, call.features),
                 threshold,
             )
@@ -213,18 +196,19 @@ def _endpoint_call(
 # -- subcommands --------------------------------------------------------------
 
 
-def _check_count(flag: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{flag}: must be >= 1, got {value}")
+def _check_count(flag: str, value: int, least: int = 1) -> None:
+    if value < least:
+        raise UsageError(f"{flag}: must be >= {least}, got {value}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_count("--n-calls", args.n_calls)
+    if args.seed is not None:
+        _check_count("--seed", args.seed, least=0)
     cfg = load_sim_config(args.config) if args.config else SimConfig()
-    overrides: dict[str, object] = {"seed": args.seed}
-    if args.frame_ms is not None:
-        overrides["frame_ms"] = args.frame_ms
-    cfg = replace(cfg, **overrides)  # type: ignore[arg-type]
+    # --seed and --frame-ms override the config only when given
+    overrides = {"seed": args.seed, "frame_ms": args.frame_ms}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     try:
         simulator._check_config(cfg)
     except ValueError as exc:
@@ -252,6 +236,7 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
         raise UsageError(f"--holdout: must lie in [0, 1), got {args.holdout}")
     _check_count("--epochs", args.epochs)
     _check_count("--batch-size", args.batch_size)
+    _check_count("--seed", args.seed, least=0)
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr: must be a positive finite number, got {args.lr}")
     train_cfg = vadnet.TrainConfig(
@@ -438,7 +423,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"--modes: {exc}") from exc
     try:
-        deltas = [int(d) for d in args.deltas.split(",")]
+        deltas = sorted(int(d) for d in args.deltas.split(","))
     except ValueError as exc:
         raise UsageError("--deltas: expected comma-separated integers") from exc
     if len(set(deltas)) != len(deltas) or len(deltas) < 2:
@@ -447,10 +432,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         )
     # a cap below a delta is raised to that delta; one below every delta
     # is a mistake, not a cap
-    if args.deferral_cap_ms < min(deltas):
+    if args.deferral_cap_ms < deltas[0]:
         raise UsageError(
             f"--deferral-cap-ms: {args.deferral_cap_ms} is below the smallest "
-            f"delta {min(deltas)}"
+            f"delta {deltas[0]}"
         )
     if args.frame_ms is not None and args.frame_ms <= 0:
         raise UsageError(f"--frame-ms: must be positive, got {args.frame_ms}")
@@ -471,7 +456,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
                 cfg = EndpointerConfig(
                     mode=mode,
                     ts_threshold_ms=delta,
-                    blank_run_frames=max(1, delta // frame_ms),
+                    blank_run_frames=delta // frame_ms,
                     deferral_cap_ms=max(args.deferral_cap_ms, delta),
                     frame_ms=frame_ms,
                 )
@@ -494,16 +479,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         for config_scores, score in zip(scores, score_runs(call, runs)):
             config_scores.append(score)
 
-    rows: list[callfile.ReportRow] = []
-    for k, mode in enumerate(modes):
-        per_delta = [
-            (delta, pool_scores(scores[k * len(deltas) + j]))
-            for j, delta in enumerate(deltas)
-        ]
-        rows.extend(
-            callfile.ReportRow(mode, d, eval_tol, rep)
-            for d, rep in sorted(per_delta, key=lambda dr: dr[0])
-        )
+    rows = [
+        callfile.ReportRow(cfg.mode, ec.ts_threshold_ms, eval_tol, pool_scores(s))
+        for (cfg, ec), s in zip(sweep, scores)
+    ]
     callfile.save_report(rows, Path(args.out))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -523,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", type=Path, default=None, help="key=value config file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--n-calls", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument(
+        "--seed", type=int, default=None, help="first call's seed (default: config seed)"
+    )
     p_sim.add_argument("--frame-ms", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from ._kernels import edit_distance_counts
 from .endpointer import EndpointEvent, Trigger, TurnTranscript, hypothesis_words
@@ -27,15 +27,11 @@ from .streams import CallRecord, _first_inversion
 __all__ = [
     "EvalConfig",
     "Matching",
-    "PrfResult",
     "WerResult",
-    "LatencyStats",
     "CallScore",
     "EvalReport",
     "align_events",
-    "prf",
     "wer",
-    "latency_stats",
     "score_call",
     "score_against",
     "score_runs",
@@ -81,30 +77,11 @@ class Matching:
 
 
 @dataclass(frozen=True)
-class PrfResult:
-    """Precision/recall/F1 with explicit undefined-denominator flags.
-
-    Iterates as the (precision, recall, f1) triple; an undefined ratio is
-    reported as 0 with its ``*_defined`` flag cleared.
-    """
-
-    precision: float
-    recall: float
-    f1: float
-    precision_defined: bool = True
-    recall_defined: bool = True
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.precision, self.recall, self.f1))
-
-
-@dataclass(frozen=True)
 class WerResult:
     """Word error rate with its raw edit counts.
 
-    Iterates as (wer, substitutions, deletions, insertions).  An empty
-    reference against a nonempty hypothesis has no finite rate: wer is
-    +inf and ``defined`` is False while the counts stay exact.
+    An empty reference against a nonempty hypothesis has no finite rate:
+    wer is +inf and ``defined`` is False while the counts stay exact.
     """
 
     wer: float
@@ -113,21 +90,6 @@ class WerResult:
     insertions: int
     ref_words: int
     defined: bool = True
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.wer, self.substitutions, self.deletions, self.insertions))
-
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Mean/median latency over matched pairs; flagged when nothing matched."""
-
-    mean_latency_ms: float
-    median_latency_ms: float
-    defined: bool = True
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.mean_latency_ms, self.median_latency_ms))
 
 
 @dataclass(frozen=True)
@@ -202,22 +164,6 @@ def align_events(
     return Matching(tuple(pairs), tuple(unmatched_refs), tuple(unmatched_hyps))
 
 
-def _prf_from_counts(hits: int, misses: int, false_alarms: int) -> PrfResult:
-    n_hyp = hits + false_alarms
-    n_ref = hits + misses
-    p_defined = n_hyp > 0
-    r_defined = n_ref > 0
-    p = hits / n_hyp if p_defined else 0.0
-    r = hits / n_ref if r_defined else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-    return PrfResult(p, r, f1, p_defined, r_defined)
-
-
-def prf(matching: Matching) -> PrfResult:
-    """Precision, recall, and F1 for one matching."""
-    return _prf_from_counts(matching.hits, matching.misses, matching.false_alarms)
-
-
 def wer(ref_words: Sequence[str], hyp_words: Sequence[str]) -> WerResult:
     """Word error rate (S + D + I) / |ref| with minimal unit-cost edits."""
     ids: dict[str, int] = {}
@@ -234,14 +180,6 @@ def wer(ref_words: Sequence[str], hyp_words: Sequence[str]) -> WerResult:
             return WerResult(0.0, 0, 0, 0, 0)
         return WerResult(float("inf"), s, d, i, 0, defined=False)
     return WerResult((s + d + i) / n, s, d, i, n)
-
-
-def latency_stats(matching: Matching) -> LatencyStats:
-    """Mean and median signed latency over matched pairs only."""
-    lats = [lat for _, _, lat in matching.pairs]
-    if not lats:
-        return LatencyStats(0.0, 0.0, defined=False)
-    return LatencyStats(statistics.fmean(lats), float(statistics.median(lats)))
 
 
 def score_call(
@@ -325,7 +263,9 @@ def pool_scores(scores: Sequence[CallScore]) -> EvalReport:
     lats: list[int] = []
     for s in scores:
         lats.extend(s.latencies)
-    p = _prf_from_counts(hits, misses, fas)
+    p = hits / (hits + fas) if hits + fas > 0 else 0.0
+    r = hits / (hits + misses) if hits + misses > 0 else 0.0
+    f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
     errors = subs + dels + ins
     if ref_n > 0:
         pooled_wer = errors / ref_n
@@ -337,9 +277,9 @@ def pool_scores(scores: Sequence[CallScore]) -> EvalReport:
     else:
         mean_lat = med_lat = 0.0
     return EvalReport(
-        precision=p.precision,
-        recall=p.recall,
-        f1=p.f1,
+        precision=p,
+        recall=r,
+        f1=f1,
         wer=pooled_wer,
         substitutions=subs,
         deletions=dels,

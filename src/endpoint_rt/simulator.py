@@ -63,6 +63,8 @@ class SimConfig:
 
 
 def _check_config(cfg: SimConfig) -> None:
+    if cfg.seed < 0:
+        raise ValueError(f"seed: must be non-negative, got {cfg.seed}")
     if cfg.frame_ms < 1:
         raise ValueError(f"frame_ms: must be positive, got {cfg.frame_ms}")
     if cfg.n_turns < 1:
@@ -184,17 +186,8 @@ def gen_call(cfg: SimConfig) -> CallRecord:
     blanks = [
         TokenEvent(i * f, TokenKind.BLANK) for i in range(n_frames) if i not in occupied
     ]
-    tokens: list[TokenEvent] = []
-    bi = ei = 0
-    while bi < len(blanks) or ei < len(emitted):
-        if ei >= len(emitted) or (
-            bi < len(blanks) and blanks[bi].emit_time_ms <= emitted[ei].emit_time_ms
-        ):
-            tokens.append(blanks[bi])
-            bi += 1
-        else:
-            tokens.append(emitted[ei])
-            ei += 1
+    # a blank marks a frame without an emission, so no ms holds both kinds
+    tokens = sorted(blanks + emitted, key=lambda tok: tok.emit_time_ms)
 
     # frame labels: speech exactly inside word intervals (pauses/gaps are not)
     labels = np.zeros(n_frames, dtype=bool)
@@ -254,12 +247,8 @@ def _check_labeled(call: CallRecord) -> None:
 def oracle_vad(call: CallRecord) -> list[VadDecision]:
     """Perfect decisions straight from ground-truth labels."""
     _check_labeled(call)
-    f = call.frame_ms
-    is_speech = call.labels == SPEECH_CODE
-    return [
-        VadDecision(i, i * f, 1.0 if s else 0.0, s)
-        for i, s in zip(call.frame_index.tolist(), is_speech.tolist())
-    ]
+    times = [i * call.frame_ms for i in call.frame_index.tolist()]
+    return list(map(VadDecision, times, (call.labels == SPEECH_CODE).tolist()))
 
 
 def corrupt_vad(
@@ -269,18 +258,12 @@ def corrupt_vad(
 
     Flipping both classes at the same rate puts the empirical operating
     point at fpr ~= fnr ~= target_eer.  Unflipped decisions pass through
-    untouched; flipped ones get a hard posterior matching the new side.
+    untouched.
     """
     if not 0.0 <= target_eer < 0.5:
         raise ValueError(f"target_eer: must lie in [0, 0.5), got {target_eer}")
     rng = np.random.default_rng(seed)
-    out: list[VadDecision] = []
-    for dec in decisions:
-        if rng.random() < target_eer:
-            flipped = not dec.is_speech
-            out.append(
-                VadDecision(dec.frame_index, dec.time_ms, float(flipped), flipped)
-            )
-        else:
-            out.append(dec)
-    return out
+    return [
+        VadDecision(d.time_ms, not d.is_speech) if rng.random() < target_eer else d
+        for d in decisions
+    ]

@@ -80,11 +80,9 @@ class TokenEvent:
 
 @dataclass(frozen=True, slots=True)
 class VadDecision:
-    """Per-frame VAD output: posterior plus the thresholded decision."""
+    """Per-frame VAD output: the frame's time and whether it is speech."""
 
-    frame_index: int
     time_ms: int
-    posterior: float
     is_speech: bool
 
 

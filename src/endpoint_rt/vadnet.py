@@ -21,8 +21,8 @@ Checkpoint layout (all little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0
-    l2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -149,37 +148,16 @@ def loss_and_grads(
     return loss, grads_w, grads_b
 
 
-def train(
-    model: MlpModel,
-    frames: Sequence[FrameRecord],
-    cfg: TrainConfig,
-    use_teacher: bool = False,
-) -> list[float]:
-    """Train in place on labeled frames; returns per-epoch mean sample loss.
-
-    Batches are reshuffled every epoch from the config seed, so a fixed
-    (seed, input order) pair gives a bit-identical trajectory.  Frames
-    missing the requested label column are rejected, as is single-class
-    data (no decision boundary to learn).
-    """
-    feats = []
-    labels = []
-    for k, f in enumerate(frames):
-        lab = f.teacher_label if use_teacher else f.label
-        if lab is None:
-            col = "teacher_label" if use_teacher else "label"
-            raise ValueError(f"frame {k} has no {col}; cannot train on it")
-        feats.append(np.asarray(f.features, dtype=float))
-        labels.append(1.0 if lab is Label.SPEECH else 0.0)
-    x = np.stack(feats) if feats else np.empty((0, model.layer_dims[0]))
-    y = np.asarray(labels)
-    return train_arrays(model, x, y, cfg)
-
-
 def train_arrays(
     model: MlpModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> list[float]:
-    """Array-level core of train(); y holds 1.0 for speech, 0.0 for nonspeech."""
+    """Train in place on feature rows x; returns per-epoch mean sample loss.
+
+    y holds 1.0 for speech, 0.0 for nonspeech.  Batches are reshuffled
+    every epoch from the config seed, so a fixed (seed, row order) pair
+    gives a bit-identical trajectory.  Single-class data is rejected (no
+    decision boundary to learn).
+    """
     n = x.shape[0]
     if n == 0:
         raise ValueError("no training frames")
@@ -197,7 +175,7 @@ def train_arrays(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_grads(model, x[idx], y[idx], cfg.l2)
+            loss, gw, gb = loss_and_grads(model, x[idx], y[idx])
             total += loss * len(idx)
             for layer in range(3):
                 model.weights[layer] -= cfg.learning_rate * gw[layer]
@@ -269,26 +247,18 @@ def classify_frames(
     if not frames:
         return []
     x = np.stack([np.asarray(f.features, dtype=float) for f in frames])
-    return decisions(
-        [f.index for f in frames],
-        [f.time_ms for f in frames],
-        posteriors(model, x),
-        threshold,
-    )
+    return decisions([f.time_ms for f in frames], posteriors(model, x), threshold)
 
 
 def decisions(
-    index: Sequence[int], times: Sequence[int], p: np.ndarray, threshold: float
+    times: Sequence[int], p: np.ndarray, threshold: float
 ) -> list[VadDecision]:
     """One decision per frame from its posterior: speech iff p >= threshold.
 
     A call's columns classify without per-frame records:
-    ``decisions(index, times, posteriors(model, call.features), threshold)``.
+    ``decisions(times, posteriors(model, call.features), threshold)``.
     """
-    return [
-        VadDecision(i, t, pi, bool(pi >= threshold))
-        for i, t, pi in zip(index, times, p.tolist())
-    ]
+    return list(map(VadDecision, times, (p >= threshold).tolist()))
 
 
 def save_model(model: MlpModel, path: str, threshold: float = 0.5) -> None:

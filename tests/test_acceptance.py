@@ -311,7 +311,7 @@ def test_combined_gate_immediate_and_deferred_times():
     )
     # Speech through 360 ms, then one long nonspeech run from 400 ms on.
     vad = [
-        VadDecision(k, k * FRAME_MS, 1.0 if k < 10 else 0.0, k < 10)
+        VadDecision(k * FRAME_MS, k < 10)
         for k in range(51)
     ]
     trigger_ms = 400 + 200  # run start + threshold

@@ -288,6 +288,22 @@ def test_load_endpoints_keeps_endpoints_at_one_time(tmp_path):
     assert load_endpoints(path) == ("c", Mode.EOW, eps)
 
 
+@pytest.mark.parametrize(
+    "body, line, tag",
+    [
+        ("call c\ncall d\nmode TS\n", 3, "call"),
+        ("call c\nmode TS\nendpoint 600 TS 400 0\nmode EOW\n", 5, "mode"),
+    ],
+    ids=["call", "mode"],
+)
+def test_load_endpoints_rejects_a_repeated_call_or_mode_line(tmp_path, body, line, tag):
+    path = tmp_path / "twice.endpoints"
+    path.write_text(f"{FORMAT_LINE}\n{body}")
+    with pytest.raises(FormatError) as err:
+        load_endpoints(path)
+    assert str(err.value) == f"{path}:{line}: duplicate {tag} line"
+
+
 # ---------------------------------------------------------------------------
 # transcript files
 
@@ -324,6 +340,48 @@ def test_load_transcripts_rejects_unknown_tag(tmp_path):
     path.write_text(f"{FORMAT_LINE}\ncall c\nchapter 1\n")
     with pytest.raises(FormatError, match="unknown record tag 'chapter'"):
         load_transcripts(path)
+
+
+def test_load_transcripts_rejects_a_repeated_call_line(tmp_path):
+    path = tmp_path / "twice.turns"
+    path.write_text(f"{FORMAT_LINE}\ncall c\nturn 0 0 600\ncall c\n")
+    with pytest.raises(FormatError) as err:
+        load_transcripts(path)
+    assert str(err.value) == f"{path}:4: duplicate call line"
+
+
+@pytest.mark.parametrize(
+    "turns, message",
+    [
+        # the first two turns of a written file, swapped
+        ("turn 1 600 1400 mi\nturn 0 0 600 ka", "3: turn 1 where turn 0 is due"),
+        ("turn 0 0 600\nturn 0 600 1400", "4: turn 0 where turn 1 is due"),
+        ("turn 0 0 600\nturn 2 600 1400", "4: turn 2 where turn 1 is due"),
+        ("turn 0 600 0", "3: turn ends at 0 ms, before its start"),
+        (
+            "turn 0 0 600\nturn 1 500 1400",
+            "4: turn starts at 500 ms, before turn 0 ends at 600 ms",
+        ),
+    ],
+    ids=["swapped", "repeated", "skipped", "reversed", "overlapping"],
+)
+def test_load_transcripts_rejects_turns_out_of_order(tmp_path, turns, message):
+    path = tmp_path / "bad.turns"
+    path.write_text(f"{FORMAT_LINE}\ncall c\n{turns}\n")
+    with pytest.raises(FormatError) as err:
+        load_transcripts(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
+def test_load_transcripts_keeps_empty_and_touching_turns(tmp_path):
+    turns = [
+        TurnTranscript(0, 0, 0),
+        TurnTranscript(1, 0, 600, (("ka", True),)),
+        TurnTranscript(2, 600, 600),
+    ]
+    path = tmp_path / "edge.turns"
+    save_transcripts("c", turns, path)
+    assert load_transcripts(path) == ("c", turns)
 
 
 # ---------------------------------------------------------------------------

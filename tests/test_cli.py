@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
+import dataclasses
 import re
 import zlib
 
+import numpy as np
 import pytest
 
 from endpoint_rt import callfile, cli, evaluator, vadnet
@@ -15,9 +17,9 @@ from endpoint_rt.endpointer import (
     run_call,
 )
 from endpoint_rt.evaluator import EvalConfig, pool_scores, score_call
-from endpoint_rt.simulator import corrupt_vad, oracle_vad
-from endpoint_rt.streams import merge_streams
-from endpoint_rt.vadnet import init_model, load_model, save_model
+from endpoint_rt.simulator import SimConfig, corrupt_vad, oracle_vad
+from endpoint_rt.streams import SPEECH_CODE, merge_streams
+from endpoint_rt.vadnet import TrainConfig, init_model, load_model, save_model, train_arrays
 
 
 def run_cli(*argv):
@@ -66,7 +68,7 @@ def test_config_file_parses_every_field_kind(tmp_path):
         write_config(
             tmp_path,
             """
-            seed = 3            # ignored by simulate, which overrides it
+            seed = 3            # simulate starts here unless --seed is given
             n_turns = 5
             turn_dur_ms = 800, 1200
             emission_delay = 10, 5, 50
@@ -81,6 +83,47 @@ def test_config_file_parses_every_field_kind(tmp_path):
     assert cfg.emission_delay == (10.0, 5.0, 50.0)
     assert cfg.feature_separability == 1.5
     assert cfg.frame_ms == 20
+
+
+def _config_text(value):
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_config_file_of_the_default_texts_parses_to_the_defaults(tmp_path):
+    defaults = SimConfig()
+    text = "".join(
+        f"{f.name} = {_config_text(getattr(defaults, f.name))}\n"
+        for f in dataclasses.fields(SimConfig)
+    )
+    assert load_sim_config(write_config(tmp_path, text)) == defaults
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("turn_dur_ms = 800", "turn_dur_ms: expected 2 comma-separated values"),
+        ("emission_delay = 1, 2", "emission_delay: expected 3 comma-separated values"),
+        ("n_turns = 2.5", "n_turns: invalid literal for int() with base 10: '2.5'"),
+        ("frame_ms = 40, 20", "frame_ms: invalid literal for int() with base 10: '40, 20'"),
+        (
+            "subwords_per_word = 3, 4.5",
+            "subwords_per_word: invalid literal for int() with base 10: '4.5'",
+        ),
+        (
+            "feature_separability = abc",
+            "feature_separability: could not convert string to float: 'abc'",
+        ),
+        (
+            "emission_delay = 1, x, 3",
+            "emission_delay: could not convert string to float: 'x'",
+        ),
+    ],
+)
+def test_config_file_names_the_key_of_a_bad_value(tmp_path, capsys, line, message):
+    path = write_config(tmp_path, "n_turns = 2\n" + line + "\n")
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -143,6 +186,30 @@ def test_simulate_writes_seeded_call_files(tmp_path, capsys):
     names = sorted(p.name for p in out.glob("*.call"))
     assert names == ["sim-00000010.call", "sim-00000011.call", "sim-00000012.call"]
     assert "wrote 3 call files" in capsys.readouterr().out
+
+
+def test_simulate_seed_defaults_to_the_config_seed(tmp_path):
+    path = write_config(tmp_path, "seed = 5\nn_turns = 1\n")
+    assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "a")) == 0
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["sim-00000005.call"]
+    code = run_cli(
+        "simulate", "--config", str(path), "--out", str(tmp_path / "b"), "--seed", "7"
+    )
+    assert code == 0
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["sim-00000007.call"]
+
+
+def test_negative_seeds_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert run_cli("simulate", "--out", out, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    missing = str(tmp_path / "no-calls")
+    assert run_cli("train-vad", "--calls", missing, "--out", out, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    path = write_config(tmp_path, "seed = -1\n")
+    assert run_cli("simulate", "--config", str(path), "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed: must be non-negative, got -1\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_is_bit_deterministic(tmp_path):
@@ -217,6 +284,34 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
         "error: --lr: must be a positive finite number, got inf\n"
     )
     assert not (tmp_path / "m.mdl").exists()
+
+
+def test_train_vad_trains_on_the_teacher_column(tmp_path, capsys):
+    calls = simulate(tmp_path, config_text=ZERO_DELAY_CFG + "teacher_flip_prob = 0.3\n")
+    model_path = tmp_path / "vad.mdl"
+    argv = ["train-vad", "--calls", str(calls), "--out", str(model_path), "--epochs", "2"]
+    assert run_cli(*argv, "--teacher", "--holdout", "0.5") == 0
+    # the first call trains, the second is held out
+    first = callfile.load_call(sorted(calls.glob("*.call"))[0])
+    assert not np.array_equal(first.teacher_labels, first.labels)
+    want = init_model([4, 16, 16, 1], seed=0)
+    y = (first.teacher_labels == SPEECH_CODE).astype(float)
+    train_arrays(want, first.features, y, TrainConfig(epochs=2))
+    got, _ = load_model(str(model_path))
+    for wa, wb in zip(want.weights + want.biases, got.weights + got.biases):
+        assert np.array_equal(wa, wb)
+
+    # calls without a teacher label cannot train with --teacher
+    for path in calls.glob("*.call"):
+        call = callfile.load_call(path)
+        no_teacher = np.full(len(call.frame_index), -1, dtype=np.int8)
+        callfile.save_call(dataclasses.replace(call, teacher_labels=no_teacher), path)
+    capsys.readouterr()
+    model_path.unlink()
+    assert run_cli(*argv, "--teacher") == 1
+    assert capsys.readouterr().err == "error: training frame 0 has no teacher_label\n"
+    assert not model_path.exists()
+    assert run_cli(*argv) == 0
 
 
 def test_train_vad_fails_cleanly_without_calls(tmp_path):
@@ -458,6 +553,38 @@ def test_evaluate_names_the_file_of_out_of_order_endpoints(tmp_path, capsys):
         f"error: {path}:{first + 2}: endpoint at {earlier} ms precedes the previous "
         f"endpoint at {later} ms\n"
     )
+
+
+def test_evaluate_names_the_file_of_out_of_order_turns(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=3, config_text="", seed=1)
+    eps = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "TS_AND_EOW"
+    )
+    assert code == 0
+    path = eps / "sim-00000002.transcript"
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("turn 0 ") and lines[3].startswith("turn 1 ")
+    lines[2], lines[3] = lines[3], lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: turn 1 where turn 0 is due\n"
+
+
+def test_evaluate_names_the_file_of_a_repeated_mode_line(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=2)
+    eps = tmp_path / "eps"
+    code = run_cli("endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "EOW")
+    assert code == 0
+    path = eps / "sim-00000010.endpoints"
+    lines = path.read_text().splitlines()
+    assert lines[2] == "mode EOW"
+    lines.insert(3, "mode TS_AND_EOW")
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: {path}:4: duplicate mode line\n"
 
 
 def test_evaluate_rejects_bad_tolerance(tmp_path):

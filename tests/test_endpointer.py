@@ -33,7 +33,7 @@ def vad_seq(pattern, start=0, frame_ms=FRAME):
     out = []
     for k, ch in enumerate(pattern):
         idx = start + k
-        out.append(VadDecision(idx, idx * frame_ms, 1.0 if ch == "s" else 0.0, ch == "s"))
+        out.append(VadDecision(idx * frame_ms, ch == "s"))
     return out
 
 
@@ -125,7 +125,7 @@ def test_ts_threshold_scales_the_fire_time():
 def test_ts_handles_sparse_decision_streams():
     # two lone nonspeech decisions far apart still form one run whose span
     # is measured to the end of the latest frame
-    vad = [VadDecision(10, 400, 0.0, False), VadDecision(25, 1000, 0.0, False)]
+    vad = [VadDecision(400, False), VadDecision(1000, False)]
     eps = run(Mode.TS, vad, [])
     assert [(e.time_ms, e.silence_start_ms) for e in eps] == [(600, 400)]
 
@@ -142,11 +142,11 @@ def test_ts_ignores_tokens():
 
 def test_step_rejects_out_of_order_events_and_poisons():
     machine = new_endpointer(EndpointerConfig(mode=Mode.TS))
-    machine.step(TimelineEvent(400, VadDecision(10, 400, 0.0, False)))
+    machine.step(TimelineEvent(400, VadDecision(400, False)))
     with pytest.raises(ValueError, match="out-of-order event at 360 ms after 400 ms"):
-        machine.step(TimelineEvent(360, VadDecision(9, 360, 0.0, False)))
+        machine.step(TimelineEvent(360, VadDecision(360, False)))
     with pytest.raises(RuntimeError, match="poisoned"):
-        machine.step(TimelineEvent(500, VadDecision(12, 500, 0.0, False)))
+        machine.step(TimelineEvent(500, VadDecision(500, False)))
 
 
 def test_step_rejects_events_after_end_of_stream():
@@ -154,7 +154,7 @@ def test_step_rejects_events_after_end_of_stream():
     for ev in merge_streams(vad_seq("ssnn"), []):
         machine.step(ev)
     with pytest.raises(RuntimeError, match="EndOfStream"):
-        machine.step(TimelineEvent(200, VadDecision(5, 200, 0.0, False)))
+        machine.step(TimelineEvent(200, VadDecision(200, False)))
 
 
 def test_streaming_steps_equal_batch_fold():
@@ -169,7 +169,7 @@ def test_streaming_steps_equal_batch_fold():
 def test_step_returns_a_fire_from_the_event_that_stamps_it_in_the_past():
     # a sparse decision at 400 ms completes a threshold stamped at 200 ms;
     # the same step settles the fire instead of the next event
-    vad = [VadDecision(0, 0, 0.0, False), VadDecision(10, 400, 0.0, False)]
+    vad = [VadDecision(0, False), VadDecision(400, False)]
     machine = new_endpointer(EndpointerConfig(mode=Mode.TS_AND_EOW))
     returned = [machine.step(ev) for ev in merge_streams(vad, [eow(0)])]
     immediate = EndpointEvent(200, Trigger.TS_AND_EOW_IMMEDIATE, 0, 0)
@@ -295,7 +295,7 @@ def test_tseow_open_deferral_times_out_at_end_of_stream():
 def test_tseow_late_resolved_fire_discharges_an_eow_at_the_deadline():
     # sparse VAD: the threshold (200 ms) is only seen at 480 ms, after an
     # EOW that landed exactly on the deadline (0 + cap = 400 ms)
-    vad = [VadDecision(0, 0, 0.0, False), VadDecision(12, 480, 0.0, False)]
+    vad = [VadDecision(0, False), VadDecision(480, False)]
     eps = run(Mode.TS_AND_EOW, vad, [eow(400)], deferral_cap_ms=400)
     assert [(e.time_ms, e.trigger, e.silence_start_ms, e.deferred_by_ms) for e in eps] == [
         (400, Trigger.TS_AND_EOW_DEFERRED, 0, 200)
@@ -308,11 +308,11 @@ def test_tseow_speech_and_silence_at_the_same_ms_keep_the_fire_cancelled():
     # finds no deferral (a speech_at_boundary derived as "the run restarted"
     # would miss this: the new run starts where the old one did)
     vad = [
-        VadDecision(0, 0, 1.0, True),
-        VadDecision(1, 40, 0.0, False),
-        VadDecision(1, 40, 1.0, True),
-        VadDecision(1, 40, 0.0, False),
-        VadDecision(3, 120, 1.0, True),
+        VadDecision(0, True),
+        VadDecision(40, False),
+        VadDecision(40, True),
+        VadDecision(40, False),
+        VadDecision(120, True),
     ]
     eps = run(
         Mode.TS_AND_EOW, vad, [eow(100)], ts_threshold_ms=40, deferral_cap_ms=80

@@ -63,10 +63,10 @@ def random_vad(rng: random.Random, frame: int, n_frames: int) -> list[VadDecisio
         left -= 1
         if rng.random() >= keep:
             continue
-        out.append(VadDecision(k, k * frame, float(speech), speech))
+        out.append(VadDecision(k * frame, speech))
         if rng.random() < 0.05:
             again = rng.random() < 0.5
-            out.append(VadDecision(k, k * frame, float(again), again))
+            out.append(VadDecision(k * frame, again))
     return out
 
 
@@ -196,7 +196,7 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
 
 
 def _vad(t: int, speech: bool) -> TimelineEvent:
-    return TimelineEvent(t, VadDecision(t // 40, t, float(speech), speech))
+    return TimelineEvent(t, VadDecision(t, speech))
 
 
 REJECTED = {

@@ -12,9 +12,7 @@ from endpoint_rt.evaluator import (
     CallScore,
     EvalConfig,
     align_events,
-    latency_stats,
     pool_scores,
-    prf,
     score_against,
     score_call,
     score_runs,
@@ -93,31 +91,27 @@ def test_align_hits_grow_with_tolerance():
 # precision / recall / F1
 
 
+def _pooled(ref_ends, hyps):
+    """The pooled report of one call's endpoints, with no words."""
+    return pool_scores([score_call(ref_ends, hyps, [], [], CFG)])
+
+
+def _prf(report):
+    return report.precision, report.recall, report.f1
+
+
 def test_prf_from_spec_alignment_example():
-    result = prf(align_events([1000, 3000], [1100, 1150, 3100], CFG))
-    assert result.precision == pytest.approx(2 / 3)
-    assert result.recall == pytest.approx(1.0)
-    assert result.f1 == pytest.approx(0.8)
-    assert result.precision_defined and result.recall_defined
+    report = _pooled([1000, 3000], [1100, 1150, 3100])
+    assert report.precision == pytest.approx(2 / 3)
+    assert report.recall == pytest.approx(1.0)
+    assert report.f1 == pytest.approx(0.8)
 
 
-def test_prf_flags_undefined_ratios():
-    no_hyp = prf(align_events([1000], [], CFG))
-    assert not no_hyp.precision_defined
-    assert no_hyp.recall_defined
-    assert (no_hyp.precision, no_hyp.recall, no_hyp.f1) == (0.0, 0.0, 0.0)
-
-    no_ref = prf(align_events([], [1000], CFG))
-    assert no_ref.precision_defined
-    assert not no_ref.recall_defined
-
-    empty = prf(align_events([], [], CFG))
-    assert not empty.precision_defined and not empty.recall_defined
-
-
-def test_prf_iterates_as_triple():
-    p, r, f1 = prf(align_events([1000], [1050], CFG))
-    assert (p, r, f1) == (1.0, 1.0, 1.0)
+def test_pooled_prf_of_an_empty_side_is_zero():
+    assert _prf(_pooled([1000], [])) == (0.0, 0.0, 0.0)
+    assert _prf(_pooled([], [1000])) == (0.0, 0.0, 0.0)
+    assert _prf(_pooled([], [])) == (0.0, 0.0, 0.0)
+    assert _prf(_pooled([1000], [1050])) == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +169,18 @@ def test_wer_matches_brute_force_oracle():
 
 
 def test_latency_stats_mean_and_median():
-    m = align_events([1000, 2000, 3000], [1100, 2050, 3300], CFG)
-    stats = latency_stats(m)
-    assert stats.mean_latency_ms == pytest.approx((100 + 50 + 300) / 3)
-    assert stats.median_latency_ms == 100
-    assert stats.defined
+    report = _pooled([1000, 2000, 3000], [1100, 2050, 3300])
+    assert report.mean_latency_ms == pytest.approx((100 + 50 + 300) / 3)
+    assert report.median_latency_ms == 100
 
 
-def test_latency_stats_flag_empty_matchings():
-    stats = latency_stats(align_events([1000], [], CFG))
-    assert not stats.defined
-    assert (stats.mean_latency_ms, stats.median_latency_ms) == (0.0, 0.0)
+def test_latency_stats_of_no_matches_are_zero():
+    report = _pooled([1000], [])
+    assert (report.mean_latency_ms, report.median_latency_ms) == (0.0, 0.0)
 
 
 def test_latency_can_be_negative_for_early_endpoints():
-    stats = latency_stats(align_events([1000], [900], CFG))
-    assert stats.mean_latency_ms == -100
+    assert _pooled([1000], [900]).mean_latency_ms == -100
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,7 @@ def _frame(index, frame_ms=40, dim=2, label=Label.SPEECH):
 
 
 def _vad(time_ms, is_speech=True):
-    return VadDecision(
-        frame_index=time_ms // 40,
-        time_ms=time_ms,
-        posterior=1.0 if is_speech else 0.0,
-        is_speech=is_speech,
-    )
+    return VadDecision(time_ms=time_ms, is_speech=is_speech)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from endpoint_rt.vadnet import (
     init_model,
     load_model,
     loss_and_grads,
+    posteriors,
     save_model,
-    train,
     train_arrays,
 )
 
@@ -176,34 +176,14 @@ def test_training_reduces_loss_on_separable_data():
 
 def test_train_is_deterministic_for_fixed_seed():
     x, y = _separable(200, 2.0, seed=8)
-    frames = _frames(x, y)
     runs = []
     for _ in range(2):
         model = init_model([4, 6, 6, 1], seed=3)
-        history = train(model, frames, TrainConfig(epochs=3, seed=11))
+        history = train_arrays(model, x, y, TrainConfig(epochs=3, seed=11))
         runs.append((history, [w.copy() for w in model.weights]))
     assert runs[0][0] == runs[1][0]
     for wa, wb in zip(runs[0][1], runs[1][1]):
         assert np.array_equal(wa, wb)
-
-
-def test_train_uses_teacher_column_when_asked():
-    x, y = _separable(64, 2.0, seed=12)
-    frames = [
-        FrameRecord(
-            k,
-            k * 40,
-            np.asarray(row, dtype=float),
-            label=None,
-            teacher_label=Label.SPEECH if lab > 0.5 else Label.NONSPEECH,
-        )
-        for k, (row, lab) in enumerate(zip(x, y))
-    ]
-    model = init_model([4, 4, 4, 1], seed=0)
-    history = train(model, frames, TrainConfig(epochs=2, seed=0), use_teacher=True)
-    assert len(history) == 2
-    with pytest.raises(ValueError, match="frame 0 has no label"):
-        train(init_model([4, 4, 4, 1], seed=0), frames, TrainConfig(epochs=1))
 
 
 def test_train_rejects_single_class_data():
@@ -214,8 +194,9 @@ def test_train_rejects_single_class_data():
 
 
 def test_train_rejects_empty_input():
+    model = init_model([4, 4, 4, 1], seed=0)
     with pytest.raises(ValueError, match="no training frames"):
-        train(init_model([4, 4, 4, 1], seed=0), [], TrainConfig())
+        train_arrays(model, np.empty((0, 4)), np.empty(0), TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +262,19 @@ def test_classify_frames_threshold_semantics():
     model = init_model([2, 4, 4, 1], seed=0)
     x, y = _separable(20, 1.0, seed=2, dim=2)
     frames = _frames(x, y)
-    decisions = classify_frames(model, frames, threshold=0.5)
-    assert len(decisions) == 20
-    for f, d in zip(frames, decisions):
-        assert (d.frame_index, d.time_ms) == (f.index, f.time_ms)
-        assert d.is_speech == (d.posterior >= 0.5)
-        assert 0.0 < d.posterior < 1.0
+    p = posteriors(model, x)
+    assert np.all((0.0 < p) & (p < 1.0))
+    assert classify_frames(model, frames, threshold=0.5) == [
+        VadDecision(f.time_ms, bool(pk >= 0.5)) for f, pk in zip(frames, p.tolist())
+    ]
     assert classify_frames(model, [], 0.5) == []
 
 
 def test_decisions_call_a_posterior_at_the_threshold_speech():
     p = np.array([0.5, np.nextafter(0.5, 0.0), 0.75])
-    got = decisions([3, 4, 6], [120, 160, 240], p, threshold=0.5)
-    assert got == [
-        VadDecision(3, 120, 0.5, True),
-        VadDecision(4, 160, float(p[1]), False),
-        VadDecision(6, 240, 0.75, True),
-    ]
-    assert all(type(d.posterior) is float and type(d.is_speech) is bool for d in got)
+    got = decisions([120, 160, 240], p, threshold=0.5)
+    assert got == [VadDecision(120, True), VadDecision(160, False), VadDecision(240, True)]
+    assert all(type(d.is_speech) is bool for d in got)
 
 
 def test_checkpoint_round_trip_preserves_everything(tmp_path):
@@ -357,8 +333,5 @@ def test_trained_model_beats_chance_on_held_out_data():
     x, y = _separable(2000, 4.0, seed=21)
     model = init_model([4, 16, 16, 1], seed=7)
     train_arrays(model, x[:1500], y[:1500], TrainConfig(epochs=12, seed=7))
-    frames = _frames(x[1500:], y[1500:])
-    decisions = classify_frames(model, frames, 0.5)
-    posteriors = [d.posterior for d in decisions]
-    labels = [f.label for f in frames]
-    assert eer(det_curve(posteriors, labels)).eer <= 0.06
+    labels = [Label.SPEECH if lab > 0.5 else Label.NONSPEECH for lab in y[1500:]]
+    assert eer(det_curve(posteriors(model, x[1500:]), labels)).eer <= 0.06
