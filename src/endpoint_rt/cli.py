@@ -31,16 +31,14 @@ from .endpointer import (
     run_sweep,
 )
 from .evaluator import CallScore, EvalConfig, pool_scores, score_against, score_runs
-from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
+from .simulator import SimConfig, corrupt_speech, gen_call, oracle_speech
 from .streams import (
     NO_LABEL,
     SPEECH_CODE,
     CallRecord,
     Label,
-    TimelineEvent,
     TokenKind,
-    VadDecision,
-    merge_streams,
+    merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
     validate_call,
 )
 
@@ -94,16 +92,27 @@ def load_sim_config(path: Path) -> SimConfig:
 # -- VAD channel --------------------------------------------------------------
 
 
-VadSource = Callable[[CallRecord], list[VadDecision]]
+# a call's VAD decisions as columns: times in ms (int64) and speech flags
+VadColumns = tuple[np.ndarray, np.ndarray]
+VadSource = Callable[[CallRecord], VadColumns]
+
+
+def _no_vad(call: CallRecord) -> VadColumns:
+    """No decisions, for runs whose rules read only the tokens (BLANK)."""
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+
+
+def _oracle(call: CallRecord) -> VadColumns:
+    return call.frame_times, oracle_speech(call)
 
 
 def _vad_source(spec: str, seed: int) -> VadSource:
     """Parse --vad {model:<p>|oracle|corrupted:<eer>} once, loading any model.
 
-    The returned function gives one call's per-frame decisions.
+    The returned function gives one call's decisions as columns.
     """
     if spec == "oracle":
-        return oracle_vad
+        return _oracle
     if spec.startswith("corrupted:"):
         try:
             eer = float(spec.partition(":")[2])
@@ -112,9 +121,9 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         if not 0.0 <= eer < 0.5:
             raise UsageError(f"--vad: corruption rate must lie in [0, 0.5), got {eer}")
 
-        def corrupted(call: CallRecord) -> list[VadDecision]:
+        def corrupted(call: CallRecord) -> VadColumns:
             call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
-            return corrupt_vad(oracle_vad(call), eer, call_seed)
+            return call.frame_times, corrupt_speech(oracle_speech(call), eer, call_seed)
 
         return corrupted
     if spec.startswith("model:"):
@@ -124,21 +133,17 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         model, threshold = vadnet.load_model(model_path)
         d_in = model.layer_dims[0]
 
-        def classify(call: CallRecord) -> list[VadDecision]:
+        def classify(call: CallRecord) -> VadColumns:
             if not len(call.frame_index):
-                return []
+                return _no_vad(call)
             dim = call.features.shape[1]
             if dim != d_in:
                 raise ValueError(
                     f"{call.call_id}: model expects {d_in} features per frame, "
                     f"call has {dim}"
                 )
-            # Python ints: an int64 product could wrap on an absurd index
-            return vadnet.decisions(
-                [i * call.frame_ms for i in call.frame_index.tolist()],
-                vadnet.posteriors(model, call.features),
-                threshold,
-            )
+            p = vadnet.posteriors(model, call.features)
+            return call.frame_times, vadnet.speech_flags(p, threshold)
 
         return classify
     raise UsageError(
@@ -173,19 +178,18 @@ def _check_frame_ms(calls: Sequence[CallRecord], frame_ms: int) -> None:
             )
 
 
-def _timeline(call: CallRecord, vad: Optional[VadSource]) -> list[TimelineEvent]:
-    """The call's merged timeline; tokens only when there is no VAD (BLANK)."""
-    return merge_streams(vad(call) if vad is not None else [], call.tokens)
-
-
 def _endpoint_call(
-    call: CallRecord, cfgs: Sequence[EndpointerConfig], timeline: list[TimelineEvent]
+    call: CallRecord, cfgs: Sequence[EndpointerConfig], vad: VadColumns
 ) -> list[tuple[list[EndpointEvent], list[TurnTranscript]]]:
     """Each config's endpoints and transcripts; each distinct list commits once."""
+    times, speech = vad
+    # the stream ends at its last event, where merge_streams stamps it
+    last = times[-1:].tolist() + [tok.emit_time_ms for tok in call.tokens[-1:]]
+    end = max(last, default=0)
     non_blank = [tok for tok in call.tokens if tok.kind is not TokenKind.BLANK]
     committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
     results = []
-    for endpoints in run_sweep(cfgs, timeline):
+    for endpoints in run_sweep(cfgs, times, speech, call.tokens, end):
         key = tuple(endpoints)
         if key not in committed:
             committed[key] = commit_transcript(non_blank, endpoints, call.end_ms)
@@ -348,11 +352,11 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     if cfg is None:
         cfg = _endpointer_config(args, calls[0].frame_ms)
     _check_frame_ms(calls, cfg.frame_ms)
-    vad = None if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
+    vad = _no_vad if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for call in calls:
-        [(endpoints, transcripts)] = _endpoint_call(call, [cfg], _timeline(call, vad))
+        [(endpoints, transcripts)] = _endpoint_call(call, [cfg], vad(call))
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
         )
@@ -385,8 +389,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         ep_call_id, ep_mode, endpoints = callfile.load_endpoints(ep_path)
         tr_call_id, transcripts = callfile.load_transcripts(tr_path)
-        if ep_call_id != call.call_id or tr_call_id != call.call_id:
-            raise ValueError(f"{ep_path}: call id mismatch with {call.call_id}")
+        for path, file_call_id in ((ep_path, ep_call_id), (tr_path, tr_call_id)):
+            if file_call_id != call.call_id:
+                raise ValueError(f"{path}: call id mismatch with {call.call_id}")
         if mode is None:
             mode = ep_mode
         elif mode is not ep_mode:
@@ -466,15 +471,15 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             sweep.append((cfg, eval_cfg))
     _check_frame_ms(calls, frame_ms)
 
-    # VAD and merge do not depend on the config: build each call's
-    # timeline once (BLANK reads only its tokens), then sweep every config
-    vad = None
+    # the VAD does not depend on the config: classify each call once
+    # (BLANK reads only its tokens), then sweep every config
+    vad = _no_vad
     if any(mode is not Mode.BLANK for mode in modes):
         vad = _vad_source(args.vad, args.seed)
     cfgs = [cfg for cfg, _ in sweep]
     scores: list[list[CallScore]] = [[] for _ in sweep]
     for call in calls:
-        results = _endpoint_call(call, cfgs, _timeline(call, vad))
+        results = _endpoint_call(call, cfgs, vad(call))
         runs = [(eps, turns, ec) for (eps, turns), (_, ec) in zip(results, sweep)]
         for config_scores, score in zip(scores, score_runs(call, runs)):
             config_scores.append(score)

@@ -35,7 +35,15 @@ from .streams import (
     VadDecision,
 )
 
-__all__ = ["SimConfig", "gen_call", "oracle_vad", "corrupt_vad", "resample_features"]
+__all__ = [
+    "SimConfig",
+    "gen_call",
+    "oracle_speech",
+    "oracle_vad",
+    "corrupt_speech",
+    "corrupt_vad",
+    "resample_features",
+]
 
 _SYLLABLES = ("ba", "de", "ki", "lo", "mu", "na", "po", "re", "si", "tu", "va", "zo")
 # every 3-syllable combination, fixed order: 1728 distinct 6-letter words
@@ -244,26 +252,37 @@ def _check_labeled(call: CallRecord) -> None:
         raise ValueError(f"frame {missing[0]} has no label")
 
 
+def oracle_speech(call: CallRecord) -> np.ndarray:
+    """Perfect speech flags, one per frame, straight from ground-truth labels."""
+    _check_labeled(call)
+    return call.labels == SPEECH_CODE
+
+
 def oracle_vad(call: CallRecord) -> list[VadDecision]:
     """Perfect decisions straight from ground-truth labels."""
-    _check_labeled(call)
-    times = [i * call.frame_ms for i in call.frame_index.tolist()]
-    return list(map(VadDecision, times, (call.labels == SPEECH_CODE).tolist()))
+    return list(map(VadDecision, call.frame_times.tolist(), oracle_speech(call).tolist()))
+
+
+def corrupt_speech(speech: np.ndarray, target_eer: float, seed: int) -> np.ndarray:
+    """Flip each speech flag independently with probability target_eer.
+
+    Flipping both classes at the same rate puts the empirical operating
+    point at fpr ~= fnr ~= target_eer.  Flag k flips iff the k-th draw of
+    ``default_rng(seed).random()`` falls below target_eer.
+    """
+    if not 0.0 <= target_eer < 0.5:
+        raise ValueError(f"target_eer: must lie in [0, 0.5), got {target_eer}")
+    rng = np.random.default_rng(seed)
+    return speech != (rng.random(len(speech)) < target_eer)
 
 
 def corrupt_vad(
     decisions: Sequence[VadDecision], target_eer: float, seed: int
 ) -> list[VadDecision]:
-    """Flip each decision independently with probability target_eer.
-
-    Flipping both classes at the same rate puts the empirical operating
-    point at fpr ~= fnr ~= target_eer.  Unflipped decisions pass through
-    untouched.
-    """
-    if not 0.0 <= target_eer < 0.5:
-        raise ValueError(f"target_eer: must lie in [0, 0.5), got {target_eer}")
-    rng = np.random.default_rng(seed)
+    """``corrupt_speech`` over decisions; unflipped ones pass through untouched."""
+    speech = [d.is_speech for d in decisions]
+    flipped = corrupt_speech(np.array(speech, dtype=bool), target_eer, seed).tolist()
     return [
-        VadDecision(d.time_ms, not d.is_speech) if rng.random() < target_eer else d
-        for d in decisions
+        d if was == now else VadDecision(d.time_ms, now)
+        for d, was, now in zip(decisions, speech, flipped)
     ]

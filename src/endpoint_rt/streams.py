@@ -248,6 +248,11 @@ class CallRecord:
         return hash((self.call_id, self.frame_ms, len(self.frame_index)))
 
     @property
+    def frame_times(self) -> np.ndarray:
+        """Frame times in ms, ``frame_index * frame_ms`` (int64; see validate_call)."""
+        return self.frame_index * self.frame_ms
+
+    @property
     def end_ms(self) -> int:
         """End of the frame grid (exclusive): last frame time + frame_ms."""
         if not len(self.frame_index):
@@ -318,6 +323,9 @@ def merge_streams(
     return out
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def validate_call(call: CallRecord) -> list[Violation]:
     """Check a CallRecord against its structural invariants.
 
@@ -328,9 +336,13 @@ def validate_call(call: CallRecord) -> list[Violation]:
     """
     violations: list[Violation] = []
 
-    if call.frame_ms <= 0:
+    if not 0 < call.frame_ms <= _INT64_MAX:
         violations.append(
-            Violation("frame_ms", -1, f"frame_ms must be positive, got {call.frame_ms}")
+            Violation(
+                "frame_ms",
+                -1,
+                f"frame_ms must be positive and within the int64 range, got {call.frame_ms}",
+            )
         )
         return violations  # the frame grid is meaningless below here
 
@@ -347,9 +359,19 @@ def validate_call(call: CallRecord) -> list[Violation]:
                 f"frame index {index[k]} does not follow previous {index[k - 1]}",
             )
         )
+    # every time of a valid call lies in [0, end_ms], so int64 columns of
+    # frame times cannot wrap
+    end_cap = call.end_ms
+    if end_cap > _INT64_MAX:
+        k = len(index) - 1
+        violations.append(
+            Violation(
+                "frames.index",
+                k,
+                f"frame {index[k]} ends at {end_cap} ms, beyond the int64 range",
+            )
+        )
     violations.sort(key=lambda v: v.index)  # frame order: callers report the first
-
-    end_cap = call.end_ms if len(index) else None
 
     last_emit: Optional[int] = None
     eow_seen_at: dict[int, int] = {}
@@ -385,7 +407,7 @@ def validate_call(call: CallRecord) -> list[Violation]:
                     f"(at token {eow_seen_at[tok.word_index]})",
                 )
             )
-        if end_cap is not None and not (0 <= tok.emit_time_ms <= end_cap):
+        if not 0 <= tok.emit_time_ms <= end_cap:
             violations.append(
                 Violation(
                     "tokens.emit_time_ms",
@@ -414,7 +436,7 @@ def validate_call(call: CallRecord) -> list[Violation]:
                 )
             )
         prev_end = max(prev_end, seg.end_ms) if prev_end is not None else seg.end_ms
-        if end_cap is not None and seg.end_ms > end_cap:
+        if seg.end_ms > end_cap:
             violations.append(
                 Violation(
                     "segments.end_ms",

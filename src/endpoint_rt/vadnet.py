@@ -250,15 +250,20 @@ def classify_frames(
     return decisions([f.time_ms for f in frames], posteriors(model, x), threshold)
 
 
+def speech_flags(p: np.ndarray, threshold: float) -> np.ndarray:
+    """One speech flag per frame from its posterior: speech iff p >= threshold.
+
+    A call's columns classify without per-frame records:
+    ``speech_flags(posteriors(model, call.features), threshold)``.
+    """
+    return np.asarray(p) >= threshold
+
+
 def decisions(
     times: Sequence[int], p: np.ndarray, threshold: float
 ) -> list[VadDecision]:
-    """One decision per frame from its posterior: speech iff p >= threshold.
-
-    A call's columns classify without per-frame records:
-    ``decisions(times, posteriors(model, call.features), threshold)``.
-    """
-    return list(map(VadDecision, times, (p >= threshold).tolist()))
+    """``speech_flags`` as one decision per frame at the given times."""
+    return list(map(VadDecision, times, speech_flags(p, threshold).tolist()))
 
 
 def save_model(model: MlpModel, path: str, threshold: float = 0.5) -> None:

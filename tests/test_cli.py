@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from endpoint_rt import callfile, cli, evaluator, vadnet
+from endpoint_rt import callfile, cli, endpointer, evaluator, vadnet
 from endpoint_rt.cli import load_sim_config, main
 from endpoint_rt.endpointer import (
     EndpointerConfig,
@@ -587,6 +587,21 @@ def test_evaluate_names_the_file_of_a_repeated_mode_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:4: duplicate mode line\n"
 
 
+@pytest.mark.parametrize("suffix", ["endpoints", "transcript"])
+def test_evaluate_names_the_file_of_a_call_id_mismatch(tmp_path, capsys, suffix):
+    calls = simulate(tmp_path, n_calls=2)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = eps / f"sim-00000010.{suffix}"
+    lines = path.read_text().splitlines()
+    assert lines[1] == "call sim-00000010"
+    lines[1] = "call sim-00000099"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: {path}: call id mismatch with sim-00000010\n"
+
+
 def test_evaluate_rejects_bad_tolerance(tmp_path):
     calls = simulate(tmp_path)
     eps = tmp_path / "eps"
@@ -745,8 +760,17 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     _counting(monkeypatch, vadnet, "load_model", counts)
     _counting(monkeypatch, vadnet, "posteriors", counts)
     _counting(monkeypatch, vadnet, "classify_frames", counts)
-    _counting(monkeypatch, cli, "merge_streams", counts)
+    _counting(monkeypatch, endpointer, "merge_streams", counts)
     _counting(monkeypatch, cli, "commit_transcript", commits)
+    merged = []
+    reduce = endpointer._reduced_timeline
+
+    def recording_reduce(times, *args):
+        timeline = reduce(times, *args)
+        merged.append((len(times), len(timeline)))
+        return timeline
+
+    monkeypatch.setattr(endpointer, "_reduced_timeline", recording_reduce)
     scored = []
     wer = evaluator.wer
 
@@ -761,11 +785,14 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     )
     assert code == 0
     # one load per command; per call one classification from the call's
-    # columns (no per-frame records) and one merge, since BLANK reads only
-    # the tokens of the VAD plus tokens timeline
+    # columns (no per-frame records) and one merge, of the reduced timeline
+    # every EOW-gated config steps (TS and BLANK read the columns)
     assert counts == {
         "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 3
     }
+    # the reduced timeline keeps fewer decisions than the call has frames
+    assert len(merged) == 3
+    assert all(events < frames for frames, events in merged)
     # the four EOW deltas share one endpoint list, so one commit per call
     assert commits["commit_transcript"] <= 3 * 13
     # WER runs once per distinct hypothesis of a call (the calls' references
@@ -872,6 +899,81 @@ def test_swapped_frame_lines_name_the_call_file(tmp_path, capsys):
         f"error: {path}: invalid call: frames.index[4]: "
         "frame index 3 does not follow previous 4\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [("endpoint", "--mode", "TS"), ("endpoint", "--mode", "EOW"), ("tradeoff",)]
+)
+def test_a_frame_time_beyond_int64_names_the_call_file(tmp_path, capsys, argv):
+    # 2**60 frames of 40 ms end past 2**63 ms
+    calls = simulate(tmp_path, n_calls=1)
+    path = calls / "sim-00000010.call"
+    lines = path.read_text().splitlines()
+    frames = [k for k, line in enumerate(lines) if line.startswith("frame ")]
+    parts = lines[frames[-1]].split()
+    parts[1] = str(2**60)
+    lines[frames[-1]] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run_cli(*argv, "--calls", str(calls), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid call: frames.index[{len(frames) - 1}]: "
+        f"frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range\n"
+    )
+
+
+FRAMELESS_CALL = """format=1
+call c0 40 4
+token 0 SUBWORD ba 0
+token 40 EOW - 0
+""" + "".join(f"token {t} BLANK - -\n" for t in range(80, 400, 40)) + """token 400 SUBWORD zo 1
+token 440 EOW - 1
+"""
+
+
+@pytest.mark.parametrize("mode", ["BLANK", "TS"])
+def test_a_frameless_call_bounds_its_tokens_at_0_ms(tmp_path, capsys, mode):
+    # its end is 0 ms, so a turn committed after its first endpoint would
+    # end before it starts
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    path = calls / "c0.call"
+    path.write_text(FRAMELESS_CALL)
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
+        "--mode", mode, "--blank-frames", "6",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid call: tokens.emit_time_ms[1]: "
+        "emit time 40 outside call bounds [0, 0]\n"
+    )
+
+
+OPEN_DEFERRAL_CALL = """format=1
+call c0 40 1
+""" + "".join(
+    f"frame {k} {'speech' if k < 4 else 'nonspeech'} - 0.0\n" for k in range(10)
+) + """token 40 SUBWORD ka 0
+segment 0 160 ka
+"""
+
+
+def test_endpoint_times_out_a_deferral_still_open_at_the_last_event(tmp_path):
+    # no EOW closes the word, so the TS_AND_EOW deferral armed at 240 ms
+    # times out where the stream ends: at its last event, the frame at 360 ms
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    (calls / "c0.call").write_text(OPEN_DEFERRAL_CALL)
+    eps = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(eps),
+        "--mode", "TS_AND_EOW", "--delta-ms", "80",
+    )
+    assert code == 0
+    lines = (eps / "c0.endpoints").read_text().splitlines()
+    assert lines[3:] == ["endpoint 360 DEFERRAL_TIMEOUT 160 120"]
 
 
 def test_corrupt_call_file_fails_cleanly(tmp_path):

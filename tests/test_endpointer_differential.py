@@ -7,9 +7,11 @@ leave every one of them unchanged.  The timelines cover dense and sparse
 VAD, two VAD decisions at the same millisecond, tokens tied with frames
 and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
-event.  The EOW-gated modes give the same endpoints with the BLANK
-tokens dropped.  run_sweep must give run_call's endpoints on the same
-timelines, and fail as run_call fails on timelines it rejects.
+event.  The EOW-gated modes give the same endpoints over run_sweep's
+reduced timeline, and over any timeline that keeps more of the
+decisions.  run_sweep, given each timeline's VAD columns, tokens and
+end, must give run_call's endpoints on the full timeline, and fail on
+the inputs that merge_streams and run_call reject.
 """
 
 import hashlib
@@ -17,12 +19,16 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from endpoint_rt.endpointer import (
     EndpointerConfig,
+    EndpointEvent,
     Mode,
     Trigger,
+    _deciding_frames,
+    _reduced_timeline,
     run_call,
     run_sweep,
 )
@@ -130,23 +136,84 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
     assert digests == PINNED
 
 
-def _is_blank(payload) -> bool:
-    return isinstance(payload, TokenEvent) and payload.kind is TokenKind.BLANK
+def columns(timeline):
+    """A merged timeline's VAD columns, token stream and end time."""
+    vad = [ev.payload for ev in timeline if isinstance(ev.payload, VadDecision)]
+    tokens = [ev.payload for ev in timeline if isinstance(ev.payload, TokenEvent)]
+    times = np.array([d.time_ms for d in vad], dtype=np.int64)
+    speech = np.array([d.is_speech for d in vad], dtype=bool)
+    return times, speech, tokens, timeline[-1].time_ms
 
 
-def test_eow_gated_modes_ignore_blank_tokens_on_random_timelines():
-    # run_sweep steps the EOW-gated machines over the timeline without its
-    # BLANK tokens; this is the equality it rests on
+def test_reduced_timelines_decide_as_the_full_ones():
+    # run_sweep steps the EOW-gated machines over the kept decisions and
+    # the non-BLANK tokens; this is the equality it rests on, for the kept
+    # set and for random supersets of it
     rng = random.Random(20261018)  # the pinned digests' timelines
+    more = random.Random(3)
     dropped = 0
     for case in range(N_TIMELINES):
         cfg, timeline = random_case(rng)
-        heard = [ev for ev in timeline if not _is_blank(ev.payload)]
-        dropped += len(timeline) - len(heard)
+        times, speech, tokens, end = columns(timeline)
         for mode in (Mode.EOW, Mode.TS_AND_EOW):
             gated = replace(cfg, mode=mode)
-            assert run_call(gated, heard) == run_call(gated, timeline), f"case {case}"
-    assert dropped > N_TIMELINES  # the timelines hold BLANK tokens to drop
+            want = run_call(gated, timeline)
+            deltas = {(cfg.ts_threshold_ms, cfg.frame_ms)} if mode is Mode.TS_AND_EOW else ()
+            kept = _deciding_frames(times, speech, deltas)
+            reduced = _reduced_timeline(times, speech, tokens, end, kept)
+            assert run_call(gated, reduced) == want, f"case {case} {mode.value}"
+            dropped += len(timeline) - len(reduced)
+            share = more.random()
+            wider = sorted(
+                set(kept.tolist()) | {k for k in range(len(times)) if more.random() < share}
+            )
+            wider_tl = _reduced_timeline(times, speech, tokens, end, np.array(wider, dtype=int))
+            assert run_call(gated, wider_tl) == want, f"case {case} {mode.value} {wider}"
+    assert dropped > 20 * N_TIMELINES  # the reduction drops decisions and BLANK tokens
+
+
+def crowded_case(rng: random.Random):
+    """A TS_AND_EOW config and a timeline of 1-3 decisions of random flag per frame.
+
+    Nonspeech runs then start within a frame of each other, so a fire of
+    one run can still be pending when the next run completes its delta.
+    """
+    frame = rng.choice([10, 20, 40])
+    delta = frame * rng.randint(1, 3)
+    cfg = EndpointerConfig(Mode.TS_AND_EOW, delta, 1, delta + 10 * rng.randint(0, 20), frame)
+    n_frames = rng.randint(0, 30)
+    vad = [
+        VadDecision(k * frame, rng.random() < 0.4)
+        for k in range(n_frames)
+        for _ in range(rng.randint(1, 3))
+    ]
+    timeline = merge_streams(vad, random_tokens(rng, (n_frames + 1) * frame))
+    return cfg, timeline
+
+
+def test_reduced_timelines_decide_as_the_full_ones_when_runs_crowd():
+    rng = random.Random(29)
+    for case in range(3000):
+        cfg, timeline = crowded_case(rng)
+        times, speech, tokens, end = columns(timeline)
+        kept = _deciding_frames(times, speech, {(cfg.ts_threshold_ms, cfg.frame_ms)})
+        reduced = _reduced_timeline(times, speech, tokens, end, kept)
+        want = run_call(cfg, timeline)
+        assert run_call(cfg, reduced) == want, f"case {case}"
+        assert run_sweep([cfg], times, speech, tokens, end) == [want], f"case {case}"
+
+
+def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision():
+    # the fire of the run at 0 ms is pending when the run from 40 ms
+    # completes delta there; it resolves silently at the EOW, so the
+    # interior decision at 80 ms arms the endpoint the SUBWORD then meets
+    cfg = EndpointerConfig(Mode.TS_AND_EOW, 40, 1, 1000, 40)
+    times = [0, 0, 40, 80, 120, 160]
+    speech = [False, True, False, False, False, False]
+    tokens = [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
+    want = [EndpointEvent(80, Trigger.TS_AND_EOW_IMMEDIATE, 40)]
+    assert _merged_run(cfg, times, speech, tokens, 160) == want
+    assert run_sweep([cfg], times, speech, tokens, 160) == [want]
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
@@ -174,7 +241,7 @@ def test_run_sweep_matches_run_call_on_random_timelines():
         cfg, timeline = random_case(rng)
         cfgs = sweep_configs(variants, cfg)
         want = [run_call(c, timeline) for c in cfgs]
-        assert run_sweep(cfgs, timeline) == want, f"case {case}: {cfgs}"
+        assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
         if cfg.mode is Mode.EOW and len({c.ts_threshold_ms for c in cfgs}) > 1:
             shared_eow += 1
     assert shared_eow > 1000  # one EOW run_call answered several deltas
@@ -192,27 +259,24 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
         ]
         order.shuffle(cfgs)
         want = [run_call(c, timeline) for c in cfgs]
-        assert run_sweep(cfgs, timeline) == want, f"case {case}: {cfgs}"
+        assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
 
 
-def _vad(t: int, speech: bool) -> TimelineEvent:
-    return TimelineEvent(t, VadDecision(t, speech))
+def _merged_run(cfg, times, speech, tokens, end_ms):
+    """run_call over the timeline merge_streams builds from the columns."""
+    timeline = merge_streams(list(map(VadDecision, times, speech)), tokens)
+    timeline[-1] = TimelineEvent(end_ms, EndOfStream())
+    return run_call(cfg, timeline)
 
 
+_BLANK_20 = TokenEvent(20, TokenKind.BLANK)
+
+# vad_times, is_speech, tokens, end_ms
 REJECTED = {
-    "out of order": [
-        _vad(0, False),
-        _vad(80, False),
-        _vad(40, True),
-        TimelineEvent(80, EndOfStream()),
-    ],
-    "after EndOfStream": [_vad(0, False), TimelineEvent(0, EndOfStream()), _vad(40, False)],
-    "unknown payload": [
-        _vad(0, False),
-        TimelineEvent(20, TokenEvent(20, TokenKind.BLANK)),
-        TimelineEvent(40, "speech"),
-        TimelineEvent(40, EndOfStream()),
-    ],
+    "out of order": ([0, 80, 40], [False, False, True], [_BLANK_20], 80),
+    "unsorted tokens": ([0, 40], [False, False], [TokenEvent(40, TokenKind.EOW), _BLANK_20], 40),
+    "after EndOfStream": ([0, 40], [False, False], [_BLANK_20], 20),
+    "unknown payload": ([0, 40], [False, True], [_BLANK_20, VadDecision(40, True)], 40),
 }
 
 
@@ -221,7 +285,7 @@ def _error(fn, *args):
         fn(*args)
     except Exception as exc:  # the error itself is what is compared
         return type(exc), str(exc)
-    pytest.fail(f"{fn.__name__} accepted the timeline")
+    pytest.fail(f"{fn.__name__} accepted the columns")
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
@@ -229,8 +293,15 @@ def _error(fn, *args):
     "modes", [[m] for m in MODES] + [MODES], ids=lambda ms: "+".join(m.value for m in ms)
 )
 def test_run_sweep_rejects_what_run_call_rejects(name, modes):
-    timeline = REJECTED[name]
+    columns = REJECTED[name]
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in modes]
-    want = _error(run_call, cfgs[0], timeline)
-    assert all(_error(run_call, c, timeline) == want for c in cfgs)
-    assert _error(run_sweep, cfgs, timeline) == want
+    want = _error(_merged_run, cfgs[0], *columns)
+    assert all(_error(_merged_run, c, *columns) == want for c in cfgs)
+    assert _error(run_sweep, cfgs, *columns) == want
+
+
+@pytest.mark.parametrize("times, speech", [([0, 40], [False]), ([0], [True, False])])
+def test_run_sweep_rejects_columns_of_unequal_length(times, speech):
+    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
+    with pytest.raises(ValueError, match="vad columns differ"):
+        run_sweep(cfgs, times, speech, [], 40)

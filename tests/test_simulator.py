@@ -7,8 +7,10 @@ from endpoint_rt.endpointer import EndpointerConfig, Mode, run_call
 from endpoint_rt.evaluator import EvalConfig, align_events
 from endpoint_rt.simulator import (
     SimConfig,
+    corrupt_speech,
     corrupt_vad,
     gen_call,
+    oracle_speech,
     oracle_vad,
     resample_features,
 )
@@ -272,6 +274,29 @@ def test_oracle_vad_rejects_unlabeled_frames():
     call = CallRecord.from_frames("c", 40, frames=(frame,))
     with pytest.raises(ValueError, match="frame 0 has no label"):
         oracle_vad(call)
+
+
+def test_oracle_speech_columns_are_the_oracle_decisions():
+    call = gen_call(SimConfig(seed=53, n_turns=2))
+    speech = oracle_speech(call)
+    assert speech.dtype == bool
+    assert list(zip(call.frame_times.tolist(), speech.tolist())) == [
+        (d.time_ms, d.is_speech) for d in oracle_vad(call)
+    ]
+
+
+@pytest.mark.parametrize("target, seed", [(0.0, 1), (0.105, 3), (0.3, 8)])
+def test_corrupt_speech_flips_as_one_draw_per_decision(target, seed):
+    # the reference: one rng.random() per decision, flipped below target
+    decisions = oracle_vad(gen_call(SimConfig(seed=67, n_turns=3)))
+    rng = np.random.default_rng(seed)
+    want = [d.is_speech != (rng.random() < target) for d in decisions]
+    speech = np.array([d.is_speech for d in decisions])
+    assert corrupt_speech(speech, target, seed).tolist() == want
+    out = corrupt_vad(decisions, target, seed)
+    assert [d.is_speech for d in out] == want
+    # unflipped decisions pass through as the same objects
+    assert all((a is b) == (a.is_speech == b.is_speech) for a, b in zip(decisions, out))
 
 
 def test_corrupt_vad_zero_target_is_the_identity():

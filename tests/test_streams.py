@@ -167,6 +167,30 @@ def test_validate_flags_nonpositive_frame_ms():
     assert out[0].index == -1
 
 
+def test_validate_flags_frame_ms_beyond_int64():
+    out = validate_call(CallRecord("c", 2**63))
+    assert [(v.field, v.index) for v in out] == [("frame_ms", -1)]
+
+
+def test_validate_flags_a_call_ending_beyond_int64():
+    # the frame index fits in int64, its end time does not
+    frames = (_frame(0), FrameRecord(2**60, 2**60 * 40, np.zeros(2), Label.SPEECH))
+    out = validate_call(CallRecord.from_frames("c", 40, frames=frames))
+    assert [(v.field, v.index, v.message) for v in out] == [
+        ("frames.index", 1, f"frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range")
+    ]
+
+
+def test_validate_bounds_a_frameless_call_at_0_ms():
+    tokens = (TokenEvent(0, TokenKind.SUBWORD, "ka", 0), TokenEvent(40, TokenKind.EOW, "", 0))
+    segments = (ReferenceSegment("c", 0, 40, ("ka",)),)
+    out = validate_call(CallRecord("c", 40, tokens=tokens, segments=segments))
+    assert [(v.field, v.index) for v in out] == [
+        ("tokens.emit_time_ms", 1),
+        ("segments.end_ms", 0),
+    ]
+
+
 def test_validate_flags_negative_frame_index():
     bad = FrameRecord(-1, -40, np.zeros(2), Label.SPEECH)
     out = validate_call(CallRecord.from_frames("c", 40, frames=(bad,)))

@@ -272,6 +272,7 @@ def test_classify_frames_threshold_semantics():
 
 def test_decisions_call_a_posterior_at_the_threshold_speech():
     p = np.array([0.5, np.nextafter(0.5, 0.0), 0.75])
+    assert vadnet.speech_flags(p, threshold=0.5).tolist() == [True, False, True]
     got = decisions([120, 160, 240], p, threshold=0.5)
     assert got == [VadDecision(120, True), VadDecision(160, False), VadDecision(240, True)]
     assert all(type(d.is_speech) is bool for d in got)
