@@ -34,7 +34,7 @@ from .evaluator import (
     score_runs,
     wer,
 )
-from .simulator import SimConfig, corrupt_vad, gen_call, oracle_vad, resample_features
+from .simulator import SimConfig, gen_call, oracle_vad, resample_features
 from .streams import (
     CallRecord,
     EndOfStream,
@@ -95,7 +95,6 @@ __all__ = [
     "align_events",
     "classify_frames",
     "commit_transcript",
-    "corrupt_vad",
     "det_curve",
     "edit_distance_counts",
     "edit_matrix",

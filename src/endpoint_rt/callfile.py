@@ -238,7 +238,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                         call_id=call_id,
                         start_ms=int(parts[1]),
                         end_ms=int(parts[2]),
-                        words=tuple(parts[3:]),
+                        words=tuple(_opt(w) or "" for w in parts[3:]),
                     )
                 )
             else:
@@ -382,7 +382,9 @@ def load_transcripts(path: Union[str, Path]) -> tuple[str, list[TurnTranscript]]
                 call_id = parts[1]
             elif parts[0] == "turn":
                 words = tuple(
-                    (w[:-1], False) if w.endswith("*") else (w, True)
+                    (_opt(w[:-1]) or "", False)
+                    if w.endswith("*")
+                    else (_opt(w) or "", True)
                     for w in parts[4:]
                 )
                 turn = TurnTranscript(int(parts[1]), int(parts[2]), int(parts[3]), words)

@@ -36,7 +36,6 @@ from .streams import (
     NO_LABEL,
     SPEECH_CODE,
     CallRecord,
-    Label,
     TokenKind,
     merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
     validate_call,
@@ -287,9 +286,7 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
     losses = vadnet.train_arrays(model, x, y, train_cfg)
 
     hold_x, hold_codes = _frame_arrays(hold_calls, False, args.calls, "held-out")
-    is_speech = (hold_codes == SPEECH_CODE).tolist()
-    labels = [Label.SPEECH if s else Label.NONSPEECH for s in is_speech]
-    curve = vadnet.det_curve(vadnet.posteriors(model, hold_x), labels)
+    curve = vadnet.det_curve(vadnet.posteriors(model, hold_x), hold_codes == SPEECH_CODE)
     point = vadnet.eer(curve)
     vadnet.save_model(model, Path(args.out), threshold=point.threshold)
     print(f"trained on {len(x)} frames ({len(train_calls)} calls)")
@@ -427,6 +424,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         modes = [Mode(m) for m in args.modes.split(",")]
     except ValueError as exc:
         raise UsageError(f"--modes: {exc}") from exc
+    for k, mode in enumerate(modes):
+        if mode in modes[:k]:
+            raise UsageError(f"--modes: {mode.value} is given more than once")
     try:
         deltas = sorted(int(d) for d in args.deltas.split(","))
     except ValueError as exc:

@@ -56,6 +56,7 @@ already acted.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
@@ -469,9 +470,8 @@ def run_sweep(
     if end_ms < last:
         raise ValueError(f"out-of-order event at {end_ms} ms after {last} ms")
 
-    nonspeech_first, nonspeech_last = _runs(~speech)
-    starts = times[nonspeech_first]
-    spans = times[nonspeech_last] - starts  # a run completes delta iff >= delta - frame
+    nonspeech = _nonspeech_runs(times, speech)
+    _, _, starts, spans = nonspeech
     tok_times = np.array(tok_t, dtype=np.int64)
     is_blank = np.array([tok.kind is _BLANK for tok in tokens], dtype=bool)
     blank_first, blank_last = _runs(is_blank)
@@ -481,7 +481,7 @@ def run_sweep(
         deltas = {
             (c.ts_threshold_ms, c.frame_ms) for c in cfgs if c.mode is Mode.TS_AND_EOW
         }
-        kept = _deciding_frames(times, speech, deltas)
+        kept = _deciding_frames(times, speech, nonspeech, deltas)
         reduced = _reduced_timeline(times, speech, tokens, end_ms, kept)
 
     def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
@@ -492,7 +492,8 @@ def run_sweep(
                 for s in starts[spans >= delta - cfg.frame_ms].tolist()
             ]
         if cfg.mode is Mode.BLANK:
-            n = cfg.blank_run_frames
+            # no run outlasts the tokens, so n - 1 indexes within int64
+            n = min(cfg.blank_run_frames, len(tokens) + 1)
             first = blank_first[blank_last - blank_first + 1 >= n]
             ends = tok_times[first + n - 1]
             return [
@@ -511,22 +512,37 @@ def run_sweep(
     return out
 
 
+def _nonspeech_runs(
+    times: np.ndarray, speech: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """First and last index, start time and span of every nonspeech run.
+
+    A run's span is its last decision's time minus its first's, so the run
+    completes delta iff span >= delta - frame_ms.
+    """
+    first, last = _runs(~speech)
+    starts = times[first]
+    return first, last, starts, times[last] - starts
+
+
 def _deciding_frames(
-    times: np.ndarray, speech: np.ndarray, deltas: Iterable[tuple[int, int]]
+    times: np.ndarray,
+    speech: np.ndarray,
+    nonspeech: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    deltas: Iterable[tuple[int, int]],
 ) -> np.ndarray:
     """Sorted indices of the decisions ``run_sweep`` keeps for the EOW-gated rules.
 
     The first and last decision of every run of equal flags; for each
     (delta, frame_ms) the first decision of each nonspeech run that
     completes delta; and every decision of a nonspeech run that starts
-    within frame_ms of the previous nonspeech run's start.
+    within frame_ms of the previous nonspeech run's start.  ``nonspeech``
+    is ``_nonspeech_runs(times, speech)``.
     """
     keep = np.zeros(len(times), dtype=bool)
-    first, last = _runs(~speech)
+    first, last, starts, spans = nonspeech
     for edges in (*_runs(speech), first, last):
         keep[edges] = True
-    starts = times[first]
-    spans = times[last] - starts  # a run completes delta iff >= delta - frame
     for delta, frame in deltas:
         done = spans >= delta - frame
         if done.any():  # then s + delta - frame fits in int64
@@ -607,69 +623,44 @@ def commit_transcript(
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 
-    # slice tokens into turns
     turn_tokens: list[list[TokenEvent]] = [[] for _ in range(len(boundaries) + 1)]
-    pos = 0
     for tok in non_blank:
-        while pos < len(boundaries) and tok.emit_time_ms > boundaries[pos]:
-            pos += 1
-        turn_tokens[pos].append(tok)
+        turn_tokens[bisect_left(boundaries, tok.emit_time_ms)].append(tok)
+    if boundaries and not turn_tokens[-1]:
+        turn_tokens.pop()
+    edges = [0, *boundaries, stream_end_ms]
+    return [
+        TurnTranscript(k, edges[k], edges[k + 1], _words(toks))
+        for k, toks in enumerate(turn_tokens)
+    ]
 
-    transcripts: list[TurnTranscript] = []
-    anon_counter = 0
 
-    def build_words(toks: list[TokenEvent]) -> tuple[tuple[str, bool], ...]:
-        nonlocal anon_counter
-        order: list[object] = []
-        parts: dict[object, list[str]] = {}
-        closed: dict[object, bool] = {}
-        open_anon: Optional[object] = None
-        for tok in toks:
-            if tok.word_index is None:
-                if tok.kind is _SUBWORD:
-                    if open_anon is None:
-                        open_anon = ("anon", anon_counter)
-                        anon_counter += 1
-                        order.append(open_anon)
-                        parts[open_anon] = []
-                        closed[open_anon] = False
-                    parts[open_anon].append(tok.text)
-                elif open_anon is not None:
-                    closed[open_anon] = True
-                    open_anon = None
-                continue
-            open_anon = None
-            key = tok.word_index
+def _words(tokens: Sequence[TokenEvent]) -> tuple[tuple[str, bool], ...]:
+    """One turn's words, in the order of their first SUBWORD, with closed flags."""
+    words: list[list] = []  # [subword texts, closed]
+    by_index: dict[int, list] = {}
+    anon: Optional[list] = None  # the open word of unindexed SUBWORDs
+    for tok in tokens:
+        if tok.word_index is None:
             if tok.kind is _SUBWORD:
-                if key not in parts:
-                    order.append(key)
-                    parts[key] = []
-                    closed[key] = False
-                parts[key].append(tok.text)
-            elif key in parts:
-                closed[key] = True
-        return tuple(("".join(parts[k]), closed[k]) for k in order if parts[k])
-
-    n_turns = len(boundaries)
-    for k in range(n_turns):
-        start = boundaries[k - 1] if k else 0
-        transcripts.append(
-            TurnTranscript(k, start, boundaries[k], build_words(turn_tokens[k]))
-        )
-    if not boundaries:
-        transcripts.append(
-            TurnTranscript(0, 0, stream_end_ms, build_words(turn_tokens[0]))
-        )
-    elif turn_tokens[n_turns]:
-        transcripts.append(
-            TurnTranscript(
-                n_turns,
-                boundaries[-1],
-                stream_end_ms,
-                build_words(turn_tokens[n_turns]),
-            )
-        )
-    return transcripts
+                if anon is None:
+                    anon = [[], False]
+                    words.append(anon)
+                anon[0].append(tok.text)
+            elif anon is not None:
+                anon[1] = True
+                anon = None
+            continue
+        anon = None
+        word = by_index.get(tok.word_index)
+        if tok.kind is _SUBWORD:
+            if word is None:
+                word = by_index[tok.word_index] = [[], False]
+                words.append(word)
+            word[0].append(tok.text)
+        elif word is not None:
+            word[1] = True
+    return tuple(("".join(parts), closed) for parts, closed in words)
 
 
 def hypothesis_words(transcripts: Sequence[TurnTranscript]) -> list[str]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "oracle_speech",
     "oracle_vad",
     "corrupt_speech",
-    "corrupt_vad",
     "resample_features",
 ]
 
@@ -274,15 +272,3 @@ def corrupt_speech(speech: np.ndarray, target_eer: float, seed: int) -> np.ndarr
         raise ValueError(f"target_eer: must lie in [0, 0.5), got {target_eer}")
     rng = np.random.default_rng(seed)
     return speech != (rng.random(len(speech)) < target_eer)
-
-
-def corrupt_vad(
-    decisions: Sequence[VadDecision], target_eer: float, seed: int
-) -> list[VadDecision]:
-    """``corrupt_speech`` over decisions; unflipped ones pass through untouched."""
-    speech = [d.is_speech for d in decisions]
-    flipped = corrupt_speech(np.array(speech, dtype=bool), target_eer, seed).tolist()
-    return [
-        d if was == now else VadDecision(d.time_ms, now)
-        for d, was, now in zip(decisions, speech, flipped)
-    ]

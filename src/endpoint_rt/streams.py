@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,20 +52,6 @@ class FrameRecord:
     features: np.ndarray
     label: Optional[Label] = None
     teacher_label: Optional[Label] = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrameRecord):
-            return NotImplemented
-        return (
-            self.index == other.index
-            and self.time_ms == other.time_ms
-            and self.label == other.label
-            and self.teacher_label == other.teacher_label
-            and np.array_equal(self.features, other.features)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.time_ms, self.label, self.teacher_label))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,16 +102,7 @@ class ReferenceSegment:
 NO_LABEL = -1
 NONSPEECH_CODE = 0
 SPEECH_CODE = 1
-_LABEL_CODES = {
-    None: NO_LABEL,
-    Label.NONSPEECH: NONSPEECH_CODE,
-    Label.SPEECH: SPEECH_CODE,
-}
 _CODE_LABELS = (Label.NONSPEECH, Label.SPEECH, None)  # by code; -1 picks None
-
-
-def _label_codes(labels) -> np.ndarray:
-    return np.array([_LABEL_CODES[lab] for lab in labels], dtype=np.int8)
 
 
 _COLUMNS = (  # name, dtype, ndim
@@ -145,7 +122,7 @@ class CallRecord:
     (1 speech, 0 nonspeech, -1 absent).  Its time is always
     ``frame_index[k] * frame_ms``.  The record owns its arrays and marks
     them read-only; ``frames`` derives per-frame FrameRecord views on first
-    use, and ``from_frames`` builds a call from FrameRecords.
+    use.
     """
 
     call_id: str
@@ -173,48 +150,6 @@ class CallRecord:
             bad = np.flatnonzero((codes < NO_LABEL) | (codes > SPEECH_CODE))
             if bad.size:
                 raise ValueError(f"{self.call_id}: frame {bad[0]}: bad {name} code")
-
-    @classmethod
-    def from_frames(
-        cls,
-        call_id: str,
-        frame_ms: int,
-        frames: Sequence[FrameRecord] = (),
-        tokens: Sequence[TokenEvent] = (),
-        segments: Sequence[ReferenceSegment] = (),
-    ) -> "CallRecord":
-        """Build a call from FrameRecords, stacking their features once.
-
-        Raises ValueError naming the first frame whose time is not
-        ``index * frame_ms`` or whose feature dim differs from the first
-        frame's.
-        """
-        rows = [np.asarray(fr.features, dtype=np.float64) for fr in frames]
-        for k, (fr, row) in enumerate(zip(frames, rows)):
-            if fr.time_ms != fr.index * frame_ms:
-                raise ValueError(
-                    f"{call_id}: frame {k}: time {fr.time_ms} off the frame grid "
-                    f"(expected {fr.index * frame_ms})"
-                )
-            if row.ndim != 1:
-                raise ValueError(
-                    f"{call_id}: frame {k}: features of shape {row.shape} are not a vector"
-                )
-            if row.shape != rows[0].shape:
-                raise ValueError(
-                    f"{call_id}: frame {k}: feature dim {row.shape[0]} differs from "
-                    f"the first frame's {rows[0].shape[0]}"
-                )
-        return cls(
-            call_id,
-            frame_ms,
-            frame_index=np.array([fr.index for fr in frames], dtype=np.int64),
-            features=np.stack(rows) if rows else np.empty((0, 0)),
-            labels=_label_codes(fr.label for fr in frames),
-            teacher_labels=_label_codes(fr.teacher_label for fr in frames),
-            tokens=tuple(tokens),
-            segments=tuple(segments),
-        )
 
     @cached_property
     def frames(self) -> tuple[FrameRecord, ...]:
@@ -276,8 +211,8 @@ class Violation:
 def _first_inversion(times: list[int]) -> Optional[int]:
     """Index of the first time below its predecessor, or None if sorted.
 
-    The package's one sortedness check: merge_streams, commit_transcript
-    and align_events all word their errors around it.
+    The package's one sortedness check: merge_streams, run_sweep,
+    commit_transcript and align_events all word their errors around it.
     """
     for i in range(1, len(times)):
         if times[i] < times[i - 1]:

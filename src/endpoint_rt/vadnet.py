@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .streams import FrameRecord, Label, VadDecision
+from .streams import FrameRecord, VadDecision
 
 CHECKPOINT_MAGIC = b"VADMLP1\x00"
 
@@ -115,11 +115,6 @@ def posteriors(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return np.clip(p, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
 
 
-def forward(model: MlpModel, features: np.ndarray) -> float:
-    """Posterior probability of speech for one frame, strictly inside (0, 1)."""
-    return float(posteriors(model, np.asarray(features, dtype=float).reshape(1, -1))[0])
-
-
 def loss_and_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -184,16 +179,17 @@ def train_arrays(
     return history
 
 
-def det_curve(posteriors: Sequence[float], labels: Sequence[Label]) -> DetCurve:
+def det_curve(posteriors: Sequence[float], is_speech: Sequence[bool]) -> DetCurve:
     """DET curve over every distinct score plus -inf/+inf sentinels.
 
-    At threshold t: fpr = fraction of nonspeech frames scoring >= t,
-    fnr = fraction of speech frames scoring < t.  Needs both classes.
+    ``is_speech[k]`` is frame k's true class.  At threshold t: fpr =
+    fraction of nonspeech frames scoring >= t, fnr = fraction of speech
+    frames scoring < t.  Needs both classes.
     """
     scores = np.asarray(posteriors, dtype=float)
-    is_sp = np.asarray([l is Label.SPEECH for l in labels], dtype=bool)
-    if scores.shape[0] != is_sp.shape[0]:
-        raise ValueError("posteriors and labels differ in length")
+    is_sp = np.asarray(is_speech, dtype=bool)
+    if scores.shape != is_sp.shape:
+        raise ValueError("posteriors and speech flags differ in length")
     n_sp = int(is_sp.sum())
     n_non = int((~is_sp).sum())
     if n_sp == 0 or n_non == 0:
@@ -247,7 +243,8 @@ def classify_frames(
     if not frames:
         return []
     x = np.stack([np.asarray(f.features, dtype=float) for f in frames])
-    return decisions([f.time_ms for f in frames], posteriors(model, x), threshold)
+    speech = speech_flags(posteriors(model, x), threshold).tolist()
+    return list(map(VadDecision, [f.time_ms for f in frames], speech))
 
 
 def speech_flags(p: np.ndarray, threshold: float) -> np.ndarray:
@@ -257,13 +254,6 @@ def speech_flags(p: np.ndarray, threshold: float) -> np.ndarray:
     ``speech_flags(posteriors(model, call.features), threshold)``.
     """
     return np.asarray(p) >= threshold
-
-
-def decisions(
-    times: Sequence[int], p: np.ndarray, threshold: float
-) -> list[VadDecision]:
-    """``speech_flags`` as one decision per frame at the given times."""
-    return list(map(VadDecision, times, speech_flags(p, threshold).tolist()))
 
 
 def save_model(model: MlpModel, path: str, threshold: float = 0.5) -> None:

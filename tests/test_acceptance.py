@@ -38,9 +38,14 @@ from endpoint_rt.evaluator import (
     score_against,
     wer,
 )
-from endpoint_rt.simulator import SimConfig, corrupt_vad, gen_call, oracle_vad
+from endpoint_rt.simulator import (
+    SimConfig,
+    corrupt_speech,
+    gen_call,
+    oracle_speech,
+    oracle_vad,
+)
 from endpoint_rt.streams import (
-    Label,
     TokenEvent,
     TokenKind,
     VadDecision,
@@ -100,7 +105,8 @@ def corrupted_timelines(corpus):
     for rate in (0.105, 0.182):
         for call in corpus:
             seed = int(call.call_id.split("-")[1])
-            noisy = corrupt_vad(oracle_vad(call), rate, seed)
+            speech = corrupt_speech(oracle_speech(call), rate, seed)
+            noisy = list(map(VadDecision, call.frame_times.tolist(), speech.tolist()))
             out[(rate, call.call_id)] = merge_streams(noisy, list(call.tokens))
     return out
 
@@ -495,8 +501,7 @@ def test_agreement_with_brute_force_oracles():
             if labels.any() and not labels.all():
                 break
         scores = np.round(rng.random(n), 1).tolist()
-        as_labels = [Label.SPEECH if b else Label.NONSPEECH for b in labels]
-        curve = vadnet.det_curve(scores, as_labels)
+        curve = vadnet.det_curve(scores, labels)
         oracle_pts = enumerate_det_points(scores, labels.tolist())
         got_pts = curve.points
         if len(got_pts) != len(oracle_pts) or any(
@@ -552,11 +557,8 @@ def _held_out_eer(separation: float) -> float:
     model = vadnet.init_model([6, 16, 16, 1], seed=7)
     cfg = TrainConfig(learning_rate=0.3, epochs=15, batch_size=64, seed=7)
     vadnet.train_arrays(model, x[:4000], y[:4000], cfg)
-    posteriors = [vadnet.forward(model, x[k]) for k in range(4000, 6000)]
-    labels = [
-        Label.SPEECH if y[k] > 0.5 else Label.NONSPEECH for k in range(4000, 6000)
-    ]
-    return vadnet.eer(vadnet.det_curve(posteriors, labels)).eer
+    posteriors = vadnet.posteriors(model, x[4000:6000])
+    return vadnet.eer(vadnet.det_curve(posteriors, y[4000:6000] > 0.5)).eer
 
 
 def test_gradients_and_training_behavior():

@@ -27,7 +27,7 @@ from endpoint_rt.endpointer import (
 )
 from endpoint_rt.evaluator import EvalReport
 from endpoint_rt.simulator import SimConfig, gen_call
-from endpoint_rt.streams import CallRecord, FrameRecord, Label, TokenEvent, TokenKind
+from endpoint_rt.streams import CallRecord, Label, ReferenceSegment, TokenEvent, TokenKind
 
 
 # ---------------------------------------------------------------------------
@@ -42,23 +42,28 @@ def test_call_round_trip_is_exact(tmp_path):
 
 
 def test_call_round_trip_preserves_awkward_floats(tmp_path):
-    frame = FrameRecord(0, 0, np.array([1e-17, -0.1, 12345678.9]), Label.SPEECH)
-    call = CallRecord.from_frames("c", 40, frames=(frame,))
+    features = np.array([[1e-17, -0.1, 12345678.9]])
+    call = CallRecord(
+        "c", 40, frame_index=[0], features=features, labels=[1], teacher_labels=[-1]
+    )
     path = tmp_path / "b.call"
     save_call(call, path)
-    loaded = load_call(path)
-    assert np.array_equal(loaded.frames[0].features, frame.features)
+    assert np.array_equal(load_call(path).features, features)
 
 
 def test_call_round_trip_keeps_optional_fields_absent(tmp_path):
-    call = CallRecord.from_frames(
+    call = CallRecord(
         "c",
         40,
-        frames=(FrameRecord(0, 0, np.array([0.5]), label=None, teacher_label=None),),
+        frame_index=[0],
+        features=[[0.5]],
+        labels=[-1],
+        teacher_labels=[-1],
         tokens=(
             TokenEvent(10, TokenKind.BLANK),
             TokenEvent(20, TokenKind.SUBWORD, "ka", None),
         ),
+        segments=(ReferenceSegment("c", 0, 40, ("", "ka")),),
     )
     path = tmp_path / "c.call"
     save_call(call, path)
@@ -67,6 +72,7 @@ def test_call_round_trip_keeps_optional_fields_absent(tmp_path):
     assert loaded.frames[0].teacher_label is None
     assert loaded.tokens[0].text == ""
     assert loaded.tokens[1].word_index is None
+    assert loaded.segments[0].words == ("", "ka")
     assert loaded == call
 
 
@@ -312,7 +318,7 @@ def test_transcripts_round_trip_with_fragments(tmp_path):
     turns = [
         TurnTranscript(0, 0, 600, (("kazo", False), ("mi", True))),
         TurnTranscript(1, 600, 1400, ()),
-        TurnTranscript(2, 1400, 2000, (("tu", True),)),
+        TurnTranscript(2, 1400, 2000, (("tu", True), ("", True), ("", False))),
     ]
     path = tmp_path / "a.turns"
     save_transcripts("sim-00000002", turns, path)

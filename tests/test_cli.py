@@ -17,8 +17,8 @@ from endpoint_rt.endpointer import (
     run_call,
 )
 from endpoint_rt.evaluator import EvalConfig, pool_scores, score_call
-from endpoint_rt.simulator import SimConfig, corrupt_vad, oracle_vad
-from endpoint_rt.streams import SPEECH_CODE, merge_streams
+from endpoint_rt.simulator import SimConfig, corrupt_speech, oracle_speech, oracle_vad
+from endpoint_rt.streams import SPEECH_CODE, VadDecision, merge_streams
 from endpoint_rt.vadnet import TrainConfig, init_model, load_model, save_model, train_arrays
 
 
@@ -683,6 +683,17 @@ def test_tradeoff_rejects_unknown_mode(tmp_path):
     assert code == 2
 
 
+def test_tradeoff_rejects_a_repeated_mode_before_loading(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "tradeoff", "--calls", str(tmp_path / "nope"), "--out", str(out),
+        "--modes", "TS,EOW,TS", "--deltas", "200,400",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --modes: TS is given more than once\n"
+    assert not out.exists()
+
+
 def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path, capsys):
     calls = simulate(tmp_path)
     out = str(tmp_path / "r.csv")
@@ -812,9 +823,13 @@ def _library_vad(spec, seed=0):
         return oracle_vad
     if spec.startswith("corrupted:"):
         rate = float(spec.partition(":")[2])
-        return lambda call: corrupt_vad(
-            oracle_vad(call), rate, (seed + zlib.crc32(call.call_id.encode())) % 2**32
-        )
+
+        def corrupted(call):
+            call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
+            speech = corrupt_speech(oracle_speech(call), rate, call_seed)
+            return list(map(VadDecision, call.frame_times.tolist(), speech.tolist()))
+
+        return corrupted
     model, threshold = load_model(spec.partition(":")[2])
     return lambda call: vadnet.classify_frames(model, call.frames, threshold)
 
@@ -981,3 +996,55 @@ def test_corrupt_call_file_fails_cleanly(tmp_path):
     d.mkdir()
     (d / "sim-0.call").write_text("not a call file\n")
     assert run_cli("endpoint", "--calls", str(d), "--out", str(tmp_path / "e")) == 1
+
+
+def test_blank_runs_longer_than_int64_end_no_turn(tmp_path):
+    calls = simulate(tmp_path, n_calls=1)
+    eps = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(eps),
+        "--mode", "BLANK", "--blank-frames", str(2**63),
+    )
+    assert code == 0
+    assert "endpoint " not in (eps / "sim-00000010.endpoints").read_text()
+    # a delta of 2**63 * 40 ms or more is a BLANK run of 2**63 frames or more
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(out),
+        "--deltas", "200,99999999999999999999960",
+    )
+    assert code == 0
+    assert len(callfile.load_report(out)) == 8
+
+
+EMPTY_WORD_CALL = """format=1
+call c0 40 1
+""" + "".join(
+    f"frame {k} {'speech' if k < 10 else 'nonspeech'} - 0.0\n" for k in range(30)
+) + """token 200 SUBWORD - 0
+token 400 EOW - 0
+segment 0 400 -
+"""
+
+
+def test_evaluate_and_tradeoff_score_an_empty_word_alike(tmp_path):
+    # the placeholder - is the empty text in token, segment and turn words
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    (calls / "c0.call").write_text(EMPTY_WORD_CALL)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "EOW") == 0
+    evaluated, swept = tmp_path / "evaluate.csv", tmp_path / "tradeoff.csv"
+    code = run_cli(
+        "evaluate", "--calls", str(calls), "--endpoints", str(eps),
+        "--delta-ms", "200", "--out", str(evaluated),
+    )
+    assert code == 0
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(swept),
+        "--modes", "EOW", "--deltas", "200,400",
+    )
+    assert code == 0
+    [row] = callfile.load_report(evaluated)
+    assert row == callfile.load_report(swept)[0]
+    assert row.report.wer == 0.0

@@ -28,6 +28,7 @@ from endpoint_rt.endpointer import (
     Mode,
     Trigger,
     _deciding_frames,
+    _nonspeech_runs,
     _reduced_timeline,
     run_call,
     run_sweep,
@@ -159,7 +160,7 @@ def test_reduced_timelines_decide_as_the_full_ones():
             gated = replace(cfg, mode=mode)
             want = run_call(gated, timeline)
             deltas = {(cfg.ts_threshold_ms, cfg.frame_ms)} if mode is Mode.TS_AND_EOW else ()
-            kept = _deciding_frames(times, speech, deltas)
+            kept = _deciding_frames(times, speech, _nonspeech_runs(times, speech), deltas)
             reduced = _reduced_timeline(times, speech, tokens, end, kept)
             assert run_call(gated, reduced) == want, f"case {case} {mode.value}"
             dropped += len(timeline) - len(reduced)
@@ -196,7 +197,8 @@ def test_reduced_timelines_decide_as_the_full_ones_when_runs_crowd():
     for case in range(3000):
         cfg, timeline = crowded_case(rng)
         times, speech, tokens, end = columns(timeline)
-        kept = _deciding_frames(times, speech, {(cfg.ts_threshold_ms, cfg.frame_ms)})
+        runs = _nonspeech_runs(times, speech)
+        kept = _deciding_frames(times, speech, runs, {(cfg.ts_threshold_ms, cfg.frame_ms)})
         reduced = _reduced_timeline(times, speech, tokens, end, kept)
         want = run_call(cfg, timeline)
         assert run_call(cfg, reduced) == want, f"case {case}"
@@ -257,6 +259,8 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
             for mode in MODES
             for delta, blanks in ((cfg.frame_ms, 1), (cfg.ts_threshold_ms, 3))
         ]
+        # a run length past int64: run_call finds no such run, nor may run_sweep
+        cfgs.append(replace(cfg, mode=Mode.BLANK, blank_run_frames=2**63))
         order.shuffle(cfgs)
         want = [run_call(c, timeline) for c in cfgs]
         assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"

@@ -201,7 +201,7 @@ def test_score_call_collects_all_counts():
 
 
 def test_score_against_reads_the_reference_from_the_call_segments():
-    call = CallRecord.from_frames(
+    call = CallRecord(
         "c",
         40,
         segments=(
@@ -230,7 +230,7 @@ def _random_call(rng):
         words = tuple(rng.choices(VOCAB, k=rng.randint(0, 3)))
         segments.append(ReferenceSegment("c", start, end, words))
         start = end + rng.randint(0, 500)
-    return CallRecord.from_frames("c", 40, segments=segments)
+    return CallRecord("c", 40, segments=tuple(segments))
 
 
 def _random_run(rng, hypotheses):

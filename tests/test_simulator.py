@@ -8,7 +8,6 @@ from endpoint_rt.evaluator import EvalConfig, align_events
 from endpoint_rt.simulator import (
     SimConfig,
     corrupt_speech,
-    corrupt_vad,
     gen_call,
     oracle_speech,
     oracle_vad,
@@ -16,7 +15,6 @@ from endpoint_rt.simulator import (
 )
 from endpoint_rt.streams import (
     CallRecord,
-    FrameRecord,
     Label,
     TokenKind,
     merge_streams,
@@ -270,8 +268,9 @@ def test_oracle_vad_mirrors_the_labels():
 
 
 def test_oracle_vad_rejects_unlabeled_frames():
-    frame = FrameRecord(0, 0, np.zeros(2), label=None)
-    call = CallRecord.from_frames("c", 40, frames=(frame,))
+    call = CallRecord(
+        "c", 40, frame_index=[0], features=np.zeros((1, 2)), labels=[-1], teacher_labels=[-1]
+    )
     with pytest.raises(ValueError, match="frame 0 has no label"):
         oracle_vad(call)
 
@@ -293,52 +292,34 @@ def test_corrupt_speech_flips_as_one_draw_per_decision(target, seed):
     want = [d.is_speech != (rng.random() < target) for d in decisions]
     speech = np.array([d.is_speech for d in decisions])
     assert corrupt_speech(speech, target, seed).tolist() == want
-    out = corrupt_vad(decisions, target, seed)
-    assert [d.is_speech for d in out] == want
-    # unflipped decisions pass through as the same objects
-    assert all((a is b) == (a.is_speech == b.is_speech) for a, b in zip(decisions, out))
 
 
 def test_corrupt_vad_zero_target_is_the_identity():
-    call = gen_call(SimConfig(seed=59, n_turns=2))
-    decisions = oracle_vad(call)
-    assert corrupt_vad(decisions, 0.0, seed=1) == decisions
+    speech = oracle_speech(gen_call(SimConfig(seed=59, n_turns=2)))
+    assert np.array_equal(corrupt_speech(speech, 0.0, seed=1), speech)
 
 
 def test_corrupt_vad_is_deterministic_per_seed():
-    decisions = oracle_vad(gen_call(SimConfig(seed=61, n_turns=2)))
-    assert corrupt_vad(decisions, 0.2, seed=5) == corrupt_vad(decisions, 0.2, seed=5)
-    assert corrupt_vad(decisions, 0.2, seed=5) != corrupt_vad(decisions, 0.2, seed=6)
+    speech = oracle_speech(gen_call(SimConfig(seed=61, n_turns=2)))
+    once = corrupt_speech(speech, 0.2, seed=5)
+    assert np.array_equal(once, corrupt_speech(speech, 0.2, seed=5))
+    assert not np.array_equal(once, corrupt_speech(speech, 0.2, seed=6))
 
 
 def test_corrupt_vad_flip_rate_per_class():
-    rng = np.random.default_rng(0)
-    from endpoint_rt.streams import VadDecision
-
-    decisions = [
-        VadDecision(i * 40, bool(b))
-        for i, b in enumerate(rng.integers(0, 2, size=100_000))
-    ]
+    speech = np.random.default_rng(0).integers(0, 2, size=100_000).astype(bool)
     target = 0.105
-    out = corrupt_vad(decisions, target, seed=3)
-    flips_sp = sum(
-        1 for a, b in zip(decisions, out) if a.is_speech and b.is_speech != a.is_speech
-    )
-    flips_non = sum(
-        1 for a, b in zip(decisions, out) if not a.is_speech and b.is_speech != a.is_speech
-    )
-    n_sp = sum(1 for d in decisions if d.is_speech)
-    n_non = len(decisions) - n_sp
-    assert abs(flips_sp / n_sp - target) < 0.01
-    assert abs(flips_non / n_non - target) < 0.01
+    flipped = corrupt_speech(speech, target, seed=3) != speech
+    assert abs(flipped[speech].mean() - target) < 0.01
+    assert abs(flipped[~speech].mean() - target) < 0.01
 
 
 def test_corrupt_vad_rejects_out_of_range_targets():
-    decisions = oracle_vad(gen_call(SimConfig(seed=1, n_turns=1)))
+    speech = oracle_speech(gen_call(SimConfig(seed=1, n_turns=1)))
     with pytest.raises(ValueError, match="target_eer"):
-        corrupt_vad(decisions, 0.5, seed=0)
+        corrupt_speech(speech, 0.5, seed=0)
     with pytest.raises(ValueError, match="target_eer"):
-        corrupt_vad(decisions, -0.1, seed=0)
+        corrupt_speech(speech, -0.1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the timeline records, stream merging, and call validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from endpoint_rt.simulator import SimConfig, gen_call, oracle_vad
 from endpoint_rt.streams import (
     CallRecord,
     EndOfStream,
-    FrameRecord,
     Label,
     ReferenceSegment,
     TokenEvent,
@@ -18,12 +19,12 @@ from endpoint_rt.streams import (
 )
 
 
-def _frame(index, frame_ms=40, dim=2, label=Label.SPEECH):
-    return FrameRecord(
-        index=index,
-        time_ms=index * frame_ms,
-        features=np.zeros(dim),
-        label=label,
+def _call(indices, **records):
+    """Call "c" on a 40 ms grid: speech frames at ``indices``, zero features."""
+    n = len(indices)
+    return CallRecord(
+        "c", 40, frame_index=indices, features=np.zeros((n, 2)),
+        labels=np.ones(n), teacher_labels=np.full(n, -1), **records,
     )
 
 
@@ -93,8 +94,7 @@ def test_merge_rejects_unsorted_tokens():
 
 
 def test_end_ms_is_exclusive_frame_grid_end():
-    call = CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(5)))
-    assert call.end_ms == 5 * 40
+    assert _call(range(5)).end_ms == 5 * 40
 
 
 def test_end_ms_of_empty_call_is_zero():
@@ -102,11 +102,9 @@ def test_end_ms_of_empty_call_is_zero():
 
 
 def test_call_equality_compares_feature_arrays():
-    a = CallRecord.from_frames("c", 40, frames=(_frame(0),))
-    b = CallRecord.from_frames("c", 40, frames=(_frame(0),))
-    assert a == b
-    other = FrameRecord(0, 0, np.ones(2), Label.SPEECH)
-    assert a != CallRecord.from_frames("c", 40, frames=(other,))
+    a = _call([0])
+    assert a == _call([0])
+    assert a != replace(a, features=np.ones((1, 2)))
 
 
 def test_call_columns_must_agree_in_length():
@@ -130,15 +128,16 @@ def test_call_rejects_unknown_label_codes():
         )
 
 
-def test_from_frames_keeps_every_frame_field():
-    frames = (
-        FrameRecord(0, 0, np.array([1.0, 2.0]), Label.SPEECH, None),
-        FrameRecord(2, 80, np.array([3.0, -0.0]), None, Label.NONSPEECH),
+def test_frames_view_every_column():
+    call = CallRecord(
+        "c", 40, frame_index=[0, 2], features=[[1.0, 2.0], [3.0, -0.0]],
+        labels=[1, -1], teacher_labels=[-1, 0],
     )
-    call = CallRecord.from_frames("c", 40, frames)
-    assert call.frames == frames
-    assert call.labels.tolist() == [1, -1]
-    assert call.teacher_labels.tolist() == [-1, 0]
+    assert [(f.index, f.time_ms, f.label, f.teacher_label) for f in call.frames] == [
+        (0, 0, Label.SPEECH, None),
+        (2, 80, None, Label.NONSPEECH),
+    ]
+    assert np.array_equal([f.features for f in call.frames], call.features)
     assert call.end_ms == 120
 
 
@@ -147,14 +146,13 @@ def test_from_frames_keeps_every_frame_field():
 
 
 def _valid_call():
-    frames = tuple(_frame(i, label=Label.SPEECH) for i in range(10))
     tokens = (
         TokenEvent(100, TokenKind.SUBWORD, "ka", 0),
         TokenEvent(200, TokenKind.EOW, "", 0),
         TokenEvent(240, TokenKind.BLANK),
     )
     segments = (ReferenceSegment("c", 0, 400, ("ka",)),)
-    return CallRecord.from_frames("c", 40, frames, tokens, segments)
+    return _call(range(10), tokens=tokens, segments=segments)
 
 
 def test_validate_accepts_well_formed_call():
@@ -174,8 +172,7 @@ def test_validate_flags_frame_ms_beyond_int64():
 
 def test_validate_flags_a_call_ending_beyond_int64():
     # the frame index fits in int64, its end time does not
-    frames = (_frame(0), FrameRecord(2**60, 2**60 * 40, np.zeros(2), Label.SPEECH))
-    out = validate_call(CallRecord.from_frames("c", 40, frames=frames))
+    out = validate_call(_call([0, 2**60]))
     assert [(v.field, v.index, v.message) for v in out] == [
         ("frames.index", 1, f"frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range")
     ]
@@ -192,28 +189,12 @@ def test_validate_bounds_a_frameless_call_at_0_ms():
 
 
 def test_validate_flags_negative_frame_index():
-    bad = FrameRecord(-1, -40, np.zeros(2), Label.SPEECH)
-    out = validate_call(CallRecord.from_frames("c", 40, frames=(bad,)))
+    out = validate_call(_call([-1]))
     assert ("frames.index", 0) in [(v.field, v.index) for v in out]
 
 
-def test_validate_flags_off_grid_frame_time():
-    # a frame's time is index * frame_ms by construction: building the call fails
-    bad = FrameRecord(1, 45, np.zeros(2), Label.SPEECH)
-    with pytest.raises(ValueError, match=r"^c: frame 1: time 45 off the frame grid \(expected 40\)$"):
-        CallRecord.from_frames("c", 40, frames=(_frame(0), bad))
-
-
-def test_validate_flags_feature_dim_mismatch():
-    # the features are one n x d array: building the call fails
-    odd = FrameRecord(1, 40, np.zeros(3), Label.SPEECH)
-    with pytest.raises(ValueError, match=r"^c: frame 1: feature dim 3 differs from the first frame's 2$"):
-        CallRecord.from_frames("c", 40, frames=(_frame(0), odd))
-
-
 def test_validate_flags_frame_indices_out_of_order():
-    frames = (_frame(0), _frame(2), _frame(1), _frame(3), _frame(3))
-    out = validate_call(CallRecord.from_frames("c", 40, frames=frames))
+    out = validate_call(_call([0, 2, 1, 3, 3]))
     assert [(v.field, v.index, v.message) for v in out] == [
         ("frames.index", 2, "frame index 1 does not follow previous 2"),
         ("frames.index", 4, "frame index 3 does not follow previous 3"),
@@ -222,13 +203,13 @@ def test_validate_flags_frame_indices_out_of_order():
 
 def test_validate_flags_unsorted_tokens():
     tokens = (TokenEvent(100, TokenKind.BLANK), TokenEvent(50, TokenKind.BLANK))
-    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(5)), tokens=tokens))
+    out = validate_call(_call(range(5), tokens=tokens))
     assert ("tokens.emit_time_ms", 1) in [(v.field, v.index) for v in out]
 
 
 def test_validate_flags_blank_with_text():
     tokens = (TokenEvent(0, TokenKind.BLANK, "oops"),)
-    out = validate_call(CallRecord.from_frames("c", 40, frames=(_frame(0),), tokens=tokens))
+    out = validate_call(_call([0], tokens=tokens))
     assert ("tokens.text", 0) in [(v.field, v.index) for v in out]
 
 
@@ -237,13 +218,13 @@ def test_validate_flags_subword_after_its_eow():
         TokenEvent(0, TokenKind.EOW, "", 7),
         TokenEvent(40, TokenKind.SUBWORD, "ka", 7),
     )
-    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
+    out = validate_call(_call(range(3), tokens=tokens))
     assert ("tokens.word_index", 1) in [(v.field, v.index) for v in out]
 
 
 def test_validate_flags_token_beyond_call_end():
     tokens = (TokenEvent(500, TokenKind.BLANK),)
-    out = validate_call(CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), tokens=tokens))
+    out = validate_call(_call(range(3), tokens=tokens))
     assert ("tokens.emit_time_ms", 0) in [(v.field, v.index) for v in out]
 
 
@@ -253,7 +234,7 @@ def test_validate_flags_empty_and_overlapping_segments():
         ReferenceSegment("c", 50, 200),
     )
     out = validate_call(
-        CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(10)), segments=segments)
+        _call(range(10), segments=segments)
     )
     keyed = [(v.field, v.index) for v in out]
     assert ("segments.start_ms", 0) in keyed  # empty span
@@ -263,7 +244,7 @@ def test_validate_flags_empty_and_overlapping_segments():
 def test_validate_flags_segment_beyond_call_end():
     segments = (ReferenceSegment("c", 0, 1000),)
     out = validate_call(
-        CallRecord.from_frames("c", 40, frames=tuple(_frame(i) for i in range(3)), segments=segments)
+        _call(range(3), segments=segments)
     )
     assert ("segments.end_ms", 0) in [(v.field, v.index) for v in out]
 

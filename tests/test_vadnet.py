@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from endpoint_rt import vadnet
-from endpoint_rt.streams import FrameRecord, Label, VadDecision
+from endpoint_rt.streams import FrameRecord, VadDecision
 from endpoint_rt.vadnet import (
     MlpModel,
     TrainConfig,
     classify_frames,
-    decisions,
     det_curve,
     eer,
-    forward,
     init_model,
     load_model,
     loss_and_grads,
@@ -26,14 +24,6 @@ from endpoint_rt.vadnet import (
 )
 
 from oracles import brute_eer
-
-
-def _frames(x, y):
-    out = []
-    for k, (row, lab) in enumerate(zip(x, y)):
-        label = Label.SPEECH if lab > 0.5 else Label.NONSPEECH
-        out.append(FrameRecord(k, k * 40, np.asarray(row, dtype=float), label))
-    return out
 
 
 def _separable(n, sep, seed, dim=4):
@@ -83,7 +73,7 @@ def test_forward_matches_hand_computation():
         ],
         biases=[np.array([0.1, -0.2]), np.array([0.05, 0.2]), np.array([-0.18])],
     )
-    p = forward(model, np.array([1.0, -1.0]))
+    [p] = posteriors(model, np.array([[1.0, -1.0]]))
     assert abs(p - 1.0 / (1.0 + math.exp(0.1))) < 1e-15
     assert abs(p - 0.4750208) < 1e-7
 
@@ -92,7 +82,7 @@ def test_forward_is_strictly_inside_unit_interval():
     model = init_model([2, 4, 4, 1], seed=0)
     model.weights[2][:] = 1e4  # drive the logit far into a tail
     model.biases[2][:] = 1e4
-    p = forward(model, np.array([50.0, 50.0]))
+    [p] = posteriors(model, np.array([[50.0, 50.0]]))
     assert 0.0 < p < 1.0
 
 
@@ -204,7 +194,7 @@ def test_train_rejects_empty_input():
 
 
 def test_det_curve_single_overlapping_point():
-    curve = det_curve([0.5, 0.5], [Label.SPEECH, Label.NONSPEECH])
+    curve = det_curve([0.5, 0.5], [True, False])
     pt = eer(curve)
     assert pt.eer == pytest.approx(0.5)
     assert pt.threshold == pytest.approx(0.5)  # +inf sentinel clamps to the finite end
@@ -213,20 +203,18 @@ def test_det_curve_single_overlapping_point():
 def test_eer_exact_crossing_point():
     speech = [0.30, 0.55, 0.60, 0.70, 0.80]
     non = [0.10, 0.20, 0.40, 0.45, 0.90]
-    labels = [Label.SPEECH] * 5 + [Label.NONSPEECH] * 5
-    pt = eer(det_curve(speech + non, labels))
+    pt = eer(det_curve(speech + non, [True] * 5 + [False] * 5))
     assert pt.eer == pytest.approx(0.2)
     assert pt.threshold == pytest.approx(0.55)
 
 
 def test_eer_is_zero_for_perfect_separation():
     scores = [0.9, 0.8, 0.1, 0.2]
-    labels = [Label.SPEECH, Label.SPEECH, Label.NONSPEECH, Label.NONSPEECH]
-    assert eer(det_curve(scores, labels)).eer == pytest.approx(0.0)
+    assert eer(det_curve(scores, [True, True, False, False])).eer == pytest.approx(0.0)
 
 
 def test_det_curve_spans_the_sentinels():
-    curve = det_curve([0.3, 0.7], [Label.NONSPEECH, Label.SPEECH])
+    curve = det_curve([0.3, 0.7], [False, True])
     assert curve.fpr[0] == 1.0 and curve.fnr[0] == 0.0
     assert curve.fpr[-1] == 0.0 and curve.fnr[-1] == 1.0
     assert np.all(np.diff(curve.fpr) <= 0)
@@ -235,9 +223,9 @@ def test_det_curve_spans_the_sentinels():
 
 def test_det_curve_requires_both_classes():
     with pytest.raises(ValueError, match="both speech and nonspeech"):
-        det_curve([0.5, 0.6], [Label.SPEECH, Label.SPEECH])
+        det_curve([0.5, 0.6], [True, True])
     with pytest.raises(ValueError, match="differ in length"):
-        det_curve([0.5], [Label.SPEECH, Label.NONSPEECH])
+        det_curve([0.5], [True, False])
 
 
 def test_eer_matches_exhaustive_oracle():
@@ -248,8 +236,7 @@ def test_eer_matches_exhaustive_oracle():
         if labels_bool.all() or not labels_bool.any():
             continue
         scores = np.round(rng.random(n), 3).tolist()
-        labels = [Label.SPEECH if b else Label.NONSPEECH for b in labels_bool]
-        got = eer(det_curve(scores, labels)).eer
+        got = eer(det_curve(scores, labels_bool)).eer
         want = float(brute_eer(scores, list(labels_bool)))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -260,22 +247,21 @@ def test_eer_matches_exhaustive_oracle():
 
 def test_classify_frames_threshold_semantics():
     model = init_model([2, 4, 4, 1], seed=0)
-    x, y = _separable(20, 1.0, seed=2, dim=2)
-    frames = _frames(x, y)
+    x, _ = _separable(20, 1.0, seed=2, dim=2)
+    frames = [FrameRecord(k, k * 40, row) for k, row in enumerate(x)]
     p = posteriors(model, x)
     assert np.all((0.0 < p) & (p < 1.0))
-    assert classify_frames(model, frames, threshold=0.5) == [
+    got = classify_frames(model, frames, threshold=0.5)
+    assert got == [
         VadDecision(f.time_ms, bool(pk >= 0.5)) for f, pk in zip(frames, p.tolist())
     ]
+    assert all(type(d.is_speech) is bool for d in got)
     assert classify_frames(model, [], 0.5) == []
 
 
 def test_decisions_call_a_posterior_at_the_threshold_speech():
     p = np.array([0.5, np.nextafter(0.5, 0.0), 0.75])
     assert vadnet.speech_flags(p, threshold=0.5).tolist() == [True, False, True]
-    got = decisions([120, 160, 240], p, threshold=0.5)
-    assert got == [VadDecision(120, True), VadDecision(160, False), VadDecision(240, True)]
-    assert all(type(d.is_speech) is bool for d in got)
 
 
 def test_checkpoint_round_trip_preserves_everything(tmp_path):
@@ -289,8 +275,8 @@ def test_checkpoint_round_trip_preserves_everything(tmp_path):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(model.biases, loaded.biases):
         assert np.array_equal(ba, bb)
-    x = np.array([0.1, -0.2, 0.3, 0.4])
-    assert forward(model, x) == forward(loaded, x)
+    x = np.array([[0.1, -0.2, 0.3, 0.4]])
+    assert np.array_equal(posteriors(model, x), posteriors(loaded, x))
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -334,5 +320,4 @@ def test_trained_model_beats_chance_on_held_out_data():
     x, y = _separable(2000, 4.0, seed=21)
     model = init_model([4, 16, 16, 1], seed=7)
     train_arrays(model, x[:1500], y[:1500], TrainConfig(epochs=12, seed=7))
-    labels = [Label.SPEECH if lab > 0.5 else Label.NONSPEECH for lab in y[1500:]]
-    assert eer(det_curve(posteriors(model, x[1500:]), labels)).eer <= 0.06
+    assert eer(det_curve(posteriors(model, x[1500:]), y[1500:] > 0.5)).eer <= 0.06
