@@ -34,13 +34,16 @@ import numpy as np
 from .endpointer import EndpointEvent, Mode, Trigger, TurnTranscript
 from .evaluator import EvalReport
 from .streams import (
+    BLANK_CODE,
+    EOW_CODE,
     NO_LABEL,
+    NO_WORD,
     NONSPEECH_CODE,
     SPEECH_CODE,
+    SUBWORD_CODE,
     CallRecord,
     Label,
     ReferenceSegment,
-    TokenEvent,
     TokenKind,
 )
 
@@ -98,6 +101,18 @@ def _encode(value: Optional[str]) -> str:
     return value
 
 
+_FRAGMENT_MARK = "*"
+
+
+def _encode_word(value: str) -> str:
+    """A token text or transcript word, which must not end in the fragment mark."""
+    if value.endswith(_FRAGMENT_MARK):
+        raise ValueError(
+            f"cannot serialize word {value!r}: a trailing '*' marks an unclosed word"
+        )
+    return _encode(value)
+
+
 def _read_text(path: Union[str, Path]) -> str:
     """The file as ASCII text; a non-ASCII byte is an error naming its line."""
     data = Path(path).read_bytes()
@@ -125,7 +140,12 @@ _LABEL_CODE = {
     Label.SPEECH.value: SPEECH_CODE,
 }
 _LABEL_TEXT = {code: text for text, code in _LABEL_CODE.items()}
-_TOKEN_KINDS = {kind.value: kind for kind in TokenKind}
+_KIND_CODE = {
+    TokenKind.BLANK.value: BLANK_CODE,
+    TokenKind.SUBWORD.value: SUBWORD_CODE,
+    TokenKind.EOW.value: EOW_CODE,
+}
+_KIND_TEXT = {code: text for text, code in _KIND_CODE.items()}
 
 
 def save_call(call: CallRecord, path: Union[str, Path]) -> None:
@@ -141,11 +161,14 @@ def save_call(call: CallRecord, path: Union[str, Path]) -> None:
     ):
         labels = f"{_LABEL_TEXT[label]} {_LABEL_TEXT[teacher]}"
         out.append(f"frame {index} {labels} {' '.join(map(repr, row))}".rstrip())
-    for tok in call.tokens:
-        idx = _PLACEHOLDER if tok.word_index is None else str(tok.word_index)
-        out.append(
-            f"token {tok.emit_time_ms} {tok.kind.value} {_encode(tok.text)} {idx}"
-        )
+    for time, kind, text, word in zip(
+        call.token_time.tolist(),
+        call.token_kind.tolist(),
+        call.token_text,
+        call.token_word.tolist(),
+    ):
+        idx = _PLACEHOLDER if word == NO_WORD else str(word)
+        out.append(f"token {time} {_KIND_TEXT[kind]} {_encode_word(text)} {idx}")
     for seg in call.segments:
         words = " ".join(_encode(w) for w in seg.words)
         out.append(f"segment {seg.start_ms} {seg.end_ms} {words}".rstrip())
@@ -155,22 +178,64 @@ def save_call(call: CallRecord, path: Union[str, Path]) -> None:
 _INT64 = np.iinfo(np.int64)
 
 
-def _first_bad_frame_line(path: Union[str, Path], lines: list[str]) -> None:
-    """Fail on the first frame line whose index or features do not convert."""
+def _token_columns(fields: Sequence[Sequence[str]]) -> dict[str, object]:
+    """The CallRecord token columns of split token lines, converted in bulk.
+
+    Raises ValueError if a field of any line does not convert: an emit
+    time or word index that is not an int64, a negative word index, an
+    unknown kind, or a text ending in the fragment mark.
+    """
+    if not fields:
+        return {}
+    _, times, kinds, texts, words = zip(*fields)
+    try:
+        time = np.fromiter(map(int, times), np.int64, len(times))
+    except OverflowError:
+        raise ValueError("emit time beyond the int64 range") from None
+    try:
+        kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, len(kinds))
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not a valid TokenKind") from None
+    # no field holds a space, so one ends in the mark iff "* " is in the join
+    if _FRAGMENT_MARK + " " in " ".join(texts) + " ":
+        raise ValueError("token text ends in '*', the mark of an unclosed word")
+    try:
+        word = np.array(
+            [NO_WORD if w == _PLACEHOLDER else int(w) for w in words], dtype=np.int64
+        )
+    except OverflowError:
+        raise ValueError("word index beyond the int64 range") from None
+    if np.count_nonzero(word < 0) != words.count(_PLACEHOLDER):
+        raise ValueError("negative word index")
+    return {
+        "token_time": time,
+        "token_kind": kind,
+        "token_word": word,
+        "token_text": tuple(["" if t == _PLACEHOLDER else t for t in texts]),
+    }
+
+
+def _first_bad_line(path: Union[str, Path], lines: list[str]) -> None:
+    """Fail on the first frame or token line whose fields do not convert."""
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
-        if parts and parts[0] == "frame":
-            try:
-                if not _INT64.min <= int(parts[1]) <= _INT64.max:
-                    raise ValueError(f"frame index {parts[1]} out of range")
-                for value in parts[4:]:
-                    float(value)
-            except ValueError as exc:
-                _fail(path, lineno, f"bad frame record: {exc}")
+        if not parts or parts[0] not in ("frame", "token"):
+            continue
+        try:
+            if parts[0] == "token":
+                _token_columns([parts])
+                continue
+            if not _INT64.min <= int(parts[1]) <= _INT64.max:
+                raise ValueError(f"frame index {parts[1]} out of range")
+            for value in parts[4:]:
+                float(value)
+        except ValueError as exc:
+            _fail(path, lineno, f"bad {parts[0]} record: {exc}")
 
 
 def load_call(path: Union[str, Path]) -> CallRecord:
-    """Parse a call file; every frame line is split once, all features convert at once.
+    """Parse a call file; every line is split once, and the fields of all
+    frame lines, like those of all token lines, convert at once.
 
     A malformed line raises FormatError naming ``path:line``.
     """
@@ -183,7 +248,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     labels: list[int] = []
     teachers: list[int] = []
     values: list[str] = []  # every frame's feature strings, row after row
-    tokens: list[TokenEvent] = []
+    token_fields: list[list[str]] = []  # every token line, split
     segments: list[ReferenceSegment] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -210,19 +275,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
             elif tag == "token":
                 if len(parts) != 5:
                     _fail(path, lineno, f"token line has {len(parts)} fields, expected 5")
-                try:
-                    kind = _TOKEN_KINDS[parts[2]]
-                except KeyError:
-                    raise ValueError(f"{parts[2]!r} is not a valid TokenKind") from None
-                idx = _opt(parts[4])
-                tokens.append(
-                    TokenEvent(
-                        int(parts[1]),
-                        kind,
-                        _opt(parts[3]) or "",
-                        int(idx) if idx is not None else None,
-                    )
-                )
+                token_fields.append(parts)
             elif tag == "call":
                 if header_lineno:
                     _fail(path, lineno, "duplicate call header")
@@ -252,8 +305,9 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     try:
         frame_index = np.array(index, dtype=np.int64)
         features = np.array(values, dtype=np.float64).reshape(len(index), dim)
+        tokens = _token_columns(token_fields)
     except (ValueError, OverflowError) as exc:
-        _first_bad_frame_line(path, lines)
+        _first_bad_line(path, lines)
         _fail(path, header_lineno, f"bad call record: {exc}")
     return CallRecord(
         call_id,
@@ -262,8 +316,8 @@ def load_call(path: Union[str, Path]) -> CallRecord:
         features=features,
         labels=np.array(labels, dtype=np.int8),
         teacher_labels=np.array(teachers, dtype=np.int8),
-        tokens=tuple(tokens),
         segments=tuple(segments),
+        **tokens,
     )
 
 
@@ -342,7 +396,8 @@ def save_transcripts(
     out = [FORMAT_LINE, f"call {_encode(call_id)}"]
     for turn in transcripts:
         words = " ".join(
-            _encode(text) + ("" if closed else "*") for text, closed in turn.words
+            _encode_word(text) + ("" if closed else _FRAGMENT_MARK)
+            for text, closed in turn.words
         )
         out.append(
             f"turn {turn.turn_index} {turn.start_ms} {turn.end_ms} {words}".rstrip()

@@ -36,7 +36,6 @@ from .streams import (
     NO_LABEL,
     SPEECH_CODE,
     CallRecord,
-    TokenKind,
     merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
     validate_call,
 )
@@ -183,12 +182,12 @@ def _endpoint_call(
     """Each config's endpoints and transcripts; each distinct list commits once."""
     times, speech = vad
     # the stream ends at its last event, where merge_streams stamps it
-    last = times[-1:].tolist() + [tok.emit_time_ms for tok in call.tokens[-1:]]
-    end = max(last, default=0)
-    non_blank = [tok for tok in call.tokens if tok.kind is not TokenKind.BLANK]
+    end = max(times[-1:].tolist() + call.token_time[-1:].tolist(), default=0)
+    non_blank = call.non_blank_tokens
     committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
     results = []
-    for endpoints in run_sweep(cfgs, times, speech, call.tokens, end):
+    sweep = run_sweep(cfgs, times, speech, call.token_time, call.token_kind, non_blank, end)
+    for endpoints in sweep:
         key = tuple(endpoints)
         if key not in committed:
             committed[key] = commit_transcript(non_blank, endpoints, call.end_ms)

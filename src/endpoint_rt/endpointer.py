@@ -42,7 +42,7 @@ yields at most one endpoint.
 
 ``run_call`` folds ``step()`` over a timeline and is the reference.
 ``run_sweep`` gives the same endpoints for many configs from a call's VAD
-columns and tokens: ``TS`` and ``BLANK`` from their runs, the EOW-gated
+and token columns: ``TS`` and ``BLANK`` from their runs, the EOW-gated
 modes through ``run_call`` over one reduced timeline.  It keeps the first
 and last decision of each run of equal flags, the decision at which a
 nonspeech run completes each ``TS_AND_EOW`` delta, every decision of a
@@ -56,7 +56,7 @@ already acted.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
@@ -64,6 +64,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .streams import (
+    BLANK_CODE,
     EndOfStream,
     TimelineEvent,
     TokenEvent,
@@ -404,15 +405,22 @@ def run_sweep(
     cfgs: Sequence[EndpointerConfig],
     vad_times: Sequence[int],
     is_speech: Sequence[bool],
-    tokens: Sequence[TokenEvent],
+    token_times: Sequence[int],
+    token_kinds: Sequence[int],
+    non_blank: Sequence[TokenEvent],
     end_ms: int,
 ) -> list[list[EndpointEvent]]:
-    """The endpoints ``run_call`` gives for each config, from VAD columns.
+    """The endpoints ``run_call`` gives for each config, from VAD and token columns.
 
     ``vad_times[k]`` and ``is_speech[k]`` are the k-th VAD decision,
-    ``tokens`` the token stream, both sorted by time, and ``end_ms`` the
-    time of the EndOfStream that ends the timeline ``merge_streams``
-    would build from them.  ``TS`` and ``BLANK`` come from runs: ``TS``
+    ``token_times[j]`` and ``token_kinds[j]`` the j-th token's emit time
+    and kind code (``CallRecord.token_time`` and ``token_kind``), both
+    streams sorted by time.  ``non_blank`` holds the TokenEvents of the
+    tokens whose kind is not BLANK, in order (``CallRecord.non_blank_tokens``),
+    and ``end_ms`` is the time of the EndOfStream that ends the timeline
+    ``merge_streams`` would build from the decisions and the full token
+    stream.  No BLANK token is ever built.  ``TS`` and ``BLANK`` come from
+    runs: ``TS``
     ends every maximal run of consecutive nonspeech decisions whose first
     time s and last time l satisfy l + frame_ms - s >= delta, at s + delta;
     ``BLANK`` ends every maximal run of at least N consecutive BLANK tokens
@@ -451,7 +459,8 @@ def run_sweep(
 
     Inputs ``run_call`` would reject on the merged timeline raise here,
     whatever the modes: unsorted times or tokens, or ``end_ms`` before
-    the last event; so do columns of unequal length.
+    the last event; so do columns of unequal length and non-BLANK events
+    whose times are not those of the columns' non-BLANK tokens.
     """
     times = np.asarray(vad_times, dtype=np.int64)
     speech = np.asarray(is_speech, dtype=bool)
@@ -459,21 +468,29 @@ def run_sweep(
         raise ValueError(
             f"vad columns differ: {times.shape} times, {speech.shape} speech flags"
         )
-    inv = _first_inversion(times.tolist())
+    tok_times = np.asarray(token_times, dtype=np.int64)
+    is_blank = np.asarray(token_kinds) == BLANK_CODE
+    if tok_times.ndim != 1 or tok_times.shape != is_blank.shape:
+        raise ValueError(
+            f"token columns differ: {tok_times.shape} times, {is_blank.shape} kinds"
+        )
+    inv = _first_inversion(times)
     if inv is not None:
         raise ValueError(f"vad stream unsorted: first inversion at index {inv}")
-    tok_t = [tok.emit_time_ms for tok in tokens]
-    inv = _first_inversion(tok_t)
+    inv = _first_inversion(tok_times)
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
-    last = max(times[-1:].tolist() + tok_t[-1:], default=end_ms)
+    if not np.array_equal(
+        np.array([tok.emit_time_ms for tok in non_blank], dtype=np.int64),
+        tok_times[~is_blank],
+    ):
+        raise ValueError("non-BLANK tokens differ from the token columns")
+    last = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=end_ms)
     if end_ms < last:
         raise ValueError(f"out-of-order event at {end_ms} ms after {last} ms")
 
     nonspeech = _nonspeech_runs(times, speech)
     _, _, starts, spans = nonspeech
-    tok_times = np.array(tok_t, dtype=np.int64)
-    is_blank = np.array([tok.kind is _BLANK for tok in tokens], dtype=bool)
     blank_first, blank_last = _runs(is_blank)
 
     reduced: list[TimelineEvent] = []
@@ -482,7 +499,7 @@ def run_sweep(
             (c.ts_threshold_ms, c.frame_ms) for c in cfgs if c.mode is Mode.TS_AND_EOW
         }
         kept = _deciding_frames(times, speech, nonspeech, deltas)
-        reduced = _reduced_timeline(times, speech, tokens, end_ms, kept)
+        reduced = _reduced_timeline(times, speech, non_blank, end_ms, kept)
 
     def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
         if cfg.mode is Mode.TS:
@@ -493,7 +510,7 @@ def run_sweep(
             ]
         if cfg.mode is Mode.BLANK:
             # no run outlasts the tokens, so n - 1 indexes within int64
-            n = min(cfg.blank_run_frames, len(tokens) + 1)
+            n = min(cfg.blank_run_frames, len(tok_times) + 1)
             first = blank_first[blank_last - blank_first + 1 >= n]
             ends = tok_times[first + n - 1]
             return [
@@ -559,14 +576,14 @@ def _deciding_frames(
 def _reduced_timeline(
     times: np.ndarray,
     speech: np.ndarray,
-    tokens: Sequence[TokenEvent],
+    non_blank: Sequence[TokenEvent],
     end_ms: int,
     kept: np.ndarray,
 ) -> list[TimelineEvent]:
     """The kept decisions and the non-BLANK tokens, ended at ``end_ms``."""
     timeline = merge_streams(
         list(map(VadDecision, times[kept].tolist(), speech[kept].tolist())),
-        [tok for tok in tokens if tok.kind is not _BLANK],
+        list(non_blank),
     )
     # merge_streams stamps the end at its own last event, which may be a
     # dropped decision's or BLANK token's predecessor
@@ -619,13 +636,15 @@ def commit_transcript(
         )
 
     non_blank = [t for t in tokens if t.kind is not _BLANK]
-    inv = _first_inversion([t.emit_time_ms for t in non_blank])
+    times = [t.emit_time_ms for t in non_blank]
+    inv = _first_inversion(times)
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 
-    turn_tokens: list[list[TokenEvent]] = [[] for _ in range(len(boundaries) + 1)]
-    for tok in non_blank:
-        turn_tokens[bisect_left(boundaries, tok.emit_time_ms)].append(tok)
+    # both lists are sorted, so turn k is the slice of tokens emitted after
+    # boundary k-1 and at or before boundary k
+    cuts = [0, *(bisect_right(times, t) for t in boundaries), len(non_blank)]
+    turn_tokens = [non_blank[i:j] for i, j in zip(cuts, cuts[1:])]
     if boundaries and not turn_tokens[-1]:
         turn_tokens.pop()
     edges = [0, *boundaries, stream_end_ms]

@@ -25,12 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .streams import (
+    BLANK_CODE,
+    EOW_CODE,
     NO_LABEL,
+    NO_WORD,
     SPEECH_CODE,
+    SUBWORD_CODE,
     CallRecord,
     ReferenceSegment,
-    TokenEvent,
-    TokenKind,
     VadDecision,
 )
 
@@ -162,38 +164,48 @@ def gen_call(cfg: SimConfig) -> CallRecord:
     total_ms = t
     n_frames = total_ms // f
 
-    # ideal token times (subwords at unit ends, EOW at the word end)
-    ideal: list[TokenEvent] = []
+    # ideal token times (subwords at unit ends, EOW at the word end), as
+    # columns: time, kind code, text, word index
+    ideal: list[int] = []
+    kinds: list[int] = []
+    texts: list[str] = []
+    word_index: list[int] = []
     for w in words:
         k = len(w.unit_ends)
         base_len, extra_len = divmod(len(w.text), k)
         pos = 0
         for j, end in enumerate(w.unit_ends):
             size = base_len + (1 if j < extra_len else 0)
-            ideal.append(
-                TokenEvent(end, TokenKind.SUBWORD, w.text[pos : pos + size], w.index)
-            )
+            ideal.append(end)
+            kinds.append(SUBWORD_CODE)
+            texts.append(w.text[pos : pos + size])
             pos += size
-        ideal.append(TokenEvent(w.end_ms, TokenKind.EOW, "", w.index))
+        ideal.append(w.end_ms)
+        kinds.append(EOW_CODE)
+        texts.append("")
+        word_index += [w.index] * (k + 1)
 
     mean, std, clip_max = cfg.emission_delay
-    emitted: list[TokenEvent] = []
+    emitted: list[int] = []
     prev_emit = 0
-    for tok in ideal:
+    for t in ideal:
         delay = float(np.clip(rng.normal(mean, std), 0.0, clip_max))
-        emit = tok.emit_time_ms + int(round(delay))
+        emit = t + int(round(delay))
         emit = min(max(emit, prev_emit), total_ms)  # monotone, within the stream
         prev_emit = emit
-        emitted.append(
-            TokenEvent(emit, tok.kind, tok.text, tok.word_index)
-        )
+        emitted.append(emit)
 
-    occupied = {tok.emit_time_ms // f for tok in emitted if tok.emit_time_ms < total_ms}
-    blanks = [
-        TokenEvent(i * f, TokenKind.BLANK) for i in range(n_frames) if i not in occupied
-    ]
+    occupied = {t // f for t in emitted if t < total_ms}
+    blanks = [i * f for i in range(n_frames) if i not in occupied]
+    n_blank = len(blanks)
     # a blank marks a frame without an emission, so no ms holds both kinds
-    tokens = sorted(blanks + emitted, key=lambda tok: tok.emit_time_ms)
+    times = np.array(blanks + emitted, dtype=np.int64)
+    order = np.argsort(times, kind="stable")
+    token_time = times[order]
+    token_kind = np.array([BLANK_CODE] * n_blank + kinds, dtype=np.int8)[order]
+    token_word = np.array([NO_WORD] * n_blank + word_index, dtype=np.int64)[order]
+    all_texts = [""] * n_blank + texts
+    token_text = tuple(all_texts[j] for j in order.tolist())
 
     # frame labels: speech exactly inside word intervals (pauses/gaps are not)
     labels = np.zeros(n_frames, dtype=bool)
@@ -217,7 +229,10 @@ def gen_call(cfg: SimConfig) -> CallRecord:
         features=eps,
         labels=labels.astype(np.int8),
         teacher_labels=(labels ^ flips).astype(np.int8),
-        tokens=tuple(tokens),
+        token_time=token_time,
+        token_kind=token_kind,
+        token_word=token_word,
+        token_text=token_text,
         segments=tuple(segments),
     )
 

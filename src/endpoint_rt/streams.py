@@ -104,25 +104,41 @@ NONSPEECH_CODE = 0
 SPEECH_CODE = 1
 _CODE_LABELS = (Label.NONSPEECH, Label.SPEECH, None)  # by code; -1 picks None
 
+# Codes of a call's ``token_kind`` column, and the ``token_word`` of a token
+# that belongs to no word.
+BLANK_CODE = 0
+SUBWORD_CODE = 1
+EOW_CODE = 2
+NO_WORD = -1
+_CODE_KINDS = (TokenKind.BLANK, TokenKind.SUBWORD, TokenKind.EOW)  # by code
 
-_COLUMNS = (  # name, dtype, ndim
+
+_FRAME_COLUMNS = (  # name, dtype, ndim
     ("frame_index", np.int64, 1),
     ("features", np.float64, 2),
     ("labels", np.int8, 1),
     ("teacher_labels", np.int8, 1),
 )
+_TOKEN_COLUMNS = (
+    ("token_time", np.int64, 1),
+    ("token_kind", np.int8, 1),
+    ("token_word", np.int64, 1),
+)
 
 
 @dataclass(frozen=True, eq=False)
 class CallRecord:
-    """A complete simulated or recorded call, its frames held as columns.
+    """A complete simulated or recorded call, its frames and tokens held as columns.
 
     Frame k has index ``frame_index[k]``, feature row ``features[k]`` (the
     array is n x d) and label codes ``labels[k]`` and ``teacher_labels[k]``
     (1 speech, 0 nonspeech, -1 absent).  Its time is always
-    ``frame_index[k] * frame_ms``.  The record owns its arrays and marks
-    them read-only; ``frames`` derives per-frame FrameRecord views on first
-    use.
+    ``frame_index[k] * frame_ms``.  Token j was emitted at ``token_time[j]``
+    ms, is of kind ``token_kind[j]`` (0 BLANK, 1 SUBWORD, 2 EOW), belongs
+    to word ``token_word[j]`` (-1 for none) and carries text
+    ``token_text[j]`` (a tuple of strings).  The record owns its arrays
+    and marks them read-only; ``frames`` and ``tokens`` derive per-frame
+    and per-token views on first use.
     """
 
     call_id: str
@@ -131,25 +147,45 @@ class CallRecord:
     features: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
     teacher_labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
-    tokens: tuple[TokenEvent, ...] = ()
+    token_time: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    token_kind: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
+    token_word: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    token_text: tuple[str, ...] = ()
     segments: tuple[ReferenceSegment, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.frame_index)
-        for name, dtype, ndim in _COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            if column.ndim != ndim or column.shape[0] != n:
-                raise ValueError(
-                    f"{self.call_id}: {name} has shape {column.shape}, "
-                    f"expected {ndim} dimension(s) and {n} rows"
-                )
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        for columns, rows in (
+            (_FRAME_COLUMNS, len(self.frame_index)),
+            (_TOKEN_COLUMNS, len(self.token_time)),
+        ):
+            for name, dtype, ndim in columns:
+                column = np.asarray(getattr(self, name), dtype=dtype)
+                if column.ndim != ndim or column.shape[0] != rows:
+                    raise ValueError(
+                        f"{self.call_id}: {name} has shape {column.shape}, "
+                        f"expected {ndim} dimension(s) and {rows} rows"
+                    )
+                column.setflags(write=False)
+                object.__setattr__(self, name, column)
+        texts = tuple(self.token_text)
+        if len(texts) != len(self.token_time):
+            raise ValueError(
+                f"{self.call_id}: token_text has {len(texts)} entries, "
+                f"expected {len(self.token_time)}"
+            )
+        object.__setattr__(self, "token_text", texts)
         for name in ("labels", "teacher_labels"):
             codes = getattr(self, name)
             bad = np.flatnonzero((codes < NO_LABEL) | (codes > SPEECH_CODE))
             if bad.size:
                 raise ValueError(f"{self.call_id}: frame {bad[0]}: bad {name} code")
+        kinds = self.token_kind
+        bad = np.flatnonzero((kinds < BLANK_CODE) | (kinds > EOW_CODE))
+        if bad.size:
+            raise ValueError(f"{self.call_id}: token {bad[0]}: bad token_kind code")
+        bad = np.flatnonzero(self.token_word < NO_WORD)
+        if bad.size:
+            raise ValueError(f"{self.call_id}: token {bad[0]}: bad token_word code")
 
     @cached_property
     def frames(self) -> tuple[FrameRecord, ...]:
@@ -165,6 +201,31 @@ class CallRecord:
             )
         )
 
+    @cached_property
+    def tokens(self) -> tuple[TokenEvent, ...]:
+        """Every token as a TokenEvent, built on first use."""
+        return self._token_events(np.arange(len(self.token_time)))
+
+    @cached_property
+    def non_blank_tokens(self) -> tuple[TokenEvent, ...]:
+        """The tokens that are not BLANK, as TokenEvents built on first use.
+
+        They are all the EOW-gated rules and ``commit_transcript`` read.
+        """
+        return self._token_events(np.flatnonzero(self.token_kind != BLANK_CODE))
+
+    def _token_events(self, rows: np.ndarray) -> tuple[TokenEvent, ...]:
+        texts = self.token_text
+        return tuple(
+            TokenEvent(t, _CODE_KINDS[k], texts[j], None if w == NO_WORD else w)
+            for j, t, k, w in zip(
+                rows.tolist(),
+                self.token_time[rows].tolist(),
+                self.token_kind[rows].tolist(),
+                self.token_word[rows].tolist(),
+            )
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CallRecord):
             return NotImplemented
@@ -173,9 +234,9 @@ class CallRecord:
             and self.frame_ms == other.frame_ms
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name, _, _ in _COLUMNS
+                for name, _, _ in _FRAME_COLUMNS + _TOKEN_COLUMNS
             )
-            and self.tokens == other.tokens
+            and self.token_text == other.token_text
             and self.segments == other.segments
         )
 
@@ -208,12 +269,16 @@ class Violation:
     message: str
 
 
-def _first_inversion(times: list[int]) -> Optional[int]:
+def _first_inversion(times: Union[list[int], np.ndarray]) -> Optional[int]:
     """Index of the first time below its predecessor, or None if sorted.
 
     The package's one sortedness check: merge_streams, run_sweep,
     commit_transcript and align_events all word their errors around it.
+    An array is checked in numpy.
     """
+    if isinstance(times, np.ndarray):
+        inversions = np.flatnonzero(times[1:] < times[:-1])
+        return int(inversions[0]) + 1 if inversions.size else None
     for i in range(1, len(times)):
         if times[i] < times[i - 1]:
             return i
@@ -308,48 +373,39 @@ def validate_call(call: CallRecord) -> list[Violation]:
         )
     violations.sort(key=lambda v: v.index)  # frame order: callers report the first
 
-    last_emit: Optional[int] = None
+    # token checks in numpy; the SUBWORD-after-EOW rule walks the non-BLANK
+    # tokens.  Violations keep token order, and within a token this order
+    # of checks: emit order, BLANK text, word order, bounds.
+    times, kinds, words = call.token_time, call.token_kind, call.token_word
+    found: list[tuple[int, int, Violation]] = []  # (token, check, violation)
+    for k in (np.flatnonzero(times[1:] < times[:-1]) + 1).tolist():
+        message = f"emit time {times[k]} precedes previous {times[k - 1]}"
+        found.append((k, 0, Violation("tokens.emit_time_ms", k, message)))
+    texts = call.token_text
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    for k in np.flatnonzero((kinds == BLANK_CODE) & (lengths > 0)).tolist():
+        message = "BLANK token carries non-empty text"
+        found.append((k, 1, Violation("tokens.text", k, message)))
     eow_seen_at: dict[int, int] = {}
     order_flagged: set[int] = set()
-    for k, tok in enumerate(call.tokens):
-        if last_emit is not None and tok.emit_time_ms < last_emit:
-            violations.append(
-                Violation(
-                    "tokens.emit_time_ms",
-                    k,
-                    f"emit time {tok.emit_time_ms} precedes previous {last_emit}",
-                )
+    rows = np.flatnonzero((kinds != BLANK_CODE) & (words != NO_WORD))
+    for k, kind, word in zip(rows.tolist(), kinds[rows].tolist(), words[rows].tolist()):
+        if kind == EOW_CODE:
+            eow_seen_at[word] = k
+        elif word in eow_seen_at and word not in order_flagged:
+            order_flagged.add(word)
+            message = (
+                f"token order: SUBWORD of word {word} follows its EOW "
+                f"(at token {eow_seen_at[word]})"
             )
-        last_emit = tok.emit_time_ms
-        if tok.kind is TokenKind.BLANK and tok.text:
-            violations.append(
-                Violation("tokens.text", k, "BLANK token carries non-empty text")
-            )
-        if tok.kind is TokenKind.EOW and tok.word_index is not None:
-            eow_seen_at[tok.word_index] = k
-        if (
-            tok.kind is TokenKind.SUBWORD
-            and tok.word_index is not None
-            and tok.word_index in eow_seen_at
-            and tok.word_index not in order_flagged
-        ):
-            order_flagged.add(tok.word_index)
-            violations.append(
-                Violation(
-                    "tokens.word_index",
-                    k,
-                    f"token order: SUBWORD of word {tok.word_index} follows its EOW "
-                    f"(at token {eow_seen_at[tok.word_index]})",
-                )
-            )
-        if not 0 <= tok.emit_time_ms <= end_cap:
-            violations.append(
-                Violation(
-                    "tokens.emit_time_ms",
-                    k,
-                    f"emit time {tok.emit_time_ms} outside call bounds [0, {end_cap}]",
-                )
-            )
+            found.append((k, 2, Violation("tokens.word_index", k, message)))
+    # every time fits in int64, so a cap beyond it bounds nothing
+    outside = (times < 0) | (times > min(end_cap, _INT64_MAX))
+    for k in np.flatnonzero(outside).tolist():
+        message = f"emit time {times[k]} outside call bounds [0, {end_cap}]"
+        found.append((k, 3, Violation("tokens.emit_time_ms", k, message)))
+    found.sort(key=lambda entry: entry[:2])
+    violations += [v for _, _, v in found]
 
     prev_end: Optional[int] = None
     for k, seg in enumerate(call.segments):

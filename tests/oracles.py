@@ -3,8 +3,9 @@
 Each oracle favors obviousness over speed and deliberately avoids the
 code paths it checks: edit distance is a memoized recursion instead of a
 DP matrix, event matching enumerates every one-to-one assignment, DET/EER
-counts per threshold interval with exact fractions, and the nonspeech-run
-scan works offline on the raw decision list.
+counts per threshold interval with exact fractions, the nonspeech-run
+scan works offline on the raw decision list, and the token checks walk
+one TokenEvent at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
+
+from endpoint_rt.streams import (
+    BLANK_CODE,
+    EOW_CODE,
+    NO_WORD,
+    SUBWORD_CODE,
+    TokenEvent,
+    TokenKind,
+    Violation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +194,55 @@ def maximal_nonspeech_runs(
     if start is not None:
         runs.append((start, end))
     return runs
+
+
+# ---------------------------------------------------------------------------
+# token columns
+
+
+_KIND_CODES = {TokenKind.BLANK: BLANK_CODE, TokenKind.SUBWORD: SUBWORD_CODE, TokenKind.EOW: EOW_CODE}
+
+
+def token_columns(tokens: Sequence[TokenEvent]) -> dict:
+    """A CallRecord's token column keywords for a token list, one token at a time."""
+    return {
+        "token_time": [t.emit_time_ms for t in tokens],
+        "token_kind": [_KIND_CODES[t.kind] for t in tokens],
+        "token_word": [NO_WORD if t.word_index is None else t.word_index for t in tokens],
+        "token_text": [t.text for t in tokens],
+    }
+
+
+def token_violations(tokens: Sequence[TokenEvent], end_cap: int) -> list[Violation]:
+    """validate_call's token violations, by one walk over every token.
+
+    Per token, in this order: an emit time below the previous token's, a
+    BLANK with text, the first SUBWORD of a word after that word's EOW,
+    and an emit time outside [0, end_cap].
+    """
+    out: list[Violation] = []
+    eow_at: dict[int, int] = {}
+    flagged: set[int] = set()
+    for k, tok in enumerate(tokens):
+        t = tok.emit_time_ms
+        if k and t < tokens[k - 1].emit_time_ms:
+            prev = tokens[k - 1].emit_time_ms
+            out.append(Violation("tokens.emit_time_ms", k, f"emit time {t} precedes previous {prev}"))
+        if tok.kind is TokenKind.BLANK and tok.text:
+            out.append(Violation("tokens.text", k, "BLANK token carries non-empty text"))
+        w = tok.word_index
+        if w is not None and tok.kind is TokenKind.EOW:
+            eow_at[w] = k
+        if w is not None and tok.kind is TokenKind.SUBWORD and w in eow_at and w not in flagged:
+            flagged.add(w)
+            out.append(
+                Violation(
+                    "tokens.word_index", k,
+                    f"token order: SUBWORD of word {w} follows its EOW (at token {eow_at[w]})",
+                )
+            )
+        if not 0 <= t <= end_cap:
+            out.append(
+                Violation("tokens.emit_time_ms", k, f"emit time {t} outside call bounds [0, {end_cap}]")
+            )
+    return out

@@ -1,9 +1,11 @@
 """Round-trip and error-path tests for the on-disk text formats."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from oracles import token_columns
 
 from endpoint_rt.callfile import (
     FORMAT_LINE,
@@ -59,9 +61,8 @@ def test_call_round_trip_keeps_optional_fields_absent(tmp_path):
         features=[[0.5]],
         labels=[-1],
         teacher_labels=[-1],
-        tokens=(
-            TokenEvent(10, TokenKind.BLANK),
-            TokenEvent(20, TokenKind.SUBWORD, "ka", None),
+        **token_columns(
+            (TokenEvent(10, TokenKind.BLANK), TokenEvent(20, TokenKind.SUBWORD, "ka", None))
         ),
         segments=(ReferenceSegment("c", 0, 40, ("", "ka")),),
     )
@@ -231,9 +232,83 @@ def test_load_call_rejects_unparsable_numbers(tmp_path):
 
 def test_save_call_rejects_unserializable_text(tmp_path):
     call = CallRecord(
-        "c", 40, tokens=(TokenEvent(0, TokenKind.SUBWORD, "two words", 0),)
+        "c", 40, **token_columns((TokenEvent(0, TokenKind.SUBWORD, "two words", 0),))
     )
     with pytest.raises(ValueError, match="cannot serialize"):
+        save_call(call, tmp_path / "x.call")
+
+
+def test_call_round_trip_keeps_every_token_column(tmp_path):
+    rng = random.Random(4)
+    for case in range(40):
+        tokens, t = [], 0
+        for _ in range(rng.randint(0, 25)):
+            t += rng.choice([0, 10, 40])
+            kind = rng.choice(list(TokenKind))
+            text = "" if kind is TokenKind.BLANK else rng.choice(["", "ka", "zo-"])
+            word = None if kind is TokenKind.BLANK else rng.choice([None, 0, 2**63 - 1])
+            tokens.append(TokenEvent(t, kind, text, word))
+        call = CallRecord("c", 40, **token_columns(tokens))
+        path = tmp_path / f"{case}.call"
+        save_call(call, path)
+        loaded = load_call(path)
+        for name in ("token_time", "token_kind", "token_word"):
+            column = getattr(loaded, name)
+            assert column.dtype == getattr(call, name).dtype, name
+            assert column.tolist() == getattr(call, name).tolist(), name
+        assert loaded.token_text == call.token_text
+        assert loaded.tokens == call.tokens == tuple(tokens)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("token 40 SUBWORD ka -1", "negative word index"),
+        (f"token 40 SUBWORD ka {10**23 - 1}", "word index beyond the int64 range"),
+        (f"token 40 SUBWORD ka {2**63}", "word index beyond the int64 range"),
+        (f"token {10**23 - 1} BLANK - -", "emit time beyond the int64 range"),
+        (f"token {-2**63 - 1} BLANK - -", "emit time beyond the int64 range"),
+        ("token 40 SUBWORD ka x", "invalid literal for int"),
+        ("token 4O BLANK - -", "invalid literal for int"),
+        ("token 40 WORD ka 0", "'WORD' is not a valid TokenKind"),
+        ("token 40 SUBWORD ka* 0", "token text ends in '\\*'"),
+        ("token 40 BLANK * -", "token text ends in '\\*'"),
+    ],
+)
+def test_load_call_names_the_line_of_a_bad_token_field(tmp_path, line, message):
+    path = tmp_path / "bad.call"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c 40 1\nframe 0 - - 1\ntoken 0 BLANK - -\n{line}\n"
+        "token 80 BLANK - -\nsegment 0 40 ka\n"
+    )
+    with pytest.raises(FormatError, match=f"bad.call:5: bad token record: {message}"):
+        load_call(path)
+
+
+def test_load_call_reports_the_first_bad_line_of_frames_and_tokens(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c 40 1\nframe 0 - - 1\ntoken 0 BLANK - -1\n"
+        "frame 1 - - one\ntoken x BLANK - -\n"
+    )
+    with pytest.raises(FormatError, match="bad.call:4: bad token record"):
+        load_call(path)
+
+
+def test_load_call_keeps_the_largest_token_fields(tmp_path):
+    big = 2**63 - 1
+    path = tmp_path / "big.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 0\ntoken {-2**63} EOW - {big}\n")
+    call = load_call(path)
+    assert call.token_time.tolist() == [-2**63]
+    assert call.token_word.tolist() == [big]
+    assert call.tokens == (TokenEvent(-2**63, TokenKind.EOW, "", big),)
+
+
+@pytest.mark.parametrize("text", ["ka*", "*"])
+def test_save_call_refuses_token_text_ending_in_the_fragment_mark(tmp_path, text):
+    call = CallRecord("c", 40, **token_columns((TokenEvent(0, TokenKind.SUBWORD, text, 0),)))
+    with pytest.raises(ValueError, match="a trailing '\\*' marks an unclosed word"):
         save_call(call, tmp_path / "x.call")
 
 
@@ -332,6 +407,14 @@ def test_transcript_fragment_marker_is_a_star(tmp_path):
     path = tmp_path / "b.turns"
     save_transcripts("c", turns, path)
     assert "kazo*" in path.read_text()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_save_transcripts_refuses_a_word_ending_in_the_fragment_mark(tmp_path, closed):
+    # "ka*" closed would load back as the fragment "ka"
+    turns = [TurnTranscript(0, 0, 100, (("ka*", closed),))]
+    with pytest.raises(ValueError, match="a trailing '\\*' marks an unclosed word"):
+        save_transcripts("c", turns, tmp_path / "x.turns")
 
 
 def test_load_transcripts_rejects_missing_call_line(tmp_path):

@@ -18,7 +18,15 @@ from endpoint_rt.endpointer import (
 )
 from endpoint_rt.evaluator import EvalConfig, pool_scores, score_call
 from endpoint_rt.simulator import SimConfig, corrupt_speech, oracle_speech, oracle_vad
-from endpoint_rt.streams import SPEECH_CODE, VadDecision, merge_streams
+from endpoint_rt.streams import (
+    BLANK_CODE,
+    SPEECH_CODE,
+    TokenEvent,
+    TokenKind,
+    VadDecision,
+    merge_streams,
+    validate_call,
+)
 from endpoint_rt.vadnet import TrainConfig, init_model, load_model, save_model, train_arrays
 
 
@@ -812,6 +820,40 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     assert len(scored) == len(set(scored)) <= 3 * 13
 
 
+def test_commands_build_token_events_only_for_non_blank_tokens(tmp_path, monkeypatch):
+    calls = simulate(tmp_path, n_calls=3)
+    paths = sorted(calls.glob("*.call"))
+    kinds = [callfile.load_call(p).token_kind for p in paths]
+    non_blank = sum(int(np.count_nonzero(k != BLANK_CODE)) for k in kinds)
+    assert 0 < non_blank < sum(len(k) for k in kinds)
+    built = []
+    init = TokenEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.kind)
+
+    monkeypatch.setattr(TokenEvent, "__init__", counting_init)
+    # loading and validating a call build none
+    for path in paths:
+        assert validate_call(callfile.load_call(path)) == []
+    assert built == []
+    # each command builds one per non-BLANK token of its calls, and no BLANK
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+        "--vad", "oracle",
+    )
+    assert code == 0
+    assert len(built) == non_blank and TokenKind.BLANK not in built
+    built.clear()
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
+        "--mode", "TS_AND_EOW",
+    )
+    assert code == 0
+    assert len(built) == non_blank and TokenKind.BLANK not in built
+
+
 SWEEP_CFG = """
 n_turns = 3
 feature_dim = 4
@@ -963,6 +1005,26 @@ def test_a_frameless_call_bounds_its_tokens_at_0_ms(tmp_path, capsys, mode):
     assert capsys.readouterr().err == (
         f"error: {path}: invalid call: tokens.emit_time_ms[1]: "
         "emit time 40 outside call bounds [0, 0]\n"
+    )
+
+
+def test_endpoint_names_the_line_of_a_token_text_ending_in_the_fragment_mark(
+    tmp_path, capsys
+):
+    # its word would be written to the transcript as "ka*", which loads
+    # back as the unclosed word "ka"
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    path = calls / "c0.call"
+    path.write_text(
+        "format=1\ncall c0 40 1\nframe 0 speech - 0.0\nframe 1 nonspeech - 0.0\n"
+        "token 0 BLANK - -\ntoken 40 SUBWORD ka* 0\ntoken 40 EOW - 0\n"
+    )
+    code = run_cli("endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:6: bad token record: "
+        "token text ends in '*', the mark of an unclosed word\n"
     )
 
 

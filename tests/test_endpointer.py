@@ -1,5 +1,8 @@
 """Tests for the endpoint state machine and transcript commitment."""
 
+import random
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from endpoint_rt.endpointer import (
     Endpointer,
     Mode,
     Trigger,
+    _words,
     commit_transcript,
     hypothesis_words,
     new_endpointer,
@@ -579,6 +583,28 @@ def test_commit_rejects_unsorted_tokens():
     tokens = [sub(200, "ka", 0), sub(100, "zo", 0)]
     with pytest.raises(ValueError, match="first inversion at index 1"):
         commit_transcript(tokens, [], 800)
+
+
+def test_commit_assigns_each_token_to_the_first_endpoint_at_or_after_it():
+    # the reference: token t goes to turn bisect_left(boundaries, t), one
+    # token at a time; ties of tokens with endpoints and of endpoints occur
+    rng = random.Random(12)
+    for case in range(1000):
+        tokens = []
+        for t in sorted(rng.randrange(0, 400, 20) for _ in range(rng.randint(0, 20))):
+            kind = rng.choice(list(TokenKind))
+            word = rng.choice([None, 0, 1, 2])
+            tokens.append(TokenEvent(t, kind, "" if kind is TokenKind.BLANK else "ka", word))
+        boundaries = sorted(rng.randrange(0, 420, 20) for _ in range(rng.randint(0, 5)))
+        non_blank = [tok for tok in tokens if tok.kind is not TokenKind.BLANK]
+        groups = [[] for _ in range(len(boundaries) + 1)]
+        for tok in non_blank:
+            groups[bisect_left(boundaries, tok.emit_time_ms)].append(tok)
+        if boundaries and not groups[-1]:
+            groups.pop()
+        turns = commit_transcript(tokens, _eps(boundaries), 500)
+        assert [t.words for t in turns] == [_words(g) for g in groups], f"case {case}"
+        assert [t.end_ms for t in turns] == (boundaries + [500])[: len(groups)]
 
 
 def test_hypothesis_words_flatten_in_turn_order():

@@ -9,7 +9,8 @@ and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
 event.  The EOW-gated modes give the same endpoints over run_sweep's
 reduced timeline, and over any timeline that keeps more of the
-decisions.  run_sweep, given each timeline's VAD columns, tokens and
+decisions.  run_sweep, given each timeline's VAD columns, its token
+columns and non-BLANK TokenEvents as a CallRecord holds them, and its
 end, must give run_call's endpoints on the full timeline, and fail on
 the inputs that merge_streams and run_call reject.
 """
@@ -21,6 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import token_columns
 
 from endpoint_rt.endpointer import (
     EndpointerConfig,
@@ -34,6 +36,9 @@ from endpoint_rt.endpointer import (
     run_sweep,
 )
 from endpoint_rt.streams import (
+    BLANK_CODE,
+    EOW_CODE,
+    CallRecord,
     EndOfStream,
     TimelineEvent,
     TokenEvent,
@@ -137,13 +142,25 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
     assert digests == PINNED
 
 
+def token_args(tokens):
+    """run_sweep's token arguments, as a CallRecord of these tokens holds them.
+
+    The emit time and kind code columns, and the non-BLANK TokenEvents.
+    """
+    call = CallRecord("c", 40, **token_columns(tokens))
+    return call.token_time, call.token_kind, call.non_blank_tokens
+
+
 def columns(timeline):
-    """A merged timeline's VAD columns, token stream and end time."""
+    """run_sweep's arguments after the configs, from a merged timeline.
+
+    Its VAD columns, its token columns and non-BLANK tokens, and its end.
+    """
     vad = [ev.payload for ev in timeline if isinstance(ev.payload, VadDecision)]
     tokens = [ev.payload for ev in timeline if isinstance(ev.payload, TokenEvent)]
     times = np.array([d.time_ms for d in vad], dtype=np.int64)
     speech = np.array([d.is_speech for d in vad], dtype=bool)
-    return times, speech, tokens, timeline[-1].time_ms
+    return times, speech, *token_args(tokens), timeline[-1].time_ms
 
 
 def test_reduced_timelines_decide_as_the_full_ones():
@@ -155,7 +172,7 @@ def test_reduced_timelines_decide_as_the_full_ones():
     dropped = 0
     for case in range(N_TIMELINES):
         cfg, timeline = random_case(rng)
-        times, speech, tokens, end = columns(timeline)
+        times, speech, _, _, tokens, end = columns(timeline)
         for mode in (Mode.EOW, Mode.TS_AND_EOW):
             gated = replace(cfg, mode=mode)
             want = run_call(gated, timeline)
@@ -196,13 +213,14 @@ def test_reduced_timelines_decide_as_the_full_ones_when_runs_crowd():
     rng = random.Random(29)
     for case in range(3000):
         cfg, timeline = crowded_case(rng)
-        times, speech, tokens, end = columns(timeline)
+        times, speech, token_times, kinds, tokens, end = columns(timeline)
         runs = _nonspeech_runs(times, speech)
         kept = _deciding_frames(times, speech, runs, {(cfg.ts_threshold_ms, cfg.frame_ms)})
         reduced = _reduced_timeline(times, speech, tokens, end, kept)
         want = run_call(cfg, timeline)
         assert run_call(cfg, reduced) == want, f"case {case}"
-        assert run_sweep([cfg], times, speech, tokens, end) == [want], f"case {case}"
+        sweep = run_sweep([cfg], times, speech, token_times, kinds, tokens, end)
+        assert sweep == [want], f"case {case}"
 
 
 def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision():
@@ -212,10 +230,12 @@ def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision()
     cfg = EndpointerConfig(Mode.TS_AND_EOW, 40, 1, 1000, 40)
     times = [0, 0, 40, 80, 120, 160]
     speech = [False, True, False, False, False, False]
-    tokens = [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
+    tokens = token_args(
+        [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
+    )
     want = [EndpointEvent(80, Trigger.TS_AND_EOW_IMMEDIATE, 40)]
-    assert _merged_run(cfg, times, speech, tokens, 160) == want
-    assert run_sweep([cfg], times, speech, tokens, 160) == [want]
+    assert _merged_run(cfg, times, speech, *tokens, 160) == want
+    assert run_sweep([cfg], times, speech, *tokens, 160) == [want]
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
@@ -266,21 +286,34 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
         assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
 
 
-def _merged_run(cfg, times, speech, tokens, end_ms):
-    """run_call over the timeline merge_streams builds from the columns."""
+def _merged_run(cfg, times, speech, token_times, kinds, non_blank, end_ms):
+    """run_call over the timeline merge_streams builds from the columns.
+
+    The token stream holds a BLANK TokenEvent at each BLANK row of the
+    token columns and the next of ``non_blank`` at every other row.
+    """
+    events = iter(non_blank)
+    tokens = [
+        TokenEvent(t, TokenKind.BLANK) if k == BLANK_CODE else next(events)
+        for t, k in zip(token_times, kinds)
+    ]
     timeline = merge_streams(list(map(VadDecision, times, speech)), tokens)
     timeline[-1] = TimelineEvent(end_ms, EndOfStream())
     return run_call(cfg, timeline)
 
 
-_BLANK_20 = TokenEvent(20, TokenKind.BLANK)
+_EOW_40 = TokenEvent(40, TokenKind.EOW)
 
-# vad_times, is_speech, tokens, end_ms
+# vad_times, is_speech, token_times, token_kinds, non_blank, end_ms
 REJECTED = {
-    "out of order": ([0, 80, 40], [False, False, True], [_BLANK_20], 80),
-    "unsorted tokens": ([0, 40], [False, False], [TokenEvent(40, TokenKind.EOW), _BLANK_20], 40),
-    "after EndOfStream": ([0, 40], [False, False], [_BLANK_20], 20),
-    "unknown payload": ([0, 40], [False, True], [_BLANK_20, VadDecision(40, True)], 40),
+    "out of order": ([0, 80, 40], [False, False, True], [20], [BLANK_CODE], [], 80),
+    "unsorted tokens": (
+        [0, 40], [False, False], [40, 20], [EOW_CODE, BLANK_CODE], [_EOW_40], 40
+    ),
+    "after EndOfStream": ([0, 40], [False, False], [20], [BLANK_CODE], [], 20),
+    "unknown payload": (
+        [0, 40], [False, True], [20, 40], [BLANK_CODE, EOW_CODE], [VadDecision(40, True)], 40
+    ),
 }
 
 
@@ -308,4 +341,24 @@ def test_run_sweep_rejects_what_run_call_rejects(name, modes):
 def test_run_sweep_rejects_columns_of_unequal_length(times, speech):
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
     with pytest.raises(ValueError, match="vad columns differ"):
-        run_sweep(cfgs, times, speech, [], 40)
+        run_sweep(cfgs, times, speech, [], [], [], 40)
+
+
+@pytest.mark.parametrize(
+    "token_times, kinds", [([0, 40], [BLANK_CODE]), ([0], [BLANK_CODE, BLANK_CODE])]
+)
+def test_run_sweep_rejects_token_columns_of_unequal_length(token_times, kinds):
+    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
+    with pytest.raises(ValueError, match="token columns differ"):
+        run_sweep(cfgs, [0], [False], token_times, kinds, [], 40)
+
+
+@pytest.mark.parametrize(
+    "non_blank",
+    [[], [_EOW_40, _EOW_40], [TokenEvent(20, TokenKind.EOW)]],
+    ids=["missing", "extra", "moved"],
+)
+def test_run_sweep_rejects_non_blank_tokens_unlike_the_columns(non_blank):
+    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
+    with pytest.raises(ValueError, match="non-BLANK tokens differ from the token columns"):
+        run_sweep(cfgs, [0], [False], [20, 40], [BLANK_CODE, EOW_CODE], non_blank, 40)

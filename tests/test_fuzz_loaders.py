@@ -2,7 +2,7 @@
 
 Valid files are written by the package's own savers, then mutated from a
 fixed seed by truncation, bit flips, dropped fields and inserted non-ASCII
-bytes.  Whatever the mutant, a loader either parses it or raises an error
+bytes, and call files also by hostile token fields.  Whatever the mutant, a loader either parses it or raises an error
 that names the file and line (text formats) or the file and field
 (checkpoints).  Every mutated call file fed to the ``endpoint`` command
 exits 0, 1 or 2; an exception escaping ``cli.main`` fails the test.
@@ -188,6 +188,45 @@ def test_endpoint_on_mutated_calls_exits_cleanly(valid_files, tmp_path, capsys):
             assert err.startswith(f"error: {path}:"), err
         codes.add(code)
     assert codes >= {0, 1}  # the mutants reach both outcomes
+
+
+# values past int64 either way, negative word indices, fragment marks and
+# unknown kinds, with valid values so some mutants still parse
+TOKEN_FIELDS = (
+    str(10**23 - 1), str(2**63), str(-(2**63) - 1), "-1", "-7", "ka*", "*",
+    "WORD", "x", "-", "0", str(2**63 - 1), "BLANK", "SUBWORD", "EOW",
+)
+
+
+def mutate_token(data: bytes, rng: random.Random) -> bytes:
+    """``data`` with one field of a random token line replaced by a hostile value."""
+    lines = data.split(b"\n")
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith(b"token ")])
+    fields = lines[k].split(b" ")
+    fields[rng.randrange(1, len(fields))] = rng.choice(TOKEN_FIELDS).encode()
+    lines[k] = b" ".join(fields)
+    return b"\n".join(lines)
+
+
+def test_call_loader_and_endpoint_name_the_line_of_a_mutated_token(
+    valid_files, tmp_path, capsys
+):
+    data = (valid_files / "c.call").read_bytes()
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    path = calls / "c.call"
+    rng = random.Random(SEED + 4)
+    codes = set()
+    for _ in range(N_MUTANTS):
+        mutant = mutate_token(data, rng)
+        assert_parses_or_names_line(callfile.load_call, path, mutant)
+        code = cli.main(["endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1 and "invalid call" not in err:
+            assert err.startswith(f"error: {path}:"), err
+        codes.add(code)
+    assert codes == {0, 1}  # the mutants reach both outcomes
 
 
 def test_non_ascii_byte_names_the_file_and_line(tmp_path):

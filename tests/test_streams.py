@@ -1,9 +1,11 @@
 """Tests for the timeline records, stream merging, and call validation."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import token_columns, token_violations
 
 from endpoint_rt.simulator import SimConfig, gen_call, oracle_vad
 from endpoint_rt.streams import (
@@ -19,12 +21,13 @@ from endpoint_rt.streams import (
 )
 
 
-def _call(indices, **records):
+def _call(indices, tokens=(), **records):
     """Call "c" on a 40 ms grid: speech frames at ``indices``, zero features."""
     n = len(indices)
     return CallRecord(
         "c", 40, frame_index=indices, features=np.zeros((n, 2)),
-        labels=np.ones(n), teacher_labels=np.full(n, -1), **records,
+        labels=np.ones(n), teacher_labels=np.full(n, -1),
+        **token_columns(tokens), **records,
     )
 
 
@@ -141,6 +144,44 @@ def test_frames_view_every_column():
     assert call.end_ms == 120
 
 
+def test_call_token_columns_must_agree_in_length():
+    with pytest.raises(ValueError, match=r"^c: token_kind has shape \(1,\), expected"):
+        CallRecord("c", 40, token_time=[0, 40], token_kind=[0], token_word=[-1, -1],
+                   token_text=["", ""])
+    with pytest.raises(ValueError, match="^c: token_text has 1 entries, expected 2"):
+        CallRecord("c", 40, token_time=[0, 40], token_kind=[0, 0], token_word=[-1, -1],
+                   token_text=[""])
+
+
+@pytest.mark.parametrize(
+    "kinds, words, message",
+    [([0, 3], [-1, -1], "token 1: bad token_kind code"),
+     ([0, -1], [-1, -1], "token 1: bad token_kind code"),
+     ([1, 1], [0, -2], "token 1: bad token_word code")],
+)
+def test_call_rejects_unknown_token_codes(kinds, words, message):
+    with pytest.raises(ValueError, match=f"^c: {message}"):
+        CallRecord("c", 40, token_time=[0, 40], token_kind=kinds, token_word=words,
+                   token_text=["", "ka"])
+
+
+def test_tokens_view_every_token_column():
+    tokens = (
+        TokenEvent(0, TokenKind.BLANK),
+        TokenEvent(40, TokenKind.SUBWORD, "ka", 3),
+        TokenEvent(40, TokenKind.SUBWORD, "zo", None),
+        TokenEvent(80, TokenKind.EOW, "", 3),
+        TokenEvent(120, TokenKind.BLANK),
+    )
+    call = CallRecord("c", 40, **token_columns(tokens))
+    assert call.tokens == tokens
+    assert call.non_blank_tokens == tokens[1:4]
+    assert call.tokens is call.tokens  # built once
+    for name in ("token_time", "token_kind", "token_word"):
+        assert not getattr(call, name).flags.writeable
+    assert call.token_text == ("", "ka", "zo", "", "")
+
+
 # ---------------------------------------------------------------------------
 # validate_call
 
@@ -181,7 +222,7 @@ def test_validate_flags_a_call_ending_beyond_int64():
 def test_validate_bounds_a_frameless_call_at_0_ms():
     tokens = (TokenEvent(0, TokenKind.SUBWORD, "ka", 0), TokenEvent(40, TokenKind.EOW, "", 0))
     segments = (ReferenceSegment("c", 0, 40, ("ka",)),)
-    out = validate_call(CallRecord("c", 40, tokens=tokens, segments=segments))
+    out = validate_call(CallRecord("c", 40, **token_columns(tokens), segments=segments))
     assert [(v.field, v.index) for v in out] == [
         ("tokens.emit_time_ms", 1),
         ("segments.end_ms", 0),
@@ -263,3 +304,42 @@ def test_simulated_call_streams_merge_cleanly():
     times = [e.time_ms for e in merged]
     assert times == sorted(times)
     assert isinstance(merged[-1].payload, EndOfStream)
+
+
+# every token list the validate_call cases above build
+VALIDATE_CASES = [
+    (),
+    (TokenEvent(100, TokenKind.SUBWORD, "ka", 0), TokenEvent(200, TokenKind.EOW, "", 0),
+     TokenEvent(240, TokenKind.BLANK)),
+    (TokenEvent(0, TokenKind.SUBWORD, "ka", 0), TokenEvent(40, TokenKind.EOW, "", 0)),
+    (TokenEvent(100, TokenKind.BLANK), TokenEvent(50, TokenKind.BLANK)),
+    (TokenEvent(0, TokenKind.BLANK, "oops"),),
+    (TokenEvent(0, TokenKind.EOW, "", 7), TokenEvent(40, TokenKind.SUBWORD, "ka", 7)),
+    (TokenEvent(500, TokenKind.BLANK),),
+]
+
+
+def random_tokens(rng):
+    """Tokens of every kind, often out of order or out of bounds, some repeated words."""
+    out = []
+    t = rng.randint(-80, 40)
+    for _ in range(rng.randint(0, 30)):
+        t += rng.choice([-40, 0, 0, 10, 40, 80])
+        kind = rng.choice(list(TokenKind))
+        text = rng.choice(["", "ka"]) if kind is TokenKind.BLANK else rng.choice(["", "zo"])
+        word = rng.choice([None, 0, 1, 2])
+        out.append(TokenEvent(t, kind, text, word))
+    return tuple(out)
+
+
+def test_validate_token_checks_match_a_walk_over_every_token():
+    rng = random.Random(15)
+    cases = VALIDATE_CASES + [random_tokens(rng) for _ in range(2000)]
+    flagged = set()
+    for k, tokens in enumerate(cases):
+        n_frames = k % 6
+        out = validate_call(_call(range(n_frames), tokens))
+        want = token_violations(tokens, n_frames * 40)
+        assert [v for v in out if v.field.startswith("tokens.")] == want, f"case {k}"
+        flagged.update(v.field for v in want)
+    assert flagged == {"tokens.emit_time_ms", "tokens.text", "tokens.word_index"}
