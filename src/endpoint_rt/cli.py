@@ -140,6 +140,7 @@ def _vad_source(spec: str, seed: int) -> VadSource:
                     f"{call.call_id}: model expects {d_in} features per frame, "
                     f"call has {dim}"
                 )
+            _check_finite(call)
             p = vadnet.posteriors(model, call.features)
             return call.frame_times, vadnet.speech_flags(p, threshold)
 
@@ -303,7 +304,8 @@ def _frame_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The calls' stacked features and label (or teacher label) codes.
 
-    Every frame must carry the label; ``role`` names the calls in errors.
+    Every frame must carry the label and finite features; ``role`` names
+    the calls in errors.
     """
     calls = [c for c in calls if len(c.frame_index)]
     if not calls:
@@ -315,12 +317,23 @@ def _frame_arrays(
                 f"{call.call_id}: {call.features.shape[1]} features per frame, "
                 f"{calls[0].call_id} has {dim}"
             )
+        _check_finite(call)
     codes = np.concatenate([c.teacher_labels if teacher else c.labels for c in calls])
     missing = np.flatnonzero(codes == NO_LABEL)
     if missing.size:
         column = "teacher_label" if teacher else "label"
         raise ValueError(f"{role} frame {missing[0]} has no {column}")
     return np.concatenate([c.features for c in calls]), codes
+
+
+def _check_finite(call: CallRecord) -> None:
+    """The model reads every feature, so each must be a finite number."""
+    finite = np.isfinite(call.features)
+    if not finite.all():
+        row = np.flatnonzero(~finite.all(axis=1))[0]
+        raise ValueError(
+            f"{call.call_id}: frame {call.frame_index[row]} has a non-finite feature"
+        )
 
 
 def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerConfig:

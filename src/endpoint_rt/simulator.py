@@ -185,21 +185,20 @@ def gen_call(cfg: SimConfig) -> CallRecord:
         texts.append("")
         word_index += [w.index] * (k + 1)
 
+    # one clipped delay per token, rounded half to even; the emission times
+    # are made monotone and capped at the stream's end.  In float64 the sum
+    # is exact below 2**53 ms and any larger one caps at total_ms anyway.
     mean, std, clip_max = cfg.emission_delay
-    emitted: list[int] = []
-    prev_emit = 0
-    for t in ideal:
-        delay = float(np.clip(rng.normal(mean, std), 0.0, clip_max))
-        emit = t + int(round(delay))
-        emit = min(max(emit, prev_emit), total_ms)  # monotone, within the stream
-        prev_emit = emit
-        emitted.append(emit)
+    delay = np.rint(np.clip(rng.normal(mean, std, len(ideal)), 0.0, clip_max))
+    emit = np.maximum.accumulate(np.array(ideal, dtype=float) + delay)
+    emitted = np.minimum(emit, total_ms).astype(np.int64)
 
-    occupied = {t // f for t in emitted if t < total_ms}
-    blanks = [i * f for i in range(n_frames) if i not in occupied]
+    occupied = np.zeros(n_frames, dtype=bool)
+    occupied[emitted[emitted < total_ms] // f] = True
+    blanks = np.flatnonzero(~occupied) * f
     n_blank = len(blanks)
     # a blank marks a frame without an emission, so no ms holds both kinds
-    times = np.array(blanks + emitted, dtype=np.int64)
+    times = np.concatenate([blanks, emitted])
     order = np.argsort(times, kind="stable")
     token_time = times[order]
     token_kind = np.array([BLANK_CODE] * n_blank + kinds, dtype=np.int8)[order]

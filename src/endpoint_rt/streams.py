@@ -159,7 +159,13 @@ class CallRecord:
             (_TOKEN_COLUMNS, len(self.token_time)),
         ):
             for name, dtype, ndim in columns:
-                column = np.asarray(getattr(self, name), dtype=dtype)
+                try:
+                    column = np.asarray(getattr(self, name), dtype=dtype)
+                except OverflowError as exc:
+                    raise ValueError(
+                        f"{self.call_id}: {name} holds a value outside "
+                        f"{np.dtype(dtype).name}"
+                    ) from exc
                 if column.ndim != ndim or column.shape[0] != rows:
                     raise ValueError(
                         f"{self.call_id}: {name} has shape {column.shape}, "

@@ -2,7 +2,9 @@
 
 A small fixed-shape MLP ([d_in, h1, h2, 1], rectifier hidden units,
 logistic output) trained with plain mini-batch gradient descent on
-cross-entropy.  Nothing adaptive: no momentum, no schedules.  The point
+cross-entropy.  Nothing adaptive: no momentum, no schedules.  An epoch's
+loss is the mean over its batches, weighted by batch size, of each
+batch's mean cross-entropy taken before that batch's update.  The point
 of the model is not accuracy records but a controllable error rate, so
 the module also carries the DET-curve / equal-error-rate analysis used to
 pick an operating threshold, and a self-describing binary checkpoint
@@ -100,12 +102,10 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.
         acts.append(h)
     z = (h @ model.weights[-1] + model.biases[-1]).ravel()
     acts.append(z)
-    # logistic, computed stably on both tails
-    p = np.empty_like(z)
-    pos = z >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    p[~pos] = ez / (1.0 + ez)
+    # logistic, computed stably on both tails: 1/(1+e^-z) for z >= 0,
+    # e^z/(1+e^z) below
+    e = np.exp(-np.abs(z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return p, acts
 
 
@@ -115,6 +115,30 @@ def posteriors(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return np.clip(p, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
 
 
+def _grads(
+    model: MlpModel, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """A batch's logits and the parameter gradients of its mean cross-entropy."""
+    p, acts = _forward_batch(model, x)
+    delta = ((p - y) / x.shape[0])[:, None]
+    grads_w: list[np.ndarray] = [np.empty(0)] * 3
+    grads_b: list[np.ndarray] = [np.empty(0)] * 3
+    for layer in (2, 1, 0):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer:
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+    return acts[-1], grads_w, grads_b
+
+
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy from logits, as softplus(z) - y*z.
+
+    softplus(z) - y*z == -[y log p + (1-y) log(1-p)], finite for any z.
+    """
+    return np.logaddexp(0.0, z) - y * z
+
+
 def loss_and_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -122,36 +146,28 @@ def loss_and_grads(
 
     The loss is computed from logits via log1p-style softplus, so the
     value and the gradients stay finite for any parameter scale; gradients
-    here are what one training step descends.
+    here are what one training step descends.  The l2 terms are added
+    only for a nonzero ``l2``.
     """
-    n = x.shape[0]
-    p, acts = _forward_batch(model, x)
-    z = acts[-1]
-    # softplus(z) - y*z == -[y log p + (1-y) log(1-p)]
-    data_loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    loss = data_loss + 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
-
-    d_z = (p - y) / n
-    grads_w: list[np.ndarray] = [np.empty(0)] * 3
-    grads_b: list[np.ndarray] = [np.empty(0)] * 3
-    delta = d_z[:, None]
-    for layer in (2, 1, 0):
-        grads_w[layer] = acts[layer].T @ delta + l2 * model.weights[layer]
-        grads_b[layer] = delta.sum(axis=0)
-        if layer:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+    z, grads_w, grads_b = _grads(model, x, y)
+    loss = float(np.mean(_cross_entropy(z, y)))
+    if l2:
+        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
+        grads_w = [g + l2 * w for g, w in zip(grads_w, model.weights)]
     return loss, grads_w, grads_b
 
 
 def train_arrays(
     model: MlpModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> list[float]:
-    """Train in place on feature rows x; returns per-epoch mean sample loss.
+    """Train in place on feature rows x; returns the loss of each epoch.
 
     y holds 1.0 for speech, 0.0 for nonspeech.  Batches are reshuffled
     every epoch from the config seed, so a fixed (seed, row order) pair
-    gives a bit-identical trajectory.  Single-class data is rejected (no
-    decision boundary to learn).
+    gives a bit-identical trajectory.  An epoch's loss is the mean over
+    its batches, weighted by batch size, of each batch's mean
+    cross-entropy taken before that batch's update.  Single-class data is
+    rejected (no decision boundary to learn).
     """
     n = x.shape[0]
     if n == 0:
@@ -164,19 +180,38 @@ def train_arrays(
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
 
     rng = np.random.default_rng(cfg.seed)
+    size = cfg.batch_size
     history: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_grads(model, x[idx], y[idx])
-            total += loss * len(idx)
+        xs, ys = x[order], y[order]
+        logits = []
+        for start in range(0, n, size):
+            z, gw, gb = _grads(model, xs[start : start + size], ys[start : start + size])
+            logits.append(z)
             for layer in range(3):
                 model.weights[layer] -= cfg.learning_rate * gw[layer]
                 model.biases[layer] -= cfg.learning_rate * gb[layer]
-        history.append(total / n)
+        history.append(_epoch_loss(_cross_entropy(np.concatenate(logits), ys), size))
     return history
+
+
+def _epoch_loss(losses: np.ndarray, size: int) -> float:
+    """Size-weighted mean of the batch means of per-sample losses.
+
+    Batch k holds rows [k*size, (k+1)*size); the sum runs in batch order.
+    """
+    n = len(losses)
+    full = n - n % size
+    means = losses[:full].reshape(-1, size).mean(axis=1).tolist()
+    sizes = [size] * len(means)
+    if full < n:
+        means.append(float(np.mean(losses[full:])))
+        sizes.append(n - full)
+    total = 0.0
+    for mean, rows in zip(means, sizes):
+        total += mean * rows
+    return total / n
 
 
 def det_curve(posteriors: Sequence[float], is_speech: Sequence[bool]) -> DetCurve:

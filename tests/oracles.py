@@ -4,8 +4,9 @@ Each oracle favors obviousness over speed and deliberately avoids the
 code paths it checks: edit distance is a memoized recursion instead of a
 DP matrix, event matching enumerates every one-to-one assignment, DET/EER
 counts per threshold interval with exact fractions, the nonspeech-run
-scan works offline on the raw decision list, and the token checks walk
-one TokenEvent at a time.
+scan works offline on the raw decision list, the token checks walk
+one TokenEvent at a time, and the training loop gathers each batch by
+index and takes its loss from the public ``loss_and_grads``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from endpoint_rt.streams import (
     BLANK_CODE,
@@ -23,6 +26,7 @@ from endpoint_rt.streams import (
     TokenKind,
     Violation,
 )
+from endpoint_rt.vadnet import MlpModel, TrainConfig, loss_and_grads
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +250,33 @@ def token_violations(tokens: Sequence[TokenEvent], end_cap: int) -> list[Violati
                 Violation("tokens.emit_time_ms", k, f"emit time {t} outside call bounds [0, {end_cap}]")
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# VAD training
+
+
+def reference_train(
+    model: MlpModel, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
+) -> list[float]:
+    """train_arrays' trajectory by the plain loop: per-epoch mean sample loss.
+
+    Each batch is gathered by fancy index from the epoch's permutation,
+    its loss is taken before its update, and the epoch's loss sums
+    ``loss * len(batch)`` in batch order.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    history: list[float] = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, gw, gb = loss_and_grads(model, x[idx], y[idx])
+            total += loss * len(idx)
+            for layer in range(3):
+                model.weights[layer] -= cfg.learning_rate * gw[layer]
+                model.biases[layer] -= cfg.learning_rate * gb[layer]
+        history.append(total / n)
+    return history

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
 import dataclasses
+import hashlib
+import math
 import re
 import zlib
 
@@ -322,6 +324,45 @@ def test_train_vad_trains_on_the_teacher_column(tmp_path, capsys):
     assert run_cli(*argv) == 0
 
 
+# Long, jittery emission delays and weakly separable features.
+NOISY_CFG = "n_turns = 8\nemission_delay = 300, 150, 900\nfeature_separability = 1.5\n"
+
+# sha256 of what `simulate --n-calls 6 --seed 0` writes with NOISY_CFG and of
+# the `train-vad --seed 0` checkpoint trained on it, as written when gen_call
+# drew one delay per token and train_arrays gathered each batch by index.
+PINNED_SETUP_SHA256 = {
+    "sim-00000000.call": "c86cb7eb703db3aaace52450aec0a61b2d634717a3c7a17e17eef4b3a0f05c8d",
+    "sim-00000001.call": "1b1ae7c972776ebe946e8a9e0703e069e852cffef5eacbb9ad7028520833a68d",
+    "sim-00000002.call": "5a7d0fc544fbcca3d5ed14066439e15d3fc0dcbfaee438909617464ba9e0dc48",
+    "sim-00000003.call": "34cb009ca19ff66bdd46ca43c60115b18cc7b1d73adc86bc701c9eaa52bf608f",
+    "sim-00000004.call": "0a5c759eae52f66ec0c2136d1fc7aad6514d46d51e8dd1c687044f981c863043",
+    "sim-00000005.call": "f2f4ba0d9bb75bebd8bedb90f8ec15033c6bdd701d526f4cda980751e43c50f3",
+    "vad.mdl": "dfaa359f34336c713726555622245a5d39b0eacc6f0d861093b61829041e2591",
+}
+
+
+def test_simulate_and_train_vad_write_the_pinned_set_up_bytes(tmp_path):
+    calls = simulate(tmp_path, n_calls=6, config_text=NOISY_CFG, seed=0)
+    model_path = tmp_path / "vad.mdl"
+    assert run_cli("train-vad", "--calls", str(calls), "--out", str(model_path), "--seed", "0") == 0
+    paths = sorted(calls.glob("*.call")) + [model_path]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == PINNED_SETUP_SHA256
+
+
+def test_train_vad_loss_stays_finite_when_the_squared_weights_overflow(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=5, config_text=NOISY_CFG, seed=0)
+    model_path = tmp_path / "vad.mdl"
+    argv = ["--calls", str(calls), "--out", str(model_path), "--lr", "1e6", "--epochs", "3"]
+    capsys.readouterr()
+    assert run_cli("train-vad", *argv, "--seed", "0") == 0
+    assert "final_epoch_loss=129835.796387\n" in capsys.readouterr().out
+    # a 0 * inf l2 term once made this loss nan
+    model, _ = load_model(str(model_path))
+    with np.errstate(over="ignore"):
+        assert math.isinf(sum(float(np.sum(w * w)) for w in model.weights))
+
+
 def test_train_vad_fails_cleanly_without_calls(tmp_path):
     assert run_cli("train-vad", "--calls", str(tmp_path / "nope"), "--out", "m.mdl") == 1
 
@@ -335,6 +376,32 @@ def test_train_vad_on_calls_without_frames_fails_cleanly(tmp_path, capsys):
     code = run_cli("train-vad", "--calls", str(calls), "--out", str(model))
     assert code == 1
     assert capsys.readouterr().err == f"error: {calls}: the training calls hold no frames\n"
+    assert not model.exists()
+
+
+def _set_feature(path, frame, value):
+    """Rewrite one feature of a call file (the format keeps nan and inf)."""
+    call = callfile.load_call(path)
+    features = call.features.copy()
+    features[frame, 2] = value
+    callfile.save_call(dataclasses.replace(call, features=features), path)
+
+
+@pytest.mark.parametrize(
+    "position, value",
+    [(0, float("nan")), (1, float("-inf")), (2, float("inf"))],  # call 2 is held out
+)
+def test_train_vad_names_the_frame_of_a_non_finite_feature(tmp_path, capsys, position, value):
+    calls = simulate(tmp_path, n_calls=3)
+    path = sorted(calls.glob("*.call"))[position]
+    _set_feature(path, 7, value)
+    model = tmp_path / "m.mdl"
+    capsys.readouterr()
+    code = run_cli("train-vad", "--calls", str(calls), "--out", str(model), "--epochs", "1")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: sim-{10 + position:08d}: frame 7 has a non-finite feature\n"
+    )
     assert not model.exists()
 
 
@@ -750,6 +817,22 @@ def test_tradeoff_data_failure_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "sim-00000010: model expects 4 features per frame, call has 3" in err
+
+
+@pytest.mark.parametrize("command", ["tradeoff", "endpoint"])
+def test_model_vad_names_the_frame_of_a_non_finite_feature(tmp_path, capsys, command):
+    calls = simulate(tmp_path)
+    _set_feature(sorted(calls.glob("*.call"))[1], 5, float("nan"))
+    out = tmp_path / "out"
+    base = (command, "--calls", str(calls), "--out", str(out))
+    model = untrained_model(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*base, "--vad", f"model:{model}") == 1
+    assert capsys.readouterr().err == "error: sim-00000011: frame 5 has a non-finite feature\n"
+    # endpoint writes call by call, so only the bad call's files are missing
+    assert not (out / "sim-00000011.endpoints" if command == "endpoint" else out).exists()
+    # only the model reads features
+    assert run_cli(*base, "--vad", "oracle") == 0
 
 
 def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):

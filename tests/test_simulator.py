@@ -14,6 +14,7 @@ from endpoint_rt.simulator import (
     resample_features,
 )
 from endpoint_rt.streams import (
+    BLANK_CODE,
     CallRecord,
     Label,
     TokenKind,
@@ -202,6 +203,18 @@ def test_token_stream_is_sorted_and_delays_are_bounded():
     for a, b in zip(ideal_emits, delayed_emits):
         assert (a.kind, a.text, a.word_index) == (b.kind, b.text, b.word_index)
         assert 0 <= b.emit_time_ms - a.emit_time_ms <= 400 or b.emit_time_ms == call.end_ms
+
+
+@pytest.mark.parametrize("mean, shift", [(2.5, 2), (3.5, 4), (1e300, None)])
+def test_a_fixed_delay_rounds_half_to_even_and_caps_at_the_end(mean, shift):
+    ideal = gen_call(SimConfig(seed=5, n_turns=2, emission_delay=(0.0, 0.0, 0.0)))
+    call = gen_call(SimConfig(seed=5, n_turns=2, emission_delay=(mean, 0.0, mean)))
+    ideal_times = ideal.token_time[ideal.token_kind != BLANK_CODE]
+    times = call.token_time[call.token_kind != BLANK_CODE]
+    if shift is None:
+        assert (times == call.end_ms).all()
+    else:
+        assert np.array_equal(times, np.minimum(ideal_times + shift, call.end_ms))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,21 @@ def test_call_rejects_unknown_token_codes(kinds, words, message):
                    token_text=["", "ka"])
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"token_time": [2**63]}, "token_time holds a value outside int64"),
+        ({"token_kind": [300]}, "token_kind holds a value outside int8"),
+        ({"frame_index": [2**63], "features": np.zeros((1, 2))},
+         "frame_index holds a value outside int64"),
+    ],
+)
+def test_call_names_the_column_of_a_value_outside_its_dtype(columns, message):
+    tokens = {"token_time": [0], "token_kind": [0], "token_word": [-1], "token_text": [""]}
+    with pytest.raises(ValueError, match=f"^c: {message}$"):
+        CallRecord("c", 40, **{**tokens, **columns})
+
+
 def test_tokens_view_every_token_column():
     tokens = (
         TokenEvent(0, TokenKind.BLANK),

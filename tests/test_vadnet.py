@@ -23,7 +23,7 @@ from endpoint_rt.vadnet import (
     train_arrays,
 )
 
-from oracles import brute_eer
+from oracles import brute_eer, reference_train
 
 
 def _separable(n, sep, seed, dim=4):
@@ -174,6 +174,28 @@ def test_train_is_deterministic_for_fixed_seed():
     assert runs[0][0] == runs[1][0]
     for wa, wb in zip(runs[0][1], runs[1][1]):
         assert np.array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "n, batch_size, rate",
+    [
+        (40, 64, 0.3),  # one batch, smaller than batch_size
+        (200, 64, 0.3),  # a short last batch
+        (130, 7, 0.5),
+        (37, 1, 0.3),
+        (200, 64, 0.0),
+    ],
+)
+def test_train_matches_the_reference_loop_bit_for_bit(seed, n, batch_size, rate):
+    x, y = _separable(n, 1.5, seed=seed + 100)
+    cfg = TrainConfig(learning_rate=rate, epochs=3, batch_size=batch_size, seed=seed)
+    got = init_model([4, 8, 8, 1], seed=seed)
+    want = init_model([4, 8, 8, 1], seed=seed)
+    history = train_arrays(got, x, y, cfg)
+    assert np.array(history).tobytes() == np.array(reference_train(want, x, y, cfg)).tobytes()
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_train_rejects_single_class_data():
