@@ -184,14 +184,12 @@ def _endpoint_call(
     times, speech = vad
     # the stream ends at its last event, where merge_streams stamps it
     end = max(times[-1:].tolist() + call.token_time[-1:].tolist(), default=0)
-    non_blank = call.non_blank_tokens
     committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
     results = []
-    sweep = run_sweep(cfgs, times, speech, call.token_time, call.token_kind, non_blank, end)
-    for endpoints in sweep:
+    for endpoints in run_sweep(cfgs, times, speech, call.token_time, call.token_kind, end):
         key = tuple(endpoints)
         if key not in committed:
-            committed[key] = commit_transcript(non_blank, endpoints, call.end_ms)
+            committed[key] = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
         results.append((endpoints, committed[key]))
     return results
 
@@ -362,10 +360,11 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
         cfg = _endpointer_config(args, calls[0].frame_ms)
     _check_frame_ms(calls, cfg.frame_ms)
     vad = _no_vad if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
+    # every call is endpointed before any file is written: a bad call leaves --out as it was
+    results = [_endpoint_call(call, [cfg], vad(call))[0] for call in calls]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for call in calls:
-        [(endpoints, transcripts)] = _endpoint_call(call, [cfg], vad(call))
+    for call, (endpoints, transcripts) in zip(calls, results):
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
         )

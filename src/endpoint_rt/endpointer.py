@@ -42,36 +42,29 @@ yields at most one endpoint.
 
 ``run_call`` folds ``step()`` over a timeline and is the reference.
 ``run_sweep`` gives the same endpoints for many configs from a call's VAD
-and token columns: ``TS`` and ``BLANK`` from their runs, the EOW-gated
-modes through ``run_call`` over one reduced timeline.  It keeps the first
-and last decision of each run of equal flags, the decision at which a
-nonspeech run completes each ``TS_AND_EOW`` delta, every decision of a
-nonspeech run that starts within a frame of the previous one's start,
-and the non-BLANK tokens.  The other decisions decide nothing: those
-inside a speech run repeat the first one's cancel and re-arm, and those
-inside a nonspeech run find the rules armed only where a kept decision
-already acted.
+and token columns, per maximal nonspeech run, without a timeline; its
+EOW-gated rules need decisions at least a frame apart.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .streams import (
     BLANK_CODE,
+    EOW_CODE,
     EndOfStream,
     TimelineEvent,
     TokenEvent,
     TokenKind,
     VadDecision,
     _first_inversion,
-    merge_streams,
 )
 
 log = logging.getLogger(__name__)
@@ -407,7 +400,6 @@ def run_sweep(
     is_speech: Sequence[bool],
     token_times: Sequence[int],
     token_kinds: Sequence[int],
-    non_blank: Sequence[TokenEvent],
     end_ms: int,
 ) -> list[list[EndpointEvent]]:
     """The endpoints ``run_call`` gives for each config, from VAD and token columns.
@@ -415,52 +407,20 @@ def run_sweep(
     ``vad_times[k]`` and ``is_speech[k]`` are the k-th VAD decision,
     ``token_times[j]`` and ``token_kinds[j]`` the j-th token's emit time
     and kind code (``CallRecord.token_time`` and ``token_kind``), both
-    streams sorted by time.  ``non_blank`` holds the TokenEvents of the
-    tokens whose kind is not BLANK, in order (``CallRecord.non_blank_tokens``),
-    and ``end_ms`` is the time of the EndOfStream that ends the timeline
-    ``merge_streams`` would build from the decisions and the full token
-    stream.  No BLANK token is ever built.  ``TS`` and ``BLANK`` come from
-    runs: ``TS``
-    ends every maximal run of consecutive nonspeech decisions whose first
-    time s and last time l satisfy l + frame_ms - s >= delta, at s + delta;
-    ``BLANK`` ends every maximal run of at least N consecutive BLANK tokens
-    at its N-th blank, with the first blank's time as silence start.
-
-    The EOW-gated configs all step one reduced timeline, built by
-    ``merge_streams``, that keeps only the events their rules can act on
-    (``_deciding_frames``):
-
-    * the first and the last decision of every run of equal flags;
-    * for each ``TS_AND_EOW`` delta, the first decision of each nonspeech
-      run at which the run completes it (t + frame_ms - s >= delta);
-    * every decision of a nonspeech run that starts within frame_ms of
-      the previous nonspeech run's start;
-    * every non-BLANK token, and the EndOfStream, stamped at ``end_ms``.
-
-    Why the other decisions decide nothing.  A speech decision cancels a
-    deferral, marks a pending fire as met by speech, and re-arms; inside
-    a speech run it repeats the first one's work, except the re-arm after
-    a token's emission, which the run's last decision redoes before any
-    nonspeech decision reads it.  Inside a nonspeech run, ``EOW`` arms a
-    fire only at the run's first decision or at an EOW token: the slot,
-    the pending entry and the armed flag change only at tokens, or at an
-    emission, which disarms.  ``TS_AND_EOW`` can first arm at the decision
-    that completes delta; if an emission or a pending fire blocks it
-    there, a later decision of the run can arm only when that fire
-    resolves silently, which needs a fire from an earlier run stamped at
-    or after the completing time, so from a run that started within
-    frame_ms of this one (the third rule).  Dropping an event moves what
-    it would have resolved to the next kept event, with the same result:
-    adjudication reads no clock and a deferral times out at its
-    deadline; a BLANK token's handler does nothing in these modes.
-    ``EOW`` reads only ``frame_ms``, so one ``run_call`` serves every
-    delta; ``TS_AND_EOW`` goes through ``run_call`` once per distinct
-    delta, cap and frame.
+    sorted by time, and ``end_ms`` is the time of the EndOfStream that
+    ends the timeline ``merge_streams`` would build from them.  Each mode
+    reads the maximal runs of consecutive nonspeech decisions, a run
+    having first time s, last time l and next (speech) decision n:
+    ``TS`` ends each run with l + frame_ms - s >= delta at s + delta;
+    ``BLANK`` ends each run of at least N BLANK tokens at its N-th; the
+    EOW-gated modes walk the runs over the non-BLANK tokens.
 
     Inputs ``run_call`` would reject on the merged timeline raise here,
-    whatever the modes: unsorted times or tokens, or ``end_ms`` before
-    the last event; so do columns of unequal length and non-BLANK events
-    whose times are not those of the columns' non-BLANK tokens.
+    whatever the modes: unsorted times or tokens, or ``end_ms`` before the
+    last event; so do columns of unequal length, unknown kind codes and,
+    with an EOW-gated config, decisions closer than its frame_ms (the walks
+    need that gap to settle each run's fire before the next run starts;
+    every call ``validate_call`` passes has it).
     """
     times = np.asarray(vad_times, dtype=np.int64)
     speech = np.asarray(is_speech, dtype=bool)
@@ -469,37 +429,38 @@ def run_sweep(
             f"vad columns differ: {times.shape} times, {speech.shape} speech flags"
         )
     tok_times = np.asarray(token_times, dtype=np.int64)
-    is_blank = np.asarray(token_kinds) == BLANK_CODE
-    if tok_times.ndim != 1 or tok_times.shape != is_blank.shape:
+    kinds = np.asarray(token_kinds)
+    if tok_times.ndim != 1 or tok_times.shape != kinds.shape:
         raise ValueError(
-            f"token columns differ: {tok_times.shape} times, {is_blank.shape} kinds"
+            f"token columns differ: {tok_times.shape} times, {kinds.shape} kinds"
         )
+    bad = np.flatnonzero((kinds < BLANK_CODE) | (kinds > EOW_CODE))
+    if bad.size:
+        raise ValueError(f"token {bad[0]}: kind code {kinds[bad[0]]} names no token kind")
     inv = _first_inversion(times)
     if inv is not None:
         raise ValueError(f"vad stream unsorted: first inversion at index {inv}")
     inv = _first_inversion(tok_times)
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
-    if not np.array_equal(
-        np.array([tok.emit_time_ms for tok in non_blank], dtype=np.int64),
-        tok_times[~is_blank],
-    ):
-        raise ValueError("non-BLANK tokens differ from the token columns")
     last = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=end_ms)
     if end_ms < last:
         raise ValueError(f"out-of-order event at {end_ms} ms after {last} ms")
+    gap = max((c.frame_ms for c in cfgs if c.mode in (Mode.EOW, Mode.TS_AND_EOW)), default=0)
+    close = np.flatnonzero(np.diff(times) < gap)
+    if close.size:
+        k = int(close[0]) + 1
+        raise ValueError(
+            f"vad times step by less than frame_ms={gap}: "
+            f"index {k} at {times[k]} ms after {times[k - 1]} ms"
+        )
 
-    nonspeech = _nonspeech_runs(times, speech)
-    _, _, starts, spans = nonspeech
-    blank_first, blank_last = _runs(is_blank)
-
-    reduced: list[TimelineEvent] = []
-    if any(cfg.mode is Mode.EOW or cfg.mode is Mode.TS_AND_EOW for cfg in cfgs):
-        deltas = {
-            (c.ts_threshold_ms, c.frame_ms) for c in cfgs if c.mode is Mode.TS_AND_EOW
-        }
-        kept = _deciding_frames(times, speech, nonspeech, deltas)
-        reduced = _reduced_timeline(times, speech, non_blank, end_ms, kept)
+    first, last = _runs(~speech)
+    starts = times[first]
+    spans = times[last] - starts
+    blank_first, blank_last = _runs(kinds == BLANK_CODE)
+    if gap:
+        walk = _Walk(times, first, last, tok_times, kinds)
 
     def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
         if cfg.mode is Mode.TS:
@@ -517,7 +478,10 @@ def run_sweep(
                 EndpointEvent(t, Trigger.BLANK_RUN, s)
                 for s, t in zip(tok_times[first].tolist(), ends.tolist())
             ]
-        return run_call(cfg, reduced)
+        if cfg.mode is Mode.EOW:
+            return _eow_walk(cfg.frame_ms, walk)
+        done = np.flatnonzero(spans >= cfg.ts_threshold_ms - cfg.frame_ms).tolist()
+        return _ts_and_eow_walk(cfg, walk, done, end_ms)
 
     shared: dict[tuple, list[EndpointEvent]] = {}
     out = []
@@ -529,66 +493,101 @@ def run_sweep(
     return out
 
 
-def _nonspeech_runs(
-    times: np.ndarray, speech: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First and last index, start time and span of every nonspeech run.
+class _Walk:
+    """What the EOW-gated walks read, as lists, from the decision times, the
+    first and last index of each nonspeech run and the token columns.
 
-    A run's span is its last decision's time minus its first's, so the run
-    completes delta iff span >= delta - frame_ms.
+    The decision ``times``; each run's ``start``, ``next`` decision (inf if
+    none) and ``late``, run r-1's next decision if the speech run between
+    them is that one decision (an endpoint of run r-1 stamped there is
+    emitted after the only decision that re-armed the machine, so run r
+    finds it disarmed).  The non-BLANK tokens' times ``tok`` and EOW
+    flags, and the first EOW and SUBWORD at or after each index.
     """
-    first, last = _runs(~speech)
-    starts = times[first]
-    return first, last, starts, times[last] - starts
+
+    def __init__(self, times, first, last, tok_times, kinds):
+        self.times, self.start = times.tolist(), times[first].tolist()
+        after = [*self.times, float("inf")]
+        self.next = [after[k + 1] for k in last.tolist()]
+        self.late: list = [None] * len(first)
+        for r in (np.flatnonzero(first[1:] - last[:-1] == 2) + 1).tolist():
+            self.late[r] = self.next[r - 1]
+        rows = kinds != BLANK_CODE
+        eow = kinds[rows] == EOW_CODE
+        self.tok, self.eow = tok_times[rows].tolist(), eow.tolist()
+        at = np.arange(len(eow) + 1)
+        eows, subs = np.flatnonzero(eow), np.flatnonzero(~eow)
+        self.next_eow = np.append(eows, len(eow))[np.searchsorted(eows, at)].tolist()
+        self.next_sub = np.append(subs, len(eow))[np.searchsorted(subs, at)].tolist()
 
 
-def _deciding_frames(
-    times: np.ndarray,
-    speech: np.ndarray,
-    nonspeech: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    deltas: Iterable[tuple[int, int]],
-) -> np.ndarray:
-    """Sorted indices of the decisions ``run_sweep`` keeps for the EOW-gated rules.
+def _eow_walk(frame: int, w: _Walk) -> list[EndpointEvent]:
+    """``EOW``'s endpoints, one nonspeech run at a time.
 
-    The first and last decision of every run of equal flags; for each
-    (delta, frame_ms) the first decision of each nonspeech run that
-    completes delta; and every decision of a nonspeech run that starts
-    within frame_ms of the previous nonspeech run's start.  ``nonspeech``
-    is ``_nonspeech_runs(times, speech)``.
+    The last non-BLANK token before s, if an EOW no endpoint consumed
+    (read by index: a SUBWORD and an EOW can follow a consumed EOW within
+    one millisecond), or else the first EOW at t in [s, n), arms a fire
+    at max(s + frame, t).  A SUBWORD after it and at or before the fire
+    cancels it, and the next EOW before n re-arms.  The first fire not
+    cancelled is the endpoint; it consumes the tokens up to it.
     """
-    keep = np.zeros(len(times), dtype=bool)
-    first, last, starts, spans = nonspeech
-    for edges in (*_runs(speech), first, last):
-        keep[edges] = True
-    for delta, frame in deltas:
-        done = spans >= delta - frame
-        if done.any():  # then s + delta - frame fits in int64
-            # at delta == frame this may find a decision tied with s before
-            # the run; the run's first decision, kept above, completes it
-            keep[np.searchsorted(times, starts[done] + (delta - frame))] = True
-    for frame in {frame for _, frame in deltas}:
-        for k in (np.flatnonzero(np.diff(starts) <= frame) + 1).tolist():
-            keep[first[k] : last[k] + 1] = True
-    # a mask, not np.unique, which imports numpy.ma: 1.6 MiB more resident
-    return np.flatnonzero(keep)
+    tok, eow, next_eow, next_sub = w.tok, w.eow, w.next_eow, w.next_sub
+    out: list[EndpointEvent] = []
+    consumed = -1  # index of the last token an endpoint consumed
+    for s, n, late in zip(w.start, w.next, w.late):
+        if out and out[-1].time_ms == late:
+            continue
+        j = bisect_left(tok, s)
+        e = j - 1 if j - 1 > consumed and eow[j - 1] else next_eow[j]
+        while e < len(tok) and tok[e] < n:
+            fire = max(s + frame, tok[e])
+            sub = next_sub[e + 1]
+            if sub == len(tok) or tok[sub] > fire:
+                out.append(EndpointEvent(fire, Trigger.EOW, s))
+                consumed = bisect_right(tok, fire) - 1
+                break
+            e = next_eow[sub]
+    return out
 
 
-def _reduced_timeline(
-    times: np.ndarray,
-    speech: np.ndarray,
-    non_blank: Sequence[TokenEvent],
-    end_ms: int,
-    kept: np.ndarray,
-) -> list[TimelineEvent]:
-    """The kept decisions and the non-BLANK tokens, ended at ``end_ms``."""
-    timeline = merge_streams(
-        list(map(VadDecision, times[kept].tolist(), speech[kept].tolist())),
-        list(non_blank),
-    )
-    # merge_streams stamps the end at its own last event, which may be a
-    # dropped decision's or BLANK token's predecessor
-    timeline[-1] = TimelineEvent(end_ms, EndOfStream())
-    return timeline
+def _ts_and_eow_walk(
+    cfg: EndpointerConfig, w: _Walk, done: list[int], end_ms: int
+) -> list[EndpointEvent]:
+    """``TS_AND_EOW``'s endpoints from the runs ``done`` that complete delta.
+
+    Run r arms T = s + delta at its first decision t_c at or after
+    T - frame, and settles it on the tokens up to T (before t_c if a gap
+    puts t_c past T).  If the last is an unconsumed EOW at or before T,
+    the endpoint is immediate at T; else speech at T ends the run with
+    none.  Else a deferral to D = s + cap ends at that EOW if it lies past
+    T, or at the next EOW, if at or before D and before n; speech at or
+    before D cancels it, and else it times out at min(D, end_ms).
+    """
+    delta, frame, cap = cfg.ts_threshold_ms, cfg.frame_ms, cfg.deferral_cap_ms
+    tok, eow = w.tok, w.eow
+    out: list[EndpointEvent] = []
+    consumed = -1
+    for r in done:
+        if out and out[-1].time_ms == w.late[r]:
+            continue
+        s, n, fire = w.start[r], w.next[r], w.start[r] + delta
+        # the run holds a decision at or after fire - frame >= s
+        armed_at = w.times[bisect_left(w.times, fire - frame)]
+        j = bisect_right(tok, fire) if armed_at <= fire else bisect_left(tok, armed_at)
+        slot = j - 1 > consumed and eow[j - 1]
+        if slot and tok[j - 1] <= fire:
+            out.append(EndpointEvent(fire, Trigger.TS_AND_EOW_IMMEDIATE, s))
+            consumed = j - 1
+        elif n != fire:
+            e = j - 1 if slot else w.next_eow[j]
+            if e < len(tok) and tok[e] <= s + cap and tok[e] < n:
+                t = tok[e]
+                out.append(EndpointEvent(t, Trigger.TS_AND_EOW_DEFERRED, s, t - fire))
+                consumed = e
+            elif n > s + cap:
+                t = min(s + cap, end_ms)
+                out.append(EndpointEvent(t, Trigger.DEFERRAL_TIMEOUT, s, max(0, t - fire)))
+    return out
 
 
 def _rule_inputs(cfg: EndpointerConfig) -> tuple:

@@ -159,13 +159,18 @@ class CallRecord:
             (_TOKEN_COLUMNS, len(self.token_time)),
         ):
             for name, dtype, ndim in columns:
+                given = getattr(self, name)
                 try:
-                    column = np.asarray(getattr(self, name), dtype=dtype)
-                except OverflowError as exc:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        column = np.asarray(given, dtype=dtype)
+                    # a cast that wraps or truncates changes a value
+                    kept = column is given or np.array_equal(column, given, equal_nan=True)
+                except OverflowError:
+                    kept = False
+                if not kept:
                     raise ValueError(
-                        f"{self.call_id}: {name} holds a value outside "
-                        f"{np.dtype(dtype).name}"
-                    ) from exc
+                        f"{self.call_id}: {name} holds a value outside {np.dtype(dtype)}"
+                    )
                 if column.ndim != ndim or column.shape[0] != rows:
                     raise ValueError(
                         f"{self.call_id}: {name} has shape {column.shape}, "
@@ -216,7 +221,7 @@ class CallRecord:
     def non_blank_tokens(self) -> tuple[TokenEvent, ...]:
         """The tokens that are not BLANK, as TokenEvents built on first use.
 
-        They are all the EOW-gated rules and ``commit_transcript`` read.
+        They are all ``commit_transcript`` reads.
         """
         return self._token_events(np.flatnonzero(self.token_kind != BLANK_CODE))
 

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from endpoint_rt import callfile, cli, endpointer, evaluator, vadnet
+from endpoint_rt import callfile, cli, endpointer, evaluator, streams, vadnet
 from endpoint_rt.cli import load_sim_config, main
 from endpoint_rt.endpointer import (
     EndpointerConfig,
@@ -829,8 +829,8 @@ def test_model_vad_names_the_frame_of_a_non_finite_feature(tmp_path, capsys, com
     capsys.readouterr()
     assert run_cli(*base, "--vad", f"model:{model}") == 1
     assert capsys.readouterr().err == "error: sim-00000011: frame 5 has a non-finite feature\n"
-    # endpoint writes call by call, so only the bad call's files are missing
-    assert not (out / "sim-00000011.endpoints" if command == "endpoint" else out).exists()
+    # both commands compute every call before writing: no file, no directory
+    assert not out.exists()
     # only the model reads features
     assert run_cli(*base, "--vad", "oracle") == 0
 
@@ -862,17 +862,11 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     _counting(monkeypatch, vadnet, "load_model", counts)
     _counting(monkeypatch, vadnet, "posteriors", counts)
     _counting(monkeypatch, vadnet, "classify_frames", counts)
-    _counting(monkeypatch, endpointer, "merge_streams", counts)
+    _counting(monkeypatch, streams, "merge_streams", counts)
+    _counting(monkeypatch, cli, "merge_streams", counts)
     _counting(monkeypatch, cli, "commit_transcript", commits)
-    merged = []
-    reduce = endpointer._reduced_timeline
-
-    def recording_reduce(times, *args):
-        timeline = reduce(times, *args)
-        merged.append((len(times), len(timeline)))
-        return timeline
-
-    monkeypatch.setattr(endpointer, "_reduced_timeline", recording_reduce)
+    steps = {"step": 0}
+    _counting(monkeypatch, endpointer.Endpointer, "step", steps)
     scored = []
     wer = evaluator.wer
 
@@ -886,15 +880,13 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
         "--vad", f"model:{model}",
     )
     assert code == 0
-    # one load per command; per call one classification from the call's
-    # columns (no per-frame records) and one merge, of the reduced timeline
-    # every EOW-gated config steps (TS and BLANK read the columns)
+    # one load per command and per call one classification from the call's
+    # columns (no per-frame records); every mode reads the columns, so no
+    # timeline is merged and no machine steps
     assert counts == {
-        "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 3
+        "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 0
     }
-    # the reduced timeline keeps fewer decisions than the call has frames
-    assert len(merged) == 3
-    assert all(events < frames for frames, events in merged)
+    assert steps == {"step": 0}
     # the four EOW deltas share one endpoint list, so one commit per call
     assert commits["commit_transcript"] <= 3 * 13
     # WER runs once per distinct hypothesis of a call (the calls' references

@@ -17,6 +17,7 @@ from endpoint_rt.endpointer import (
     hypothesis_words,
     new_endpointer,
     run_call,
+    run_sweep,
 )
 from endpoint_rt.simulator import SimConfig, gen_call, oracle_vad
 from endpoint_rt.streams import (
@@ -27,7 +28,7 @@ from endpoint_rt.streams import (
     merge_streams,
 )
 
-from oracles import maximal_nonspeech_runs
+from oracles import maximal_nonspeech_runs, token_columns
 
 FRAME = 40
 
@@ -56,6 +57,16 @@ def blank(t):
 def run(mode, vad, tokens, **kw):
     cfg = EndpointerConfig(mode=mode, **kw)
     return run_call(cfg, merge_streams(list(vad), list(tokens)))
+
+
+def sweep(mode, vad, tokens, **kw):
+    """run_sweep's endpoints for one config, from the decisions and tokens run() merges."""
+    cfg = EndpointerConfig(mode=mode, **kw)
+    cols = token_columns(tokens)
+    end = max([d.time_ms for d in vad] + cols["token_time"], default=0)
+    times, speech = [d.time_ms for d in vad], [d.is_speech for d in vad]
+    [eps] = run_sweep([cfg], times, speech, cols["token_time"], cols["token_kind"], end)
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +315,13 @@ def test_tseow_late_resolved_fire_discharges_an_eow_at_the_deadline():
     assert [(e.time_ms, e.trigger, e.silence_start_ms, e.deferred_by_ms) for e in eps] == [
         (400, Trigger.TS_AND_EOW_DEFERRED, 0, 200)
     ]
+    assert sweep(Mode.TS_AND_EOW, vad, [eow(400)], deferral_cap_ms=400) == eps
+    # the fire is settled at 480 ms, on the EOW at 300 ms, not the one at
+    # 100 ms that was last at the threshold
+    tokens = [eow(100, 0), sub(250, "ka", 1), eow(300, 1)]
+    want = [EndpointEvent(300, Trigger.TS_AND_EOW_DEFERRED, 0, 100)]
+    assert run(Mode.TS_AND_EOW, vad, tokens, deferral_cap_ms=400) == want
+    assert sweep(Mode.TS_AND_EOW, vad, tokens, deferral_cap_ms=400) == want
 
 
 def test_tseow_speech_and_silence_at_the_same_ms_keep_the_fire_cancelled():
@@ -322,6 +340,42 @@ def test_tseow_speech_and_silence_at_the_same_ms_keep_the_fire_cancelled():
         Mode.TS_AND_EOW, vad, [eow(100)], ts_threshold_ms=40, deferral_cap_ms=80
     )
     assert eps == []
+
+
+# ---------------------------------------------------------------------------
+# an endpoint stamped at the one speech decision between two runs
+
+
+def test_eow_fire_at_a_one_decision_speech_run_disarms_the_next_run():
+    # the EOW at 20 ms arms a fire at 40 ms, where speech is one decision:
+    # the fire is emitted at 80 ms, after that decision re-armed the
+    # machine, so the EOW at 100 ms in the next run finds it disarmed
+    tokens = [eow(20, 0), sub(90, "ka", 1), eow(100, 1)]
+    want = [EndpointEvent(40, Trigger.EOW, 0)]
+    vad = vad_seq("nsnns")
+    assert run(Mode.EOW, vad, tokens) == sweep(Mode.EOW, vad, tokens) == want
+    # a second speech decision emits the fire first and re-arms
+    vad = vad_seq("nssnns")
+    tokens = [eow(20, 0), sub(130, "ka", 1), eow(140, 1)]
+    want += [EndpointEvent(160, Trigger.EOW, 120)]
+    assert run(Mode.EOW, vad, tokens) == sweep(Mode.EOW, vad, tokens) == want
+
+
+def test_tseow_immediate_at_a_one_decision_speech_run_disarms_the_next_run():
+    # delta completes at 0 ms with T = 40 ms, the one speech decision: the
+    # EOW at 20 ms makes it immediate, emitted at 80 ms, so the next run
+    # completes delta with an EOW in hand and ends nothing
+    tokens = [eow(20, 0), sub(90, "ka", 1), eow(100, 1)]
+    kw = {"ts_threshold_ms": 40, "deferral_cap_ms": 1000}
+    want = [EndpointEvent(40, Trigger.TS_AND_EOW_IMMEDIATE, 0)]
+    vad = vad_seq("nsnns")
+    assert run(Mode.TS_AND_EOW, vad, tokens, **kw) == want
+    assert sweep(Mode.TS_AND_EOW, vad, tokens, **kw) == want
+    vad = vad_seq("nssnns")
+    tokens = [eow(20, 0), sub(130, "ka", 1), eow(140, 1)]
+    want += [EndpointEvent(160, Trigger.TS_AND_EOW_IMMEDIATE, 120)]
+    assert run(Mode.TS_AND_EOW, vad, tokens, **kw) == want
+    assert sweep(Mode.TS_AND_EOW, vad, tokens, **kw) == want
 
 
 # ---------------------------------------------------------------------------

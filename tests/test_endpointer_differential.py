@@ -7,12 +7,12 @@ leave every one of them unchanged.  The timelines cover dense and sparse
 VAD, two VAD decisions at the same millisecond, tokens tied with frames
 and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
-event.  The EOW-gated modes give the same endpoints over run_sweep's
-reduced timeline, and over any timeline that keeps more of the
-decisions.  run_sweep, given each timeline's VAD columns, its token
-columns and non-BLANK TokenEvents as a CallRecord holds them, and its
-end, must give run_call's endpoints on the full timeline, and fail on
-the inputs that merge_streams and run_call reject.
+event.  run_sweep, given each timeline's VAD columns, its token
+columns as a CallRecord holds them, and its end, must give run_call's
+endpoints on the full timeline, and fail on the inputs that
+merge_streams and run_call reject.  Its EOW-gated rules also refuse
+decisions closer than a frame, such as two at one millisecond, so the
+timelines it is compared on have none.
 """
 
 import hashlib
@@ -29,15 +29,13 @@ from endpoint_rt.endpointer import (
     EndpointEvent,
     Mode,
     Trigger,
-    _deciding_frames,
-    _nonspeech_runs,
-    _reduced_timeline,
     run_call,
     run_sweep,
 )
 from endpoint_rt.streams import (
     BLANK_CODE,
     EOW_CODE,
+    SUBWORD_CODE,
     CallRecord,
     EndOfStream,
     TimelineEvent,
@@ -59,8 +57,14 @@ PINNED = {
 }
 
 
-def random_vad(rng: random.Random, frame: int, n_frames: int) -> list[VadDecision]:
-    """Alternating speech and nonspeech runs, or i.i.d. frames; maybe sparse."""
+def random_vad(
+    rng: random.Random, frame: int, n_frames: int, duplicates: bool = True
+) -> list[VadDecision]:
+    """Alternating speech and nonspeech runs, or i.i.d. frames; maybe sparse.
+
+    With ``duplicates`` a decision is now and then followed by a second
+    one at the same millisecond.
+    """
     keep = 1.0 if rng.random() < 0.5 else rng.uniform(0.05, 0.8)
     iid = rng.random() < 0.2
     speech = rng.random() < 0.5
@@ -76,7 +80,7 @@ def random_vad(rng: random.Random, frame: int, n_frames: int) -> list[VadDecisio
         if rng.random() >= keep:
             continue
         out.append(VadDecision(k * frame, speech))
-        if rng.random() < 0.05:
+        if duplicates and rng.random() < 0.05:
             again = rng.random() < 0.5
             out.append(VadDecision(k * frame, again))
     return out
@@ -100,7 +104,7 @@ def random_tokens(rng: random.Random, horizon: int) -> list[TokenEvent]:
     return out
 
 
-def random_case(rng: random.Random):
+def random_case(rng: random.Random, duplicates: bool = True):
     frame = rng.choice([10, 20, 40])
     delta = frame * rng.randint(1, 12)
     cfg = EndpointerConfig(
@@ -112,7 +116,8 @@ def random_case(rng: random.Random):
     )
     n_frames = rng.randint(0, 60)
     timeline = merge_streams(
-        random_vad(rng, frame, n_frames), random_tokens(rng, (n_frames + 2) * frame)
+        random_vad(rng, frame, n_frames, duplicates),
+        random_tokens(rng, (n_frames + 2) * frame),
     )
     if rng.random() < 0.3:
         end = timeline[-1].time_ms + rng.randint(1, 500)
@@ -143,18 +148,15 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
 
 
 def token_args(tokens):
-    """run_sweep's token arguments, as a CallRecord of these tokens holds them.
-
-    The emit time and kind code columns, and the non-BLANK TokenEvents.
-    """
+    """run_sweep's token arguments: the emit time and kind code columns of a CallRecord."""
     call = CallRecord("c", 40, **token_columns(tokens))
-    return call.token_time, call.token_kind, call.non_blank_tokens
+    return call.token_time, call.token_kind
 
 
 def columns(timeline):
     """run_sweep's arguments after the configs, from a merged timeline.
 
-    Its VAD columns, its token columns and non-BLANK tokens, and its end.
+    Its VAD columns, its token columns and its end.
     """
     vad = [ev.payload for ev in timeline if isinstance(ev.payload, VadDecision)]
     tokens = [ev.payload for ev in timeline if isinstance(ev.payload, TokenEvent)]
@@ -163,70 +165,12 @@ def columns(timeline):
     return times, speech, *token_args(tokens), timeline[-1].time_ms
 
 
-def test_reduced_timelines_decide_as_the_full_ones():
-    # run_sweep steps the EOW-gated machines over the kept decisions and
-    # the non-BLANK tokens; this is the equality it rests on, for the kept
-    # set and for random supersets of it
-    rng = random.Random(20261018)  # the pinned digests' timelines
-    more = random.Random(3)
-    dropped = 0
-    for case in range(N_TIMELINES):
-        cfg, timeline = random_case(rng)
-        times, speech, _, _, tokens, end = columns(timeline)
-        for mode in (Mode.EOW, Mode.TS_AND_EOW):
-            gated = replace(cfg, mode=mode)
-            want = run_call(gated, timeline)
-            deltas = {(cfg.ts_threshold_ms, cfg.frame_ms)} if mode is Mode.TS_AND_EOW else ()
-            kept = _deciding_frames(times, speech, _nonspeech_runs(times, speech), deltas)
-            reduced = _reduced_timeline(times, speech, tokens, end, kept)
-            assert run_call(gated, reduced) == want, f"case {case} {mode.value}"
-            dropped += len(timeline) - len(reduced)
-            share = more.random()
-            wider = sorted(
-                set(kept.tolist()) | {k for k in range(len(times)) if more.random() < share}
-            )
-            wider_tl = _reduced_timeline(times, speech, tokens, end, np.array(wider, dtype=int))
-            assert run_call(gated, wider_tl) == want, f"case {case} {mode.value} {wider}"
-    assert dropped > 20 * N_TIMELINES  # the reduction drops decisions and BLANK tokens
-
-
-def crowded_case(rng: random.Random):
-    """A TS_AND_EOW config and a timeline of 1-3 decisions of random flag per frame.
-
-    Nonspeech runs then start within a frame of each other, so a fire of
-    one run can still be pending when the next run completes its delta.
-    """
-    frame = rng.choice([10, 20, 40])
-    delta = frame * rng.randint(1, 3)
-    cfg = EndpointerConfig(Mode.TS_AND_EOW, delta, 1, delta + 10 * rng.randint(0, 20), frame)
-    n_frames = rng.randint(0, 30)
-    vad = [
-        VadDecision(k * frame, rng.random() < 0.4)
-        for k in range(n_frames)
-        for _ in range(rng.randint(1, 3))
-    ]
-    timeline = merge_streams(vad, random_tokens(rng, (n_frames + 1) * frame))
-    return cfg, timeline
-
-
-def test_reduced_timelines_decide_as_the_full_ones_when_runs_crowd():
-    rng = random.Random(29)
-    for case in range(3000):
-        cfg, timeline = crowded_case(rng)
-        times, speech, token_times, kinds, tokens, end = columns(timeline)
-        runs = _nonspeech_runs(times, speech)
-        kept = _deciding_frames(times, speech, runs, {(cfg.ts_threshold_ms, cfg.frame_ms)})
-        reduced = _reduced_timeline(times, speech, tokens, end, kept)
-        want = run_call(cfg, timeline)
-        assert run_call(cfg, reduced) == want, f"case {case}"
-        sweep = run_sweep([cfg], times, speech, token_times, kinds, tokens, end)
-        assert sweep == [want], f"case {case}"
-
-
 def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision():
     # the fire of the run at 0 ms is pending when the run from 40 ms
     # completes delta there; it resolves silently at the EOW, so the
-    # interior decision at 80 ms arms the endpoint the SUBWORD then meets
+    # interior decision at 80 ms arms the endpoint the SUBWORD then meets.
+    # Only decisions at one millisecond let a fire outlive its run, and
+    # run_sweep refuses them
     cfg = EndpointerConfig(Mode.TS_AND_EOW, 40, 1, 1000, 40)
     times = [0, 0, 40, 80, 120, 160]
     speech = [False, True, False, False, False, False]
@@ -235,7 +179,8 @@ def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision()
     )
     want = [EndpointEvent(80, Trigger.TS_AND_EOW_IMMEDIATE, 40)]
     assert _merged_run(cfg, times, speech, *tokens, 160) == want
-    assert run_sweep([cfg], times, speech, *tokens, 160) == [want]
+    with pytest.raises(ValueError, match="index 1 at 0 ms after 0 ms"):
+        run_sweep([cfg], times, speech, *tokens, 160)
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
@@ -256,24 +201,51 @@ def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerC
 
 
 def test_run_sweep_matches_run_call_on_random_timelines():
-    rng = random.Random(20261018)  # the pinned digests' timelines
+    rng = random.Random(20261018)
     variants = random.Random(7)
     shared_eow = 0
     for case in range(N_TIMELINES):
-        cfg, timeline = random_case(rng)
+        cfg, timeline = random_case(rng, duplicates=False)
         cfgs = sweep_configs(variants, cfg)
         want = [run_call(c, timeline) for c in cfgs]
         assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
         if cfg.mode is Mode.EOW and len({c.ts_threshold_ms for c in cfgs}) > 1:
             shared_eow += 1
-    assert shared_eow > 1000  # one EOW run_call answered several deltas
+    assert shared_eow > 1000  # one EOW walk answered several deltas
+
+
+def test_run_sweep_refuses_decisions_closer_than_a_frame():
+    # the pinned digests' timelines: where two decisions share a
+    # millisecond the EOW-gated rules raise, naming the second; TS and
+    # BLANK still give run_call's endpoints
+    rng = random.Random(20261018)
+    refused = 0
+    for case in range(N_TIMELINES):
+        cfg, timeline = random_case(rng)
+        times, *rest = columns(timeline)
+        close = np.flatnonzero(np.diff(times) < cfg.frame_ms)
+        if not close.size:
+            continue
+        k = int(close[0]) + 1
+        for mode in (Mode.TS, Mode.BLANK):
+            plain = replace(cfg, mode=mode)
+            assert run_sweep([plain], times, *rest) == [run_call(plain, timeline)]
+        for mode in (Mode.EOW, Mode.TS_AND_EOW):
+            with pytest.raises(ValueError) as err:
+                run_sweep([replace(cfg, mode=Mode.TS), replace(cfg, mode=mode)], times, *rest)
+            assert str(err.value) == (
+                f"vad times step by less than frame_ms={cfg.frame_ms}: "
+                f"index {k} at {times[k]} ms after {times[k - 1]} ms"
+            ), f"case {case}"
+        refused += 1
+    assert refused > 1000
 
 
 def test_run_sweep_keeps_the_order_of_mixed_configs():
     rng = random.Random(20261018)
     order = random.Random(11)
     for case in range(300):
-        cfg, timeline = random_case(rng)
+        cfg, timeline = random_case(rng, duplicates=False)
         cfgs = [
             EndpointerConfig(mode, delta, blanks, delta + cfg.frame_ms, cfg.frame_ms)
             for mode in MODES
@@ -286,34 +258,22 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
         assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
 
 
-def _merged_run(cfg, times, speech, token_times, kinds, non_blank, end_ms):
-    """run_call over the timeline merge_streams builds from the columns.
+_KINDS = {BLANK_CODE: TokenKind.BLANK, SUBWORD_CODE: TokenKind.SUBWORD, EOW_CODE: TokenKind.EOW}
 
-    The token stream holds a BLANK TokenEvent at each BLANK row of the
-    token columns and the next of ``non_blank`` at every other row.
-    """
-    events = iter(non_blank)
-    tokens = [
-        TokenEvent(t, TokenKind.BLANK) if k == BLANK_CODE else next(events)
-        for t, k in zip(token_times, kinds)
-    ]
+
+def _merged_run(cfg, times, speech, token_times, kinds, end_ms):
+    """run_call over the timeline merge_streams builds from the columns."""
+    tokens = [TokenEvent(t, _KINDS[k]) for t, k in zip(token_times, kinds)]
     timeline = merge_streams(list(map(VadDecision, times, speech)), tokens)
     timeline[-1] = TimelineEvent(end_ms, EndOfStream())
     return run_call(cfg, timeline)
 
 
-_EOW_40 = TokenEvent(40, TokenKind.EOW)
-
-# vad_times, is_speech, token_times, token_kinds, non_blank, end_ms
+# vad_times, is_speech, token_times, token_kinds, end_ms
 REJECTED = {
-    "out of order": ([0, 80, 40], [False, False, True], [20], [BLANK_CODE], [], 80),
-    "unsorted tokens": (
-        [0, 40], [False, False], [40, 20], [EOW_CODE, BLANK_CODE], [_EOW_40], 40
-    ),
-    "after EndOfStream": ([0, 40], [False, False], [20], [BLANK_CODE], [], 20),
-    "unknown payload": (
-        [0, 40], [False, True], [20, 40], [BLANK_CODE, EOW_CODE], [VadDecision(40, True)], 40
-    ),
+    "out of order": ([0, 80, 40], [False, False, True], [20], [BLANK_CODE], 80),
+    "unsorted tokens": ([0, 40], [False, False], [40, 20], [EOW_CODE, BLANK_CODE], 40),
+    "after EndOfStream": ([0, 40], [False, False], [20], [BLANK_CODE], 20),
 }
 
 
@@ -341,7 +301,15 @@ def test_run_sweep_rejects_what_run_call_rejects(name, modes):
 def test_run_sweep_rejects_columns_of_unequal_length(times, speech):
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
     with pytest.raises(ValueError, match="vad columns differ"):
-        run_sweep(cfgs, times, speech, [], [], [], 40)
+        run_sweep(cfgs, times, speech, [], [], 40)
+
+
+@pytest.mark.parametrize("code", [-1, 3, 258])
+def test_run_sweep_rejects_kind_codes_that_name_no_token_kind(code):
+    # a code is read as SUBWORD or EOW only if it is one
+    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
+    with pytest.raises(ValueError, match=f"^token 1: kind code {code} names no token kind$"):
+        run_sweep(cfgs, [0], [False], [20, 30], [EOW_CODE, code], 40)
 
 
 @pytest.mark.parametrize(
@@ -350,15 +318,4 @@ def test_run_sweep_rejects_columns_of_unequal_length(times, speech):
 def test_run_sweep_rejects_token_columns_of_unequal_length(token_times, kinds):
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
     with pytest.raises(ValueError, match="token columns differ"):
-        run_sweep(cfgs, [0], [False], token_times, kinds, [], 40)
-
-
-@pytest.mark.parametrize(
-    "non_blank",
-    [[], [_EOW_40, _EOW_40], [TokenEvent(20, TokenKind.EOW)]],
-    ids=["missing", "extra", "moved"],
-)
-def test_run_sweep_rejects_non_blank_tokens_unlike_the_columns(non_blank):
-    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
-    with pytest.raises(ValueError, match="non-BLANK tokens differ from the token columns"):
-        run_sweep(cfgs, [0], [False], [20, 40], [BLANK_CODE, EOW_CODE], non_blank, 40)
+        run_sweep(cfgs, [0], [False], token_times, kinds, 40)

@@ -180,6 +180,35 @@ def test_call_names_the_column_of_a_value_outside_its_dtype(columns, message):
         CallRecord("c", 40, **{**tokens, **columns})
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"token_kind": np.array([258])}, "token_kind holds a value outside int8"),
+        ({"token_time": np.array([2.0**63])}, "token_time holds a value outside int64"),
+        ({"token_word": np.array([0.5])}, "token_word holds a value outside int64"),
+    ],
+    ids=["wraps", "overflows", "truncates"],
+)
+def test_call_refuses_an_array_column_its_cast_would_change(columns, message):
+    # numpy casts arrays without a check: 258 would become kind 2, an EOW
+    tokens = {"token_time": [0], "token_kind": [0], "token_word": [-1], "token_text": [""]}
+    with pytest.raises(ValueError, match=f"^c: {message}$"):
+        CallRecord("c", 40, **{**tokens, **columns})
+
+
+def test_call_keeps_a_column_of_its_dtype_and_casts_exact_ones():
+    time = np.array([0, 40], dtype=np.int64)
+    call = CallRecord(
+        "c", 40, features=np.array([[1.0, np.nan]], dtype=np.float32),
+        frame_index=np.array([0], dtype=np.uint8), labels=[1], teacher_labels=[-1],
+        token_time=time,
+        token_kind=np.array([0, 2]), token_word=[-1, 0.0], token_text=["", ""],
+    )
+    assert call.token_time is time and not time.flags.writeable
+    assert call.token_kind.tolist() == [0, 2] and call.token_word.tolist() == [-1, 0]
+    assert call.frame_index.dtype == np.int64 and np.isnan(call.features[0, 1])
+
+
 def test_tokens_view_every_token_column():
     tokens = (
         TokenEvent(0, TokenKind.BLANK),
