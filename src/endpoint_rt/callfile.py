@@ -14,7 +14,8 @@ Call file layout, one call per file::
     token <emit_time_ms> <kind> <text|-> <word_index|->
     segment <start_ms> <end_ms> <word> ...
 
-Endpoint files carry one ``endpoint`` line per event; transcript files
+Endpoint files carry one ``endpoint`` line per event, each one a rule of
+the file's mode writes (``_check_endpoint``); transcript files
 carry one ``turn`` line per turn with unclosed (fragment) words marked by
 a trailing ``*``.  The report CSV has the fixed header ``mode,delta_ms,
 tolerance_ms,precision,recall,f1,wer,S,D,I,mean_latency_ms,
@@ -339,6 +340,38 @@ def save_endpoints(
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
+_MODE_TRIGGERS = {
+    Mode.BLANK: (Trigger.BLANK_RUN,),
+    Mode.TS: (Trigger.TS,),
+    Mode.EOW: (Trigger.EOW,),
+    Mode.TS_AND_EOW: (
+        Trigger.TS_AND_EOW_IMMEDIATE, Trigger.TS_AND_EOW_DEFERRED, Trigger.DEFERRAL_TIMEOUT
+    ),
+}
+_DEFERRED = (Trigger.TS_AND_EOW_DEFERRED, Trigger.DEFERRAL_TIMEOUT)
+
+
+def _check_endpoint(
+    path: Union[str, Path], lineno: int, mode: Optional[Mode], ep: EndpointEvent
+) -> None:
+    """The endpoint is one the file's mode writes: its trigger, a silence
+    start in [0, time] and a deferral that is 0 unless the trigger defers."""
+    if mode is None:
+        _fail(path, lineno, "endpoint line before the mode line")
+    if ep.trigger not in _MODE_TRIGGERS[mode]:
+        _fail(path, lineno, f"trigger {ep.trigger.value} is not one of mode {mode.value}'s")
+    if not 0 <= ep.silence_start_ms <= ep.time_ms:
+        _fail(
+            path,
+            lineno,
+            f"silence start {ep.silence_start_ms} ms lies outside [0, {ep.time_ms}] ms",
+        )
+    if ep.deferred_by_ms < 0:
+        _fail(path, lineno, f"deferred_by {ep.deferred_by_ms} ms is negative")
+    if ep.deferred_by_ms and ep.trigger not in _DEFERRED:
+        _fail(path, lineno, f"{ep.trigger.value} endpoint deferred by {ep.deferred_by_ms} ms")
+
+
 def load_endpoints(
     path: Union[str, Path],
 ) -> tuple[str, Mode, list[EndpointEvent]]:
@@ -366,6 +399,7 @@ def load_endpoints(
                     silence_start_ms=int(parts[3]),
                     deferred_by_ms=int(parts[4]),
                 )
+                _check_endpoint(path, lineno, mode, ep)
                 if endpoints and ep.time_ms < endpoints[-1].time_ms:
                     _fail(
                         path,

@@ -90,27 +90,22 @@ def load_sim_config(path: Path) -> SimConfig:
 # -- VAD channel --------------------------------------------------------------
 
 
-# a call's VAD decisions as columns: times in ms (int64) and speech flags
-VadColumns = tuple[np.ndarray, np.ndarray]
-VadSource = Callable[[CallRecord], VadColumns]
+# a call's speech flags, one per frame, or None where no rule reads them
+VadSource = Callable[[CallRecord], Optional[np.ndarray]]
 
 
-def _no_vad(call: CallRecord) -> VadColumns:
-    """No decisions, for runs whose rules read only the tokens (BLANK)."""
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-
-
-def _oracle(call: CallRecord) -> VadColumns:
-    return call.frame_times, oracle_speech(call)
+def _no_vad(call: CallRecord) -> None:
+    """No flags, for runs whose rules read only the tokens (BLANK)."""
+    return None
 
 
 def _vad_source(spec: str, seed: int) -> VadSource:
     """Parse --vad {model:<p>|oracle|corrupted:<eer>} once, loading any model.
 
-    The returned function gives one call's decisions as columns.
+    The returned function gives one call's speech flags.
     """
     if spec == "oracle":
-        return _oracle
+        return oracle_speech
     if spec.startswith("corrupted:"):
         try:
             eer = float(spec.partition(":")[2])
@@ -119,9 +114,9 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         if not 0.0 <= eer < 0.5:
             raise UsageError(f"--vad: corruption rate must lie in [0, 0.5), got {eer}")
 
-        def corrupted(call: CallRecord) -> VadColumns:
+        def corrupted(call: CallRecord) -> np.ndarray:
             call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
-            return call.frame_times, corrupt_speech(oracle_speech(call), eer, call_seed)
+            return corrupt_speech(oracle_speech(call), eer, call_seed)
 
         return corrupted
     if spec.startswith("model:"):
@@ -131,9 +126,9 @@ def _vad_source(spec: str, seed: int) -> VadSource:
         model, threshold = vadnet.load_model(model_path)
         d_in = model.layer_dims[0]
 
-        def classify(call: CallRecord) -> VadColumns:
+        def classify(call: CallRecord) -> np.ndarray:
             if not len(call.frame_index):
-                return _no_vad(call)
+                return np.empty(0, dtype=bool)
             dim = call.features.shape[1]
             if dim != d_in:
                 raise ValueError(
@@ -142,7 +137,7 @@ def _vad_source(spec: str, seed: int) -> VadSource:
                 )
             _check_finite(call)
             p = vadnet.posteriors(model, call.features)
-            return call.frame_times, vadnet.speech_flags(p, threshold)
+            return vadnet.speech_flags(p, threshold)
 
         return classify
     raise UsageError(
@@ -167,26 +162,13 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
     return calls
 
 
-def _check_frame_ms(calls: Sequence[CallRecord], frame_ms: int) -> None:
-    """Every call must sit on the configured frame grid."""
-    for call in calls:
-        if call.frame_ms != frame_ms:
-            raise ValueError(
-                f"{call.call_id}: call frame_ms={call.frame_ms} does not match "
-                f"configured frame_ms={frame_ms}"
-            )
-
-
 def _endpoint_call(
-    call: CallRecord, cfgs: Sequence[EndpointerConfig], vad: VadColumns
+    call: CallRecord, cfgs: Sequence[EndpointerConfig], is_speech: Optional[np.ndarray]
 ) -> list[tuple[list[EndpointEvent], list[TurnTranscript]]]:
     """Each config's endpoints and transcripts; each distinct list commits once."""
-    times, speech = vad
-    # the stream ends at its last event, where merge_streams stamps it
-    end = max(times[-1:].tolist() + call.token_time[-1:].tolist(), default=0)
     committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
     results = []
-    for endpoints in run_sweep(cfgs, times, speech, call.token_time, call.token_kind, end):
+    for endpoints in run_sweep(cfgs, call, is_speech):
         key = tuple(endpoints)
         if key not in committed:
             committed[key] = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
@@ -352,13 +334,8 @@ def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerCon
 
 
 def cmd_endpoint(args: argparse.Namespace) -> int:
-    # with --frame-ms given, the flags are checked before any file is read;
-    # without it, frame_ms comes from the first call
-    cfg = None if args.frame_ms is None else _endpointer_config(args, args.frame_ms)
     calls = _load_calls(Path(args.calls))
-    if cfg is None:
-        cfg = _endpointer_config(args, calls[0].frame_ms)
-    _check_frame_ms(calls, cfg.frame_ms)
+    cfg = _endpointer_config(args, calls[0].frame_ms)
     vad = _no_vad if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
     # every call is endpointed before any file is written: a bad call leaves --out as it was
     results = [_endpoint_call(call, [cfg], vad(call))[0] for call in calls]
@@ -453,10 +430,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             f"--deferral-cap-ms: {args.deferral_cap_ms} is below the smallest "
             f"delta {deltas[0]}"
         )
-    if args.frame_ms is not None and args.frame_ms <= 0:
-        raise UsageError(f"--frame-ms: must be positive, got {args.frame_ms}")
     calls = _load_calls(Path(args.calls))
-    frame_ms = args.frame_ms if args.frame_ms is not None else calls[0].frame_ms
+    frame_ms = calls[0].frame_ms
     eval_tol = args.tolerance_ms
 
     # every flag is checked before the first call runs, so a ValueError
@@ -480,7 +455,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             sweep.append((cfg, eval_cfg))
-    _check_frame_ms(calls, frame_ms)
 
     # the VAD does not depend on the config: classify each call once
     # (BLANK reads only its tokens), then sweep every config
@@ -555,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ep.add_argument("--delta-ms", type=int, default=200)
     p_ep.add_argument("--blank-frames", type=int, default=6)
     p_ep.add_argument("--deferral-cap-ms", type=int, default=1000)
-    p_ep.add_argument("--frame-ms", type=int, default=None)
     p_ep.add_argument("--seed", type=int, default=0, help="seed for corrupted VAD")
     p_ep.set_defaults(func=cmd_endpoint)
 
@@ -579,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trade.add_argument("--vad", default="oracle")
     p_trade.add_argument("--tolerance-ms", type=int, default=200)
     p_trade.add_argument("--deferral-cap-ms", type=int, default=1000)
-    p_trade.add_argument("--frame-ms", type=int, default=None)
     p_trade.add_argument("--seed", type=int, default=0)
     p_trade.set_defaults(func=cmd_tradeoff)
 

@@ -41,9 +41,9 @@ modes: until the next non-blank token), so each maximal nonspeech run
 yields at most one endpoint.
 
 ``run_call`` folds ``step()`` over a timeline and is the reference.
-``run_sweep`` gives the same endpoints for many configs from a call's VAD
-and token columns, per maximal nonspeech run, without a timeline; its
-EOW-gated rules need decisions at least a frame apart.
+``run_sweep`` gives the same endpoints for many configs from a call and
+its VAD flags, per maximal nonspeech run, without a timeline; its
+EOW-gated rules need frame times at least frame_ms apart.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import numpy as np
 from .streams import (
     BLANK_CODE,
     EOW_CODE,
+    CallRecord,
     EndOfStream,
     TimelineEvent,
     TokenEvent,
@@ -396,71 +397,68 @@ def run_call(
 
 def run_sweep(
     cfgs: Sequence[EndpointerConfig],
-    vad_times: Sequence[int],
-    is_speech: Sequence[bool],
-    token_times: Sequence[int],
-    token_kinds: Sequence[int],
-    end_ms: int,
+    call: CallRecord,
+    is_speech: Optional[Sequence[bool]] = None,
 ) -> list[list[EndpointEvent]]:
-    """The endpoints ``run_call`` gives for each config, from VAD and token columns.
+    """The endpoints ``run_call`` gives for each config on a call.
 
-    ``vad_times[k]`` and ``is_speech[k]`` are the k-th VAD decision,
-    ``token_times[j]`` and ``token_kinds[j]`` the j-th token's emit time
-    and kind code (``CallRecord.token_time`` and ``token_kind``), both
-    sorted by time, and ``end_ms`` is the time of the EndOfStream that
-    ends the timeline ``merge_streams`` would build from them.  Each mode
-    reads the maximal runs of consecutive nonspeech decisions, a run
-    having first time s, last time l and next (speech) decision n:
-    ``TS`` ends each run with l + frame_ms - s >= delta at s + delta;
-    ``BLANK`` ends each run of at least N BLANK tokens at its N-th; the
-    EOW-gated modes walk the runs over the non-BLANK tokens.
+    ``is_speech[k]`` is the VAD flag of the call's frame k, at
+    ``call.frame_times[k]``, or ``is_speech`` is None when every config
+    is BLANK; the tokens are the call's ``token_time`` and ``token_kind``
+    columns.  The timeline matched is the one ``merge_streams`` builds
+    from those decisions and tokens, so it ends at the last decision or
+    token.  Each mode reads the maximal runs of consecutive nonspeech
+    decisions, a run having first time s, last time l and next (speech)
+    decision n: ``TS`` ends each run with l + frame_ms - s >= delta at
+    s + delta; ``BLANK`` ends each run of at least N BLANK tokens at its
+    N-th; the EOW-gated modes walk the runs over the non-BLANK tokens.
 
-    Inputs ``run_call`` would reject on the merged timeline raise here,
-    whatever the modes: unsorted times or tokens, or ``end_ms`` before the
-    last event; so do columns of unequal length, unknown kind codes and,
-    with an EOW-gated config, decisions closer than its frame_ms (the walks
-    need that gap to settle each run's fire before the next run starts;
-    every call ``validate_call`` passes has it).
+    Raises ValueError for a config whose frame_ms is not the call's, for
+    flags that are not one per frame or None with a config that reads
+    them, and for what ``run_call`` would reject on the merged timeline:
+    unsorted frame times or tokens.  With an EOW-gated config it also
+    raises for frame times closer than frame_ms (the walks need that gap
+    to settle each run's fire before the next run starts; every call
+    ``validate_call`` passes has it).
     """
-    times = np.asarray(vad_times, dtype=np.int64)
-    speech = np.asarray(is_speech, dtype=bool)
-    if times.ndim != 1 or times.shape != speech.shape:
+    for cfg in cfgs:
+        if cfg.frame_ms != call.frame_ms:
+            raise ValueError(
+                f"{call.call_id}: call frame_ms={call.frame_ms} does not match "
+                f"configured frame_ms={cfg.frame_ms}"
+            )
+    times, tok_times, kinds = call.frame_times, call.token_time, call.token_kind
+    if is_speech is None and any(cfg.mode is not Mode.BLANK for cfg in cfgs):
+        raise ValueError("is_speech is None, but a config other than BLANK reads it")
+    # without flags no run is nonspeech: BLANK reads none
+    speech = np.ones(times.shape, bool) if is_speech is None else np.asarray(is_speech, bool)
+    if speech.shape != times.shape:
         raise ValueError(
-            f"vad columns differ: {times.shape} times, {speech.shape} speech flags"
+            f"{call.call_id}: is_speech has shape {speech.shape}, "
+            f"expected one flag for each of {len(times)} frames"
         )
-    tok_times = np.asarray(token_times, dtype=np.int64)
-    kinds = np.asarray(token_kinds)
-    if tok_times.ndim != 1 or tok_times.shape != kinds.shape:
-        raise ValueError(
-            f"token columns differ: {tok_times.shape} times, {kinds.shape} kinds"
-        )
-    bad = np.flatnonzero((kinds < BLANK_CODE) | (kinds > EOW_CODE))
-    if bad.size:
-        raise ValueError(f"token {bad[0]}: kind code {kinds[bad[0]]} names no token kind")
     inv = _first_inversion(times)
     if inv is not None:
         raise ValueError(f"vad stream unsorted: first inversion at index {inv}")
     inv = _first_inversion(tok_times)
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
-    last = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=end_ms)
-    if end_ms < last:
-        raise ValueError(f"out-of-order event at {end_ms} ms after {last} ms")
-    gap = max((c.frame_ms for c in cfgs if c.mode in (Mode.EOW, Mode.TS_AND_EOW)), default=0)
-    close = np.flatnonzero(np.diff(times) < gap)
-    if close.size:
-        k = int(close[0]) + 1
-        raise ValueError(
-            f"vad times step by less than frame_ms={gap}: "
-            f"index {k} at {times[k]} ms after {times[k - 1]} ms"
-        )
 
     first, last = _runs(~speech)
     starts = times[first]
     spans = times[last] - starts
     blank_first, blank_last = _runs(kinds == BLANK_CODE)
-    if gap:
+    if any(cfg.mode in (Mode.EOW, Mode.TS_AND_EOW) for cfg in cfgs):
+        close = np.flatnonzero(np.diff(times) < call.frame_ms)
+        if close.size:
+            k = int(close[0]) + 1
+            raise ValueError(
+                f"frame times step by less than frame_ms={call.frame_ms}: "
+                f"index {k} at {times[k]} ms after {times[k - 1]} ms"
+            )
         walk = _Walk(times, first, last, tok_times, kinds)
+    # the stream ends at its last event, where merge_streams stamps it
+    end_ms = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=0)
 
     def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
         if cfg.mode is Mode.TS:

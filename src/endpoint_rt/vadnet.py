@@ -140,21 +140,16 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, l2: float = 0.0
+    model: MlpModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy (+ l2/2 * ||W||^2) and its parameter gradients.
+    """Mean cross-entropy and its parameter gradients.
 
     The loss is computed from logits via log1p-style softplus, so the
     value and the gradients stay finite for any parameter scale; gradients
-    here are what one training step descends.  The l2 terms are added
-    only for a nonzero ``l2``.
+    here are what one training step descends.
     """
     z, grads_w, grads_b = _grads(model, x, y)
-    loss = float(np.mean(_cross_entropy(z, y)))
-    if l2:
-        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.weights)
-        grads_w = [g + l2 * w for g, w in zip(grads_w, model.weights)]
-    return loss, grads_w, grads_b
+    return float(np.mean(_cross_entropy(z, y))), grads_w, grads_b
 
 
 def train_arrays(

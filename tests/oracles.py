@@ -20,10 +20,13 @@ import numpy as np
 from endpoint_rt.streams import (
     BLANK_CODE,
     EOW_CODE,
+    NO_LABEL,
     NO_WORD,
     SUBWORD_CODE,
+    CallRecord,
     TokenEvent,
     TokenKind,
+    VadDecision,
     Violation,
 )
 from endpoint_rt.vadnet import MlpModel, TrainConfig, loss_and_grads
@@ -215,6 +218,28 @@ def token_columns(tokens: Sequence[TokenEvent]) -> dict:
         "token_word": [NO_WORD if t.word_index is None else t.word_index for t in tokens],
         "token_text": [t.text for t in tokens],
     }
+
+
+def sweep_call(
+    frame_ms: int, decisions: Sequence[VadDecision], tokens: Sequence[TokenEvent]
+) -> tuple[CallRecord, np.ndarray]:
+    """run_sweep's call and speech flags for a decision list and a token list.
+
+    The call has an unlabelled frame at each decision's time, which must
+    be a multiple of ``frame_ms``, and the tokens as columns.
+    """
+    assert all(d.time_ms % frame_ms == 0 for d in decisions)
+    n = len(decisions)
+    call = CallRecord(
+        "c",
+        frame_ms,
+        frame_index=[d.time_ms // frame_ms for d in decisions],
+        features=np.zeros((n, 0)),
+        labels=np.full(n, NO_LABEL, np.int8),
+        teacher_labels=np.full(n, NO_LABEL, np.int8),
+        **token_columns(tokens),
+    )
+    return call, np.array([d.is_speech for d in decisions], dtype=bool)
 
 
 def token_violations(tokens: Sequence[TokenEvent], end_cap: int) -> list[Violation]:

@@ -571,8 +571,7 @@ def test_gradients_and_training_behavior():
     for m in range(20):
         model = vadnet.init_model([3, 4, 4, 1], seed=100 + m)
         x, y = _kink_safe_batch(rng, model)
-        l2 = 0.0 if m % 2 == 0 else 0.01
-        _, grads_w, grads_b = vadnet.loss_and_grads(model, x, y, l2)
+        _, grads_w, grads_b = vadnet.loss_and_grads(model, x, y)
         slots = [
             (arr, idx, grads[layer][idx])
             for arrays, grads in ((model.weights, grads_w), (model.biases, grads_b))
@@ -583,9 +582,9 @@ def test_gradients_and_training_behavior():
         for slot in picks:
             arr, idx, analytic = slots[slot]
             arr[idx] += eps
-            up = vadnet.loss_and_grads(model, x, y, l2)[0]
+            up = vadnet.loss_and_grads(model, x, y)[0]
             arr[idx] -= 2 * eps
-            down = vadnet.loss_and_grads(model, x, y, l2)[0]
+            down = vadnet.loss_and_grads(model, x, y)[0]
             arr[idx] += eps
             numeric = (up - down) / (2 * eps)
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)

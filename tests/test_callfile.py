@@ -318,7 +318,7 @@ def test_save_call_refuses_token_text_ending_in_the_fragment_mark(tmp_path, text
 
 def test_endpoints_round_trip(tmp_path):
     endpoints = [
-        EndpointEvent(600, Trigger.TS, 400),
+        EndpointEvent(600, Trigger.TS_AND_EOW_IMMEDIATE, 400),
         EndpointEvent(1480, Trigger.TS_AND_EOW_DEFERRED, 1200, 80),
         EndpointEvent(2400, Trigger.DEFERRAL_TIMEOUT, 1400, 800),
     ]
@@ -363,10 +363,47 @@ def test_load_endpoints_rejects_out_of_order_endpoints(tmp_path):
 
 
 def test_load_endpoints_keeps_endpoints_at_one_time(tmp_path):
-    eps = [EndpointEvent(600, Trigger.TS, 400), EndpointEvent(600, Trigger.EOW, 400)]
+    eps = [EndpointEvent(600, Trigger.EOW, 400), EndpointEvent(600, Trigger.EOW, 560)]
     path = tmp_path / "tied.endpoints"
     save_endpoints("c", Mode.EOW, eps, path)
     assert load_endpoints(path) == ("c", Mode.EOW, eps)
+
+
+# a trigger each mode writes, undeferred
+_FIRST = {"BLANK": "BLANK_RUN", "TS": "TS", "EOW": "EOW", "TS_AND_EOW": "TS_AND_EOW_IMMEDIATE"}
+
+
+@pytest.mark.parametrize(
+    "mode, line, message",
+    [
+        ("TS_AND_EOW", "endpoint 3440 TS 3000 0", "trigger TS is not one of mode TS_AND_EOW's"),
+        ("EOW", "endpoint 600 TS 400 0", "trigger TS is not one of mode EOW's"),
+        ("BLANK", "endpoint 600 EOW 400 0", "trigger EOW is not one of mode BLANK's"),
+        ("TS", "endpoint 600 TS -40 0", "silence start -40 ms lies outside [0, 600] ms"),
+        ("TS", "endpoint 600 TS 640 0", "silence start 640 ms lies outside [0, 600] ms"),
+        ("TS_AND_EOW", "endpoint 3440 TS_AND_EOW_DEFERRED 3000 -7",
+         "deferred_by -7 ms is negative"),
+        ("TS_AND_EOW", "endpoint 3440 TS_AND_EOW_IMMEDIATE 3000 40",
+         "TS_AND_EOW_IMMEDIATE endpoint deferred by 40 ms"),
+        ("EOW", "endpoint 600 EOW 400 40", "EOW endpoint deferred by 40 ms"),
+    ],
+)
+def test_load_endpoints_refuses_an_endpoint_its_mode_never_writes(tmp_path, mode, line, message):
+    path = tmp_path / "odd.endpoints"
+    # a line the mode writes, then the one it never writes
+    first = f"endpoint 200 {_FIRST[mode]} 0 0"
+    path.write_text(f"{FORMAT_LINE}\ncall c\nmode {mode}\n{first}\n{line}\n")
+    with pytest.raises(FormatError) as err:
+        load_endpoints(path)
+    assert str(err.value) == f"{path}:5: {message}"
+
+
+def test_load_endpoints_reads_the_mode_before_any_endpoint(tmp_path):
+    path = tmp_path / "late.endpoints"
+    path.write_text(f"{FORMAT_LINE}\ncall c\nendpoint 600 TS 400 0\nmode TS\n")
+    with pytest.raises(FormatError) as err:
+        load_endpoints(path)
+    assert str(err.value) == f"{path}:3: endpoint line before the mode line"
 
 
 @pytest.mark.parametrize(

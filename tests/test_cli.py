@@ -463,9 +463,13 @@ def test_endpoint_rejects_bad_vad_spec(tmp_path):
     )
 
 
-def test_endpoint_rejects_mismatched_frame_ms(tmp_path, capsys):
-    calls = simulate(tmp_path)
-    # a 20 ms call among 40 ms ones: the first call sets the grid
+MIXED_GRID_ERROR = (
+    "error: sim-00000012: call frame_ms=20 does not match configured frame_ms=40\n"
+)
+
+
+def simulate_mixed_grids(tmp_path, capsys):
+    """Two 40 ms calls, then a 20 ms one: the first call sets the grid."""
     mixed = simulate(tmp_path, out_name="mixed")
     cfg = write_config(tmp_path, ZERO_DELAY_CFG)
     assert run_cli(
@@ -473,30 +477,18 @@ def test_endpoint_rejects_mismatched_frame_ms(tmp_path, capsys):
         "--n-calls", "1", "--seed", "12", "--frame-ms", "20",
     ) == 0
     capsys.readouterr()
-    cases = [
-        (calls, ["--frame-ms", "20"], "sim-00000010: call frame_ms=40 does not "
-         "match configured frame_ms=20"),
-        (mixed, [], "sim-00000012: call frame_ms=20 does not match "
-         "configured frame_ms=40"),
-    ]
-    for k, (calls_dir, flags, message) in enumerate(cases):
-        ep_out = tmp_path / f"e{k}"
-        code = run_cli(
-            "endpoint", "--calls", str(calls_dir), "--out", str(ep_out),
-            "--delta-ms", "200", *flags,
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not ep_out.exists()
+    return mixed
 
-        report = tmp_path / f"r{k}.csv"
-        code = run_cli(
-            "tradeoff", "--calls", str(calls_dir), "--out", str(report),
-            "--deltas", "200,400", *flags,
-        )
-        assert code == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert not report.exists()
+
+def test_endpoint_rejects_mismatched_frame_ms(tmp_path, capsys):
+    mixed = simulate_mixed_grids(tmp_path, capsys)
+    ep_out = tmp_path / "e"
+    code = run_cli(
+        "endpoint", "--calls", str(mixed), "--out", str(ep_out), "--delta-ms", "200"
+    )
+    assert code == 1
+    assert capsys.readouterr().err == MIXED_GRID_ERROR
+    assert not ep_out.exists()
 
 
 def test_endpoint_with_trained_model_vad(tmp_path):
@@ -698,16 +690,6 @@ def test_evaluate_checks_its_flags_before_any_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tolerance_ms: must be positive, got 0\n"
 
 
-def test_endpoint_with_frame_ms_checks_its_flags_before_any_file(tmp_path, capsys):
-    code = run_cli(
-        "endpoint", "--calls", str(tmp_path / "nope"), "--out", str(tmp_path / "eps"),
-        "--frame-ms", "40", "--blank-frames", "0",
-    )
-    assert code == 2
-    assert capsys.readouterr().err == "error: blank_run_frames: must be >= 1, got 0\n"
-    assert not (tmp_path / "eps").exists()
-
-
 # ---------------------------------------------------------------------------
 # tradeoff
 
@@ -769,16 +751,27 @@ def test_tradeoff_rejects_a_repeated_mode_before_loading(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path, capsys):
+def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path):
     calls = simulate(tmp_path)
     out = str(tmp_path / "r.csv")
     base = ("tradeoff", "--calls", str(calls), "--out", out)
-    assert run_cli(*base, "--frame-ms", "0") == 2
-    assert "--frame-ms: must be positive" in capsys.readouterr().err
     assert run_cli(*base, "--tolerance-ms", "0") == 2
     assert run_cli(*base, "--deltas=-200,200") == 2
     assert run_cli(*base, "--vad", "psychic") == 2
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("modes", [[], ["--modes", "BLANK"]], ids=["default", "BLANK"])
+def test_tradeoff_rejects_mismatched_frame_ms(tmp_path, capsys, modes):
+    # with only BLANK the sweep reads no VAD flags, and still checks the grid
+    mixed = simulate_mixed_grids(tmp_path, capsys)
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "tradeoff", "--calls", str(mixed), "--out", str(out), "--deltas", "200,400", *modes
+    )
+    assert code == 1
+    assert capsys.readouterr() == ("", MIXED_GRID_ERROR)
+    assert not out.exists()
 
 
 def test_tradeoff_rejects_a_cap_below_every_delta_before_loading(tmp_path, capsys):

@@ -28,7 +28,7 @@ from endpoint_rt.streams import (
     merge_streams,
 )
 
-from oracles import maximal_nonspeech_runs, token_columns
+from oracles import maximal_nonspeech_runs, sweep_call
 
 FRAME = 40
 
@@ -60,12 +60,9 @@ def run(mode, vad, tokens, **kw):
 
 
 def sweep(mode, vad, tokens, **kw):
-    """run_sweep's endpoints for one config, from the decisions and tokens run() merges."""
+    """run_sweep's endpoints for one config, on a call of the decisions and tokens run() merges."""
     cfg = EndpointerConfig(mode=mode, **kw)
-    cols = token_columns(tokens)
-    end = max([d.time_ms for d in vad] + cols["token_time"], default=0)
-    times, speech = [d.time_ms for d in vad], [d.is_speech for d in vad]
-    [eps] = run_sweep([cfg], times, speech, cols["token_time"], cols["token_kind"], end)
+    [eps] = run_sweep([cfg], *sweep_call(cfg.frame_ms, vad, tokens))
     return eps
 
 

@@ -7,10 +7,11 @@ leave every one of them unchanged.  The timelines cover dense and sparse
 VAD, two VAD decisions at the same millisecond, tokens tied with frames
 and with thresholds, tokens with and without word index, random delta,
 deferral cap and blank run, and an EndOfStream stamped past the last
-event.  run_sweep, given each timeline's VAD columns, its token
-columns as a CallRecord holds them, and its end, must give run_call's
-endpoints on the full timeline, and fail on the inputs that
-merge_streams and run_call reject.  Its EOW-gated rules also refuse
+event.  run_sweep, given a CallRecord with a frame at each of a
+timeline's VAD decisions and its tokens, and the decisions' flags, must
+give run_call's endpoints on the timeline ended where merge_streams ends
+it, at the last event, and fail on the inputs that merge_streams and
+run_call reject.  Its EOW-gated rules also refuse
 decisions closer than a frame, such as two at one millisecond, so the
 timelines it is compared on have none.
 """
@@ -22,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import token_columns
+from oracles import sweep_call
 
 from endpoint_rt.endpointer import (
     EndpointerConfig,
@@ -35,7 +36,6 @@ from endpoint_rt.endpointer import (
 from endpoint_rt.streams import (
     BLANK_CODE,
     EOW_CODE,
-    SUBWORD_CODE,
     CallRecord,
     EndOfStream,
     TimelineEvent,
@@ -147,22 +147,20 @@ def test_run_call_matches_pinned_digests_on_random_timelines():
     assert digests == PINNED
 
 
-def token_args(tokens):
-    """run_sweep's token arguments: the emit time and kind code columns of a CallRecord."""
-    call = CallRecord("c", 40, **token_columns(tokens))
-    return call.token_time, call.token_kind
+def sweep_args(timeline, frame):
+    """run_sweep's call and flags, from a merged timeline on a ``frame`` ms grid.
 
-
-def columns(timeline):
-    """run_sweep's arguments after the configs, from a merged timeline.
-
-    Its VAD columns, its token columns and its end.
+    The call has a frame at each VAD decision and the timeline's tokens.
     """
     vad = [ev.payload for ev in timeline if isinstance(ev.payload, VadDecision)]
     tokens = [ev.payload for ev in timeline if isinstance(ev.payload, TokenEvent)]
-    times = np.array([d.time_ms for d in vad], dtype=np.int64)
-    speech = np.array([d.is_speech for d in vad], dtype=bool)
-    return times, speech, *token_args(tokens), timeline[-1].time_ms
+    return sweep_call(frame, vad, tokens)
+
+
+def ended_at_last_event(timeline):
+    """The timeline with its EndOfStream where merge_streams stamps it."""
+    end = timeline[-2].time_ms if len(timeline) > 1 else 0
+    return [*timeline[:-1], TimelineEvent(end, EndOfStream())]
 
 
 def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision():
@@ -174,13 +172,12 @@ def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision()
     cfg = EndpointerConfig(Mode.TS_AND_EOW, 40, 1, 1000, 40)
     times = [0, 0, 40, 80, 120, 160]
     speech = [False, True, False, False, False, False]
-    tokens = token_args(
-        [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
-    )
+    tokens = [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
+    call, flags = sweep_call(40, list(map(VadDecision, times, speech)), tokens)
     want = [EndpointEvent(80, Trigger.TS_AND_EOW_IMMEDIATE, 40)]
-    assert _merged_run(cfg, times, speech, *tokens, 160) == want
+    assert _merged_run(cfg, call, flags) == want
     with pytest.raises(ValueError, match="index 1 at 0 ms after 0 ms"):
-        run_sweep([cfg], times, speech, *tokens, 160)
+        run_sweep([cfg], call, flags)
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
@@ -207,8 +204,9 @@ def test_run_sweep_matches_run_call_on_random_timelines():
     for case in range(N_TIMELINES):
         cfg, timeline = random_case(rng, duplicates=False)
         cfgs = sweep_configs(variants, cfg)
-        want = [run_call(c, timeline) for c in cfgs]
-        assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
+        want = [run_call(c, ended_at_last_event(timeline)) for c in cfgs]
+        got = run_sweep(cfgs, *sweep_args(timeline, cfg.frame_ms))
+        assert got == want, f"case {case}: {cfgs}"
         if cfg.mode is Mode.EOW and len({c.ts_threshold_ms for c in cfgs}) > 1:
             shared_eow += 1
     assert shared_eow > 1000  # one EOW walk answered several deltas
@@ -222,19 +220,21 @@ def test_run_sweep_refuses_decisions_closer_than_a_frame():
     refused = 0
     for case in range(N_TIMELINES):
         cfg, timeline = random_case(rng)
-        times, *rest = columns(timeline)
+        call, speech = sweep_args(timeline, cfg.frame_ms)
+        times = call.frame_times
         close = np.flatnonzero(np.diff(times) < cfg.frame_ms)
         if not close.size:
             continue
         k = int(close[0]) + 1
         for mode in (Mode.TS, Mode.BLANK):
             plain = replace(cfg, mode=mode)
-            assert run_sweep([plain], times, *rest) == [run_call(plain, timeline)]
+            want = [run_call(plain, ended_at_last_event(timeline))]
+            assert run_sweep([plain], call, speech) == want
         for mode in (Mode.EOW, Mode.TS_AND_EOW):
             with pytest.raises(ValueError) as err:
-                run_sweep([replace(cfg, mode=Mode.TS), replace(cfg, mode=mode)], times, *rest)
+                run_sweep([replace(cfg, mode=Mode.TS), replace(cfg, mode=mode)], call, speech)
             assert str(err.value) == (
-                f"vad times step by less than frame_ms={cfg.frame_ms}: "
+                f"frame times step by less than frame_ms={cfg.frame_ms}: "
                 f"index {k} at {times[k]} ms after {times[k - 1]} ms"
             ), f"case {case}"
         refused += 1
@@ -254,26 +254,46 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
         # a run length past int64: run_call finds no such run, nor may run_sweep
         cfgs.append(replace(cfg, mode=Mode.BLANK, blank_run_frames=2**63))
         order.shuffle(cfgs)
-        want = [run_call(c, timeline) for c in cfgs]
-        assert run_sweep(cfgs, *columns(timeline)) == want, f"case {case}: {cfgs}"
+        want = [run_call(c, ended_at_last_event(timeline)) for c in cfgs]
+        got = run_sweep(cfgs, *sweep_args(timeline, cfg.frame_ms))
+        assert got == want, f"case {case}: {cfgs}"
 
 
-_KINDS = {BLANK_CODE: TokenKind.BLANK, SUBWORD_CODE: TokenKind.SUBWORD, EOW_CODE: TokenKind.EOW}
+def test_run_sweep_reads_no_flags_when_every_config_is_blank():
+    rng = random.Random(20261018)
+    for case in range(300):
+        cfg, timeline = random_case(rng)
+        call, speech = sweep_args(timeline, cfg.frame_ms)
+        blank = replace(cfg, mode=Mode.BLANK)
+        assert run_sweep([blank], call) == [run_call(blank, timeline)], f"case {case}"
+        for mode in (Mode.TS, Mode.EOW, Mode.TS_AND_EOW):
+            with pytest.raises(ValueError, match="^is_speech is None, but a config other"):
+                run_sweep([blank, replace(cfg, mode=mode)], call)
 
 
-def _merged_run(cfg, times, speech, token_times, kinds, end_ms):
-    """run_call over the timeline merge_streams builds from the columns."""
-    tokens = [TokenEvent(t, _KINDS[k]) for t, k in zip(token_times, kinds)]
-    timeline = merge_streams(list(map(VadDecision, times, speech)), tokens)
-    timeline[-1] = TimelineEvent(end_ms, EndOfStream())
-    return run_call(cfg, timeline)
+@pytest.mark.parametrize("modes", [[Mode.BLANK], MODES], ids=["BLANK", "all"])
+def test_run_sweep_refuses_a_config_off_the_calls_frame_grid(modes):
+    call, speech = sweep_call(40, [VadDecision(0, False), VadDecision(40, False)], [])
+    cfgs = [EndpointerConfig(mode, 40, 1, 40, frame_ms=40) for mode in modes]
+    cfgs.append(replace(cfgs[-1], ts_threshold_ms=80, deferral_cap_ms=80, frame_ms=20))
+    flags = None if modes == [Mode.BLANK] else speech
+    with pytest.raises(ValueError) as err:
+        run_sweep(cfgs, call, flags)
+    assert str(err.value) == "c: call frame_ms=40 does not match configured frame_ms=20"
 
 
-# vad_times, is_speech, token_times, token_kinds, end_ms
+def _merged_run(cfg, call, speech):
+    """run_call over the timeline merge_streams builds from a call and its flags."""
+    vad = list(map(VadDecision, call.frame_times.tolist(), speech.tolist()))
+    return run_call(cfg, merge_streams(vad, list(call.tokens)))
+
+
+# frame times, speech flags and tokens
 REJECTED = {
-    "out of order": ([0, 80, 40], [False, False, True], [20], [BLANK_CODE], 80),
-    "unsorted tokens": ([0, 40], [False, False], [40, 20], [EOW_CODE, BLANK_CODE], 40),
-    "after EndOfStream": ([0, 40], [False, False], [20], [BLANK_CODE], 20),
+    "out of order": ([0, 80, 40], [False, False, True], [TokenEvent(20, TokenKind.BLANK)]),
+    "unsorted tokens": (
+        [0, 40], [False, False], [TokenEvent(40, TokenKind.EOW), TokenEvent(20, TokenKind.BLANK)]
+    ),
 }
 
 
@@ -282,7 +302,7 @@ def _error(fn, *args):
         fn(*args)
     except Exception as exc:  # the error itself is what is compared
         return type(exc), str(exc)
-    pytest.fail(f"{fn.__name__} accepted the columns")
+    pytest.fail(f"{fn.__name__} accepted the call")
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
@@ -290,26 +310,38 @@ def _error(fn, *args):
     "modes", [[m] for m in MODES] + [MODES], ids=lambda ms: "+".join(m.value for m in ms)
 )
 def test_run_sweep_rejects_what_run_call_rejects(name, modes):
-    columns = REJECTED[name]
+    times, speech, tokens = REJECTED[name]
+    call, flags = sweep_call(40, list(map(VadDecision, times, speech)), tokens)
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in modes]
-    want = _error(_merged_run, cfgs[0], *columns)
-    assert all(_error(_merged_run, c, *columns) == want for c in cfgs)
-    assert _error(run_sweep, cfgs, *columns) == want
+    want = _error(_merged_run, cfgs[0], call, flags)
+    assert all(_error(_merged_run, c, call, flags) == want for c in cfgs)
+    assert _error(run_sweep, cfgs, call, flags) == want
 
 
 @pytest.mark.parametrize("times, speech", [([0, 40], [False]), ([0], [True, False])])
 def test_run_sweep_rejects_columns_of_unequal_length(times, speech):
+    # the flags must be one per frame of the call
+    call, _ = sweep_call(40, [VadDecision(t, False) for t in times], [])
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
-    with pytest.raises(ValueError, match="vad columns differ"):
-        run_sweep(cfgs, times, speech, [], [], 40)
+    with pytest.raises(ValueError) as err:
+        run_sweep(cfgs, call, speech)
+    assert str(err.value) == (
+        f"c: is_speech has shape ({len(speech)},), "
+        f"expected one flag for each of {len(times)} frames"
+    )
+
+
+# run_sweep reads the token columns of a CallRecord, which refuses what
+# run_sweep once checked itself: codes naming no token kind (run_sweep
+# would read them as SUBWORD) and token columns of unequal length
 
 
 @pytest.mark.parametrize("code", [-1, 3, 258])
 def test_run_sweep_rejects_kind_codes_that_name_no_token_kind(code):
-    # a code is read as SUBWORD or EOW only if it is one
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
-    with pytest.raises(ValueError, match=f"^token 1: kind code {code} names no token kind$"):
-        run_sweep(cfgs, [0], [False], [20, 30], [EOW_CODE, code], 40)
+    refused = "^c: (token_kind holds a value outside int8|token 1: bad token_kind code)$"
+    with pytest.raises(ValueError, match=refused):
+        run_sweep(cfgs, CallRecord("c", 40, **_tokens([20, 30], [EOW_CODE, code])), [])
 
 
 @pytest.mark.parametrize(
@@ -317,5 +349,15 @@ def test_run_sweep_rejects_kind_codes_that_name_no_token_kind(code):
 )
 def test_run_sweep_rejects_token_columns_of_unequal_length(token_times, kinds):
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
-    with pytest.raises(ValueError, match="token columns differ"):
-        run_sweep(cfgs, [0], [False], token_times, kinds, 40)
+    with pytest.raises(ValueError, match="^c: token_kind has shape"):
+        run_sweep(cfgs, CallRecord("c", 40, **_tokens(token_times, kinds)), [])
+
+
+def _tokens(times, kinds):
+    """Token column keywords: these times and kind codes, with no word or text."""
+    return {
+        "token_time": times,
+        "token_kind": kinds,
+        "token_word": [-1] * len(times),
+        "token_text": [""] * len(times),
+    }

@@ -2,10 +2,14 @@
 
 Valid files are written by the package's own savers, then mutated from a
 fixed seed by truncation, bit flips, dropped fields and inserted non-ASCII
-bytes, and call files also by hostile token fields.  Whatever the mutant, a loader either parses it or raises an error
-that names the file and line (text formats) or the file and field
-(checkpoints).  Every mutated call file fed to the ``endpoint`` command
-exits 0, 1 or 2; an exception escaping ``cli.main`` fails the test.
+bytes, call files also by hostile token fields, and endpoint files also
+by well-formed endpoints that no rule of the file's mode writes.
+Whatever the mutant, a loader either parses it or raises an error that
+names the file and line (text formats) or the file and field
+(checkpoints); the endpoints no rule writes always fail, and make
+``evaluate`` exit 1.  Every mutated call file fed to the ``endpoint``
+command exits 0, 1 or 2; an exception escaping ``cli.main`` fails the
+test.
 """
 
 import random
@@ -227,6 +231,53 @@ def test_call_loader_and_endpoint_name_the_line_of_a_mutated_token(
             assert err.startswith(f"error: {path}:"), err
         codes.add(code)
     assert codes == {0, 1}  # the mutants reach both outcomes
+
+
+def mutate_endpoint(data: bytes, rng: random.Random) -> tuple[bytes, int]:
+    """A TS_AND_EOW ``data`` with one endpoint line made one the mode never
+    writes, and the number of that line."""
+    lines = data.decode().split("\n")
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("endpoint ")])
+    tag, time, trigger, start, deferred = lines[k].split(" ")
+    kind = rng.randrange(5)
+    if kind == 0:
+        trigger = rng.choice(["BLANK_RUN", "TS", "EOW"])
+    elif kind == 1:
+        start = str(int(time) + rng.randint(1, 10**6))
+    elif kind == 2:
+        start = str(-rng.randint(1, 10**6))
+    elif kind == 3:
+        trigger = rng.choice(["TS_AND_EOW_DEFERRED", "DEFERRAL_TIMEOUT"])
+        deferred = str(-rng.randint(1, 10**6))
+    else:
+        trigger, deferred = "TS_AND_EOW_IMMEDIATE", str(rng.randint(1, 10**6))
+    lines[k] = " ".join((tag, time, trigger, start, deferred))
+    return "\n".join(lines).encode(), k + 1
+
+
+def test_endpoints_no_rule_writes_name_their_line_and_fail_evaluate(
+    valid_files, tmp_path, capsys
+):
+    # a trigger foreign to the mode, a silence start outside [0, time], a
+    # negative deferral, or a deferral on a trigger that never defers
+    call_id = callfile.load_call(valid_files / "c.call").call_id
+    calls, eps = tmp_path / "calls", tmp_path / "eps"
+    calls.mkdir()
+    eps.mkdir()
+    (calls / f"{call_id}.call").write_bytes((valid_files / "c.call").read_bytes())
+    (eps / f"{call_id}.transcript").write_bytes((valid_files / "c.transcript").read_bytes())
+    data = (valid_files / "c.endpoints").read_bytes()
+    assert data.count(b"\nendpoint ") >= 2
+    path = eps / f"{call_id}.endpoints"
+    rng = random.Random(SEED + 5)
+    for _ in range(N_MUTANTS // 4):
+        mutant, line = mutate_endpoint(data, rng)
+        path.write_bytes(mutant)
+        with pytest.raises(callfile.FormatError, match=rf"^{re.escape(str(path))}:{line}: "):
+            callfile.load_endpoints(path)
+        code = cli.main(["evaluate", "--calls", str(calls), "--endpoints", str(eps)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
 def test_non_ascii_byte_names_the_file_and_line(tmp_path):

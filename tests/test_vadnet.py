@@ -131,18 +131,6 @@ def test_gradients_match_central_differences():
                     assert abs(numeric - gflat[i]) / denom <= 1e-4
 
 
-def test_l2_term_contributes_to_loss_and_gradient():
-    model = init_model([2, 3, 3, 1], seed=1)
-    x = np.array([[0.5, -0.5], [1.0, 0.25]])
-    y = np.array([1.0, 0.0])
-    plain, gw_plain, _ = loss_and_grads(model, x, y, l2=0.0)
-    reg, gw_reg, _ = loss_and_grads(model, x, y, l2=0.1)
-    expected = plain + 0.05 * sum(float(np.sum(w * w)) for w in model.weights)
-    assert abs(reg - expected) < 1e-12
-    diff = gw_reg[0] - gw_plain[0]
-    assert np.allclose(diff, 0.1 * model.weights[0])
-
-
 # ---------------------------------------------------------------------------
 # training
 
