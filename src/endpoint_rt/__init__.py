@@ -29,7 +29,6 @@ from .evaluator import (
     WerResult,
     align_events,
     pool_scores,
-    score_against,
     score_call,
     score_runs,
     wer,
@@ -111,7 +110,6 @@ __all__ = [
     "run_call",
     "run_sweep",
     "save_model",
-    "score_against",
     "score_call",
     "score_runs",
     "validate_call",

@@ -2,9 +2,9 @@
 
 Every format starts with a ``format=1`` version line (the CSV report uses
 a ``# format=1`` comment so spreadsheet tools still open it).  Formats
-round-trip exactly: floats are written with ``repr``, which the reader
-recovers bit-identically, and empty strings or absent values are written
-as the placeholder ``-``.
+with a reader round-trip exactly: floats are written with ``repr``, which
+the reader recovers bit-identically, and empty strings or absent values
+are written as the placeholder ``-``.
 
 Call file layout, one call per file::
 
@@ -15,11 +15,11 @@ Call file layout, one call per file::
     segment <start_ms> <end_ms> <word> ...
 
 Endpoint files carry one ``endpoint`` line per event, each one a rule of
-the file's mode writes (``_check_endpoint``); transcript files
-carry one ``turn`` line per turn with unclosed (fragment) words marked by
-a trailing ``*``.  The report CSV has the fixed header ``mode,delta_ms,
-tolerance_ms,precision,recall,f1,wer,S,D,I,mean_latency_ms,
-median_latency_ms,deferral_timeouts``.
+the file's mode writes (``_check_endpoint``).  Transcript files are
+written for people and never read back: one ``turn`` line per turn, with
+unclosed (fragment) words marked by a trailing ``*``.  The report CSV
+has the fixed header ``mode,delta_ms,tolerance_ms,precision,recall,f1,
+wer,S,D,I,mean_latency_ms,median_latency_ms,deferral_timeouts``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "save_endpoints",
     "load_endpoints",
     "save_transcripts",
-    "load_transcripts",
     "save_report",
     "load_report",
 ]
@@ -437,57 +436,6 @@ def save_transcripts(
             f"turn {turn.turn_index} {turn.start_ms} {turn.end_ms} {words}".rstrip()
         )
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
-
-
-def _check_turn(
-    path: Union[str, Path], lineno: int, turn: TurnTranscript, turns: list[TurnTranscript]
-) -> None:
-    """Turn k comes k-th and spans forward from the previous turn's end."""
-    if turn.turn_index != len(turns):
-        _fail(path, lineno, f"turn {turn.turn_index} where turn {len(turns)} is due")
-    if turn.start_ms > turn.end_ms:
-        _fail(path, lineno, f"turn ends at {turn.end_ms} ms, before its start")
-    if turns and turn.start_ms < turns[-1].end_ms:
-        _fail(
-            path,
-            lineno,
-            f"turn starts at {turn.start_ms} ms, before turn {len(turns) - 1} "
-            f"ends at {turns[-1].end_ms} ms",
-        )
-
-
-def load_transcripts(path: Union[str, Path]) -> tuple[str, list[TurnTranscript]]:
-    lines = _read_lines(path)
-    call_id = ""
-    turns: list[TurnTranscript] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "call":
-                if call_id:
-                    _fail(path, lineno, "duplicate call line")
-                call_id = parts[1]
-            elif parts[0] == "turn":
-                words = tuple(
-                    (_opt(w[:-1]) or "", False)
-                    if w.endswith("*")
-                    else (_opt(w) or "", True)
-                    for w in parts[4:]
-                )
-                turn = TurnTranscript(int(parts[1]), int(parts[2]), int(parts[3]), words)
-                _check_turn(path, lineno, turn, turns)
-                turns.append(turn)
-            else:
-                _fail(path, lineno, f"unknown record tag {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            _fail(path, lineno, f"bad {parts[0]} record: {exc}")
-    if not call_id:
-        _fail(path, len(lines), "transcript file missing call line")
-    return call_id, turns
 
 
 # -- report CSV ---------------------------------------------------------------

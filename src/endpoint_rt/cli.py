@@ -22,15 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import callfile, simulator, vadnet
-from .endpointer import (
-    EndpointEvent,
-    EndpointerConfig,
-    Mode,
-    TurnTranscript,
-    commit_transcript,
-    run_sweep,
-)
-from .evaluator import CallScore, EvalConfig, pool_scores, score_against, score_runs
+from .endpointer import EndpointerConfig, Mode, commit_transcript, run_sweep
+from .evaluator import CallScore, EvalConfig, pool_scores, score_runs
 from .simulator import SimConfig, corrupt_speech, gen_call, oracle_speech
 from .streams import (
     NO_LABEL,
@@ -99,14 +92,16 @@ def _no_vad(call: CallRecord) -> None:
     return None
 
 
-def _vad_source(spec: str, seed: int) -> VadSource:
-    """Parse --vad {model:<p>|oracle|corrupted:<eer>} once, loading any model.
+def _vad_source(spec: str, seed: int, reads: bool) -> VadSource:
+    """Parse --vad {model:<p>|oracle|corrupted:<eer>} once.
 
-    The returned function gives one call's speech flags.
+    The returned function gives one call's speech flags.  The spec is
+    parsed whatever the modes; when no mode ``reads`` the VAD (every one
+    is BLANK) it gives none, and a model file is never opened.
     """
     if spec == "oracle":
-        return oracle_speech
-    if spec.startswith("corrupted:"):
+        source: VadSource = oracle_speech
+    elif spec.startswith("corrupted:"):
         try:
             eer = float(spec.partition(":")[2])
         except ValueError as exc:
@@ -118,31 +113,37 @@ def _vad_source(spec: str, seed: int) -> VadSource:
             call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
             return corrupt_speech(oracle_speech(call), eer, call_seed)
 
-        return corrupted
-    if spec.startswith("model:"):
-        model_path = Path(spec.partition(":")[2])
-        if not model_path.is_file():
-            raise FileNotFoundError(f"--vad model not found: {model_path}")
-        model, threshold = vadnet.load_model(model_path)
-        d_in = model.layer_dims[0]
+        source = corrupted
+    elif spec.startswith("model:"):
+        return _model_vad(Path(spec.partition(":")[2])) if reads else _no_vad
+    else:
+        raise UsageError(
+            f"--vad: expected model:<path>, oracle, or corrupted:<eer>, got {spec!r}"
+        )
+    return source if reads else _no_vad
 
-        def classify(call: CallRecord) -> np.ndarray:
-            if not len(call.frame_index):
-                return np.empty(0, dtype=bool)
-            dim = call.features.shape[1]
-            if dim != d_in:
-                raise ValueError(
-                    f"{call.call_id}: model expects {d_in} features per frame, "
-                    f"call has {dim}"
-                )
-            _check_finite(call)
-            p = vadnet.posteriors(model, call.features)
-            return vadnet.speech_flags(p, threshold)
 
-        return classify
-    raise UsageError(
-        f"--vad: expected model:<path>, oracle, or corrupted:<eer>, got {spec!r}"
-    )
+def _model_vad(model_path: Path) -> VadSource:
+    """Load the --vad model once; each call's flags come from its features."""
+    if not model_path.is_file():
+        raise FileNotFoundError(f"--vad model not found: {model_path}")
+    model, threshold = vadnet.load_model(model_path)
+    d_in = model.layer_dims[0]
+
+    def classify(call: CallRecord) -> np.ndarray:
+        if not len(call.frame_index):
+            return np.empty(0, dtype=bool)
+        dim = call.features.shape[1]
+        if dim != d_in:
+            raise ValueError(
+                f"{call.call_id}: model expects {d_in} features per frame, "
+                f"call has {dim}"
+            )
+        _check_finite(call)
+        p = vadnet.posteriors(model, call.features)
+        return vadnet.speech_flags(p, threshold)
+
+    return classify
 
 
 def _load_calls(calls_dir: Path) -> list[CallRecord]:
@@ -160,20 +161,6 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
             raise ValueError(f"{p}: invalid call: {v.field}[{v.index}]: {v.message}")
         calls.append(call)
     return calls
-
-
-def _endpoint_call(
-    call: CallRecord, cfgs: Sequence[EndpointerConfig], is_speech: Optional[np.ndarray]
-) -> list[tuple[list[EndpointEvent], list[TurnTranscript]]]:
-    """Each config's endpoints and transcripts; each distinct list commits once."""
-    committed: dict[tuple[EndpointEvent, ...], list[TurnTranscript]] = {}
-    results = []
-    for endpoints in run_sweep(cfgs, call, is_speech):
-        key = tuple(endpoints)
-        if key not in committed:
-            committed[key] = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
-        results.append((endpoints, committed[key]))
-    return results
 
 
 # -- subcommands --------------------------------------------------------------
@@ -336,11 +323,16 @@ def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerCon
 def cmd_endpoint(args: argparse.Namespace) -> int:
     calls = _load_calls(Path(args.calls))
     cfg = _endpointer_config(args, calls[0].frame_ms)
-    vad = _no_vad if cfg.mode is Mode.BLANK else _vad_source(args.vad, args.seed)
+    vad = _vad_source(args.vad, args.seed, reads=cfg.mode is not Mode.BLANK)
     # every call is endpointed before any file is written: a bad call leaves --out as it was
-    results = [_endpoint_call(call, [cfg], vad(call))[0] for call in calls]
+    results = []
+    for call in calls:
+        [endpoints] = run_sweep([cfg], call, vad(call))
+        turns = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
+        results.append((endpoints, turns))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the transcript is written for people: evaluate commits its own
     for call, (endpoints, transcripts) in zip(calls, results):
         callfile.save_endpoints(
             call.call_id, cfg.mode, endpoints, out_dir / f"{call.call_id}.endpoints"
@@ -367,23 +359,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mode: Optional[Mode] = None
     for call in calls:
         ep_path = ep_dir / f"{call.call_id}.endpoints"
-        tr_path = ep_dir / f"{call.call_id}.transcript"
-        if not ep_path.is_file() or not tr_path.is_file():
-            raise FileNotFoundError(
-                f"{call.call_id}: missing endpoint/transcript pair in {ep_dir}"
-            )
+        if not ep_path.is_file():
+            raise FileNotFoundError(f"{call.call_id}: no endpoints file in {ep_dir}")
         ep_call_id, ep_mode, endpoints = callfile.load_endpoints(ep_path)
-        tr_call_id, transcripts = callfile.load_transcripts(tr_path)
-        for path, file_call_id in ((ep_path, ep_call_id), (tr_path, tr_call_id)):
-            if file_call_id != call.call_id:
-                raise ValueError(f"{path}: call id mismatch with {call.call_id}")
+        if ep_call_id != call.call_id:
+            raise ValueError(f"{ep_path}: call id mismatch with {call.call_id}")
         if mode is None:
             mode = ep_mode
         elif mode is not ep_mode:
             raise ValueError(
                 f"{ep_path}: mode {ep_mode.value} differs from {mode.value}"
             )
-        s = score_against(call, endpoints, transcripts, eval_cfg)
+        [s] = score_runs(call, [(endpoints, eval_cfg)])
         scores.append(s)
         print(
             f"{call.call_id}: hits={s.hits} misses={s.misses} false_alarms={s.false_alarms} "
@@ -436,7 +423,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
     # every flag is checked before the first call runs, so a ValueError
     # from the sweep below is a data failure (exit 1), not a usage error
-    sweep: list[tuple[EndpointerConfig, EvalConfig]] = []
+    cfgs: list[EndpointerConfig] = []
+    eval_cfgs: list[EvalConfig] = []
     for mode in modes:
         for delta in deltas:
             if delta % frame_ms != 0:
@@ -444,34 +432,33 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
                     f"--deltas: {delta} is not a multiple of frame_ms={frame_ms}"
                 )
             try:
-                cfg = EndpointerConfig(
-                    mode=mode,
-                    ts_threshold_ms=delta,
-                    blank_run_frames=delta // frame_ms,
-                    deferral_cap_ms=max(args.deferral_cap_ms, delta),
-                    frame_ms=frame_ms,
+                cfgs.append(
+                    EndpointerConfig(
+                        mode=mode,
+                        ts_threshold_ms=delta,
+                        blank_run_frames=delta // frame_ms,
+                        deferral_cap_ms=max(args.deferral_cap_ms, delta),
+                        frame_ms=frame_ms,
+                    )
                 )
-                eval_cfg = EvalConfig(delta, eval_tol)
+                eval_cfgs.append(EvalConfig(delta, eval_tol))
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            sweep.append((cfg, eval_cfg))
 
     # the VAD does not depend on the config: classify each call once
     # (BLANK reads only its tokens), then sweep every config
-    vad = _no_vad
-    if any(mode is not Mode.BLANK for mode in modes):
-        vad = _vad_source(args.vad, args.seed)
-    cfgs = [cfg for cfg, _ in sweep]
-    scores: list[list[CallScore]] = [[] for _ in sweep]
+    vad = _vad_source(
+        args.vad, args.seed, reads=any(mode is not Mode.BLANK for mode in modes)
+    )
+    scores: list[list[CallScore]] = [[] for _ in cfgs]
     for call in calls:
-        results = _endpoint_call(call, cfgs, vad(call))
-        runs = [(eps, turns, ec) for (eps, turns), (_, ec) in zip(results, sweep)]
+        runs = zip(run_sweep(cfgs, call, vad(call)), eval_cfgs)
         for config_scores, score in zip(scores, score_runs(call, runs)):
             config_scores.append(score)
 
     rows = [
         callfile.ReportRow(cfg.mode, ec.ts_threshold_ms, eval_tol, pool_scores(s))
-        for (cfg, ec), s in zip(sweep, scores)
+        for cfg, ec, s in zip(cfgs, eval_cfgs, scores)
     ]
     callfile.save_report(rows, Path(args.out))
     print(f"wrote {len(rows)} rows to {args.out}")

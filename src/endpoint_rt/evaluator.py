@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ._kernels import edit_distance_counts
-from .endpointer import EndpointEvent, Trigger, TurnTranscript, hypothesis_words
+from .endpointer import EndpointEvent, Trigger, commit_transcript, hypothesis_words
 from .streams import CallRecord, _first_inversion
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "align_events",
     "wer",
     "score_call",
-    "score_against",
     "score_runs",
     "pool_scores",
 ]
@@ -216,39 +215,35 @@ def _counts(
     )
 
 
-_Run = tuple[Sequence[EndpointEvent], Sequence[TurnTranscript], EvalConfig]
+_Run = tuple[Sequence[EndpointEvent], EvalConfig]
 
 
-def score_runs(call: CallRecord, runs: Sequence[_Run]) -> list[CallScore]:
-    """Score many (endpoints, transcripts, config) runs of one call.
+def score_runs(call: CallRecord, runs: Iterable[_Run]) -> list[CallScore]:
+    """Score many (endpoints, config) runs of one call.
 
     The reference is the call's segments: their ends are the turn ends,
-    their words the reference word sequence.  It is built once, and the
-    WER edit distance runs once per distinct hypothesis word list, so runs
-    that commit the same words share one.
+    their words the reference word sequence.  The hypothesis is the words
+    the endpoints commit from the call's tokens (``commit_transcript``).
+    The reference is built once, each distinct endpoint list commits once,
+    and the WER edit distance runs once per distinct hypothesis word list,
+    so runs that commit the same words share one.
     """
     ref_ends = [seg.end_ms for seg in call.segments]
     ref_words = [w for seg in call.segments for w in seg.words]
+    hyps: dict[tuple[EndpointEvent, ...], tuple[str, ...]] = {}
     wers: dict[tuple[str, ...], WerResult] = {}
     scores = []
-    for endpoints, transcripts, cfg in runs:
-        hyp = tuple(hypothesis_words(transcripts))
+    for endpoints, cfg in runs:
+        key = tuple(endpoints)
+        if key not in hyps:
+            turns = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
+            hyps[key] = tuple(hypothesis_words(turns))
+        hyp = hyps[key]
         if hyp not in wers:
             wers[hyp] = wer(ref_words, hyp)
         m = align_events(ref_ends, endpoints, cfg)
         scores.append(_counts(m, wers[hyp], endpoints))
     return scores
-
-
-def score_against(
-    call: CallRecord,
-    endpoints: Sequence[EndpointEvent],
-    transcripts: Sequence[TurnTranscript],
-    cfg: EvalConfig,
-) -> CallScore:
-    """Score one call's endpoints and committed transcript against its reference."""
-    [score] = score_runs(call, [(endpoints, transcripts, cfg)])
-    return score
 
 
 def pool_scores(scores: Sequence[CallScore]) -> EvalReport:

@@ -15,7 +15,6 @@ from endpoint_rt.callfile import (
     load_call,
     load_endpoints,
     load_report,
-    load_transcripts,
     save_call,
     save_endpoints,
     save_report,
@@ -426,7 +425,7 @@ def test_load_endpoints_rejects_a_repeated_call_or_mode_line(tmp_path, body, lin
 # transcript files
 
 
-def test_transcripts_round_trip_with_fragments(tmp_path):
+def test_save_transcripts_writes_fragments_placeholders_and_empty_turns(tmp_path):
     turns = [
         TurnTranscript(0, 0, 600, (("kazo", False), ("mi", True))),
         TurnTranscript(1, 600, 1400, ()),
@@ -434,9 +433,13 @@ def test_transcripts_round_trip_with_fragments(tmp_path):
     ]
     path = tmp_path / "a.turns"
     save_transcripts("sim-00000002", turns, path)
-    call_id, loaded = load_transcripts(path)
-    assert call_id == "sim-00000002"
-    assert loaded == turns
+    assert path.read_text() == (
+        f"{FORMAT_LINE}\n"
+        "call sim-00000002\n"
+        "turn 0 0 600 kazo* mi\n"
+        "turn 1 600 1400\n"
+        "turn 2 1400 2000 tu - -*\n"
+    )
 
 
 def test_transcript_fragment_marker_is_a_star(tmp_path):
@@ -448,66 +451,10 @@ def test_transcript_fragment_marker_is_a_star(tmp_path):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_save_transcripts_refuses_a_word_ending_in_the_fragment_mark(tmp_path, closed):
-    # "ka*" closed would load back as the fragment "ka"
+    # "ka*" closed would read as the fragment "ka"
     turns = [TurnTranscript(0, 0, 100, (("ka*", closed),))]
     with pytest.raises(ValueError, match="a trailing '\\*' marks an unclosed word"):
         save_transcripts("c", turns, tmp_path / "x.turns")
-
-
-def test_load_transcripts_rejects_missing_call_line(tmp_path):
-    path = tmp_path / "bad.turns"
-    path.write_text(f"{FORMAT_LINE}\nturn 0 0 600\n")
-    with pytest.raises(FormatError, match="missing call line"):
-        load_transcripts(path)
-
-
-def test_load_transcripts_rejects_unknown_tag(tmp_path):
-    path = tmp_path / "bad.turns"
-    path.write_text(f"{FORMAT_LINE}\ncall c\nchapter 1\n")
-    with pytest.raises(FormatError, match="unknown record tag 'chapter'"):
-        load_transcripts(path)
-
-
-def test_load_transcripts_rejects_a_repeated_call_line(tmp_path):
-    path = tmp_path / "twice.turns"
-    path.write_text(f"{FORMAT_LINE}\ncall c\nturn 0 0 600\ncall c\n")
-    with pytest.raises(FormatError) as err:
-        load_transcripts(path)
-    assert str(err.value) == f"{path}:4: duplicate call line"
-
-
-@pytest.mark.parametrize(
-    "turns, message",
-    [
-        # the first two turns of a written file, swapped
-        ("turn 1 600 1400 mi\nturn 0 0 600 ka", "3: turn 1 where turn 0 is due"),
-        ("turn 0 0 600\nturn 0 600 1400", "4: turn 0 where turn 1 is due"),
-        ("turn 0 0 600\nturn 2 600 1400", "4: turn 2 where turn 1 is due"),
-        ("turn 0 600 0", "3: turn ends at 0 ms, before its start"),
-        (
-            "turn 0 0 600\nturn 1 500 1400",
-            "4: turn starts at 500 ms, before turn 0 ends at 600 ms",
-        ),
-    ],
-    ids=["swapped", "repeated", "skipped", "reversed", "overlapping"],
-)
-def test_load_transcripts_rejects_turns_out_of_order(tmp_path, turns, message):
-    path = tmp_path / "bad.turns"
-    path.write_text(f"{FORMAT_LINE}\ncall c\n{turns}\n")
-    with pytest.raises(FormatError) as err:
-        load_transcripts(path)
-    assert str(err.value) == f"{path}:{message}"
-
-
-def test_load_transcripts_keeps_empty_and_touching_turns(tmp_path):
-    turns = [
-        TurnTranscript(0, 0, 0),
-        TurnTranscript(1, 0, 600, (("ka", True),)),
-        TurnTranscript(2, 600, 600),
-    ]
-    path = tmp_path / "edge.turns"
-    save_transcripts("c", turns, path)
-    assert load_transcripts(path) == ("c", turns)
 
 
 # ---------------------------------------------------------------------------

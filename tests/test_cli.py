@@ -441,7 +441,9 @@ def test_endpoint_files_match_the_library(tmp_path, mode):
         stem = out / call.call_id
         loaded = callfile.load_endpoints(f"{stem}.endpoints")
         assert loaded == (call.call_id, cfg.mode, endpoints)
-        assert callfile.load_transcripts(f"{stem}.transcript") == (call.call_id, turns)
+        callfile.save_transcripts(call.call_id, turns, tmp_path / "want.transcript")
+        want = (tmp_path / "want.transcript").read_text()
+        assert (out / f"{call.call_id}.transcript").read_text() == want
 
 
 def test_endpoint_rejects_unknown_mode(tmp_path):
@@ -453,14 +455,19 @@ def test_endpoint_rejects_unknown_mode(tmp_path):
     assert code == 2
 
 
-def test_endpoint_rejects_bad_vad_spec(tmp_path):
+def test_endpoint_rejects_bad_vad_spec(tmp_path, capsys):
     calls = simulate(tmp_path)
-    out = str(tmp_path / "e")
-    assert run_cli("endpoint", "--calls", str(calls), "--out", out, "--vad", "psychic") == 2
-    assert (
-        run_cli("endpoint", "--calls", str(calls), "--out", out, "--vad", "corrupted:0.9")
-        == 2
-    )
+    out = tmp_path / "e"
+    # BLANK reads no VAD, and its spec is still checked
+    for mode in ("TS", "BLANK"):
+        base = ("endpoint", "--calls", str(calls), "--out", str(out), "--mode", mode)
+        capsys.readouterr()
+        assert run_cli(*base, "--vad", "psychic") == 2
+        assert capsys.readouterr().err.startswith("error: --vad: expected model:<path>")
+        assert run_cli(*base, "--vad", "corrupted:0.9") == 2
+        assert run_cli(*base, "--vad", "corrupted:abc") == 2
+        assert capsys.readouterr().err.count("error: --vad: ") == 2
+        assert not out.exists()
 
 
 MIXED_GRID_ERROR = (
@@ -596,12 +603,57 @@ def test_shifted_endpoints_score_zero_recall(tmp_path, capsys):
     assert pooled["precision"] == "0.0000"
 
 
-def test_evaluate_fails_on_missing_pair(tmp_path):
+def test_evaluate_fails_on_missing_pair(tmp_path, capsys):
     calls = simulate(tmp_path, n_calls=2)
     eps = tmp_path / "eps"
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
-    (eps / "sim-00000011.transcript").unlink()
+    (eps / "sim-00000011.endpoints").unlink()
+    capsys.readouterr()
     assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == (
+        f"error: sim-00000011: no endpoints file in {eps}\n"
+    )
+
+
+@pytest.mark.parametrize("damage", ["deleted", "garbled"])
+def test_evaluate_reads_no_transcript(tmp_path, damage):
+    # evaluate commits each call's words from its endpoints itself
+    calls = simulate(tmp_path, n_calls=3, config_text=SWEEP_CFG)
+    eps = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "TS_AND_EOW"
+    )
+    assert code == 0
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    argv = ("evaluate", "--calls", str(calls), "--endpoints", str(eps), "--out")
+    assert run_cli(*argv, str(before)) == 0
+    transcripts = sorted(eps.glob("*.transcript"))
+    assert len(transcripts) == 3
+    for path in transcripts:
+        if damage == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(b"format=1\ncall nobody\nturn 9 5 0 \xff*\n")
+    assert run_cli(*argv, str(after)) == 0
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_evaluate_scores_the_words_its_endpoints_commit(tmp_path, capsys):
+    # BLANK runs split words; with its endpoints gone, each call is one
+    # turn that commits every word whole, whatever the transcript says
+    calls = simulate(tmp_path, n_calls=3, config_text=SWEEP_CFG)
+    eps = tmp_path / "eps"
+    code = run_cli("endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "BLANK")
+    assert code == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 0
+    assert float(_pooled_line(capsys)["wer"]) > 0
+    for path in eps.glob("*.endpoints"):
+        call_id, mode, _ = callfile.load_endpoints(path)
+        callfile.save_endpoints(call_id, mode, [], path)
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 0
+    pooled = _pooled_line(capsys)
+    assert (pooled["wer"], pooled["recall"]) == ("0.0000", "0.0000")
 
 
 def test_evaluate_names_the_file_of_out_of_order_endpoints(tmp_path, capsys):
@@ -622,23 +674,6 @@ def test_evaluate_names_the_file_of_out_of_order_endpoints(tmp_path, capsys):
     )
 
 
-def test_evaluate_names_the_file_of_out_of_order_turns(tmp_path, capsys):
-    calls = simulate(tmp_path, n_calls=3, config_text="", seed=1)
-    eps = tmp_path / "eps"
-    code = run_cli(
-        "endpoint", "--calls", str(calls), "--out", str(eps), "--mode", "TS_AND_EOW"
-    )
-    assert code == 0
-    path = eps / "sim-00000002.transcript"
-    lines = path.read_text().splitlines()
-    assert lines[2].startswith("turn 0 ") and lines[3].startswith("turn 1 ")
-    lines[2], lines[3] = lines[3], lines[2]
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
-    assert capsys.readouterr().err == f"error: {path}:3: turn 1 where turn 0 is due\n"
-
-
 def test_evaluate_names_the_file_of_a_repeated_mode_line(tmp_path, capsys):
     calls = simulate(tmp_path, n_calls=2)
     eps = tmp_path / "eps"
@@ -654,12 +689,11 @@ def test_evaluate_names_the_file_of_a_repeated_mode_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:4: duplicate mode line\n"
 
 
-@pytest.mark.parametrize("suffix", ["endpoints", "transcript"])
-def test_evaluate_names_the_file_of_a_call_id_mismatch(tmp_path, capsys, suffix):
+def test_evaluate_names_the_file_of_a_call_id_mismatch(tmp_path, capsys):
     calls = simulate(tmp_path, n_calls=2)
     eps = tmp_path / "eps"
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
-    path = eps / f"sim-00000010.{suffix}"
+    path = eps / "sim-00000010.endpoints"
     lines = path.read_text().splitlines()
     assert lines[1] == "call sim-00000010"
     lines[1] = "call sim-00000099"
@@ -758,6 +792,9 @@ def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path):
     assert run_cli(*base, "--tolerance-ms", "0") == 2
     assert run_cli(*base, "--deltas=-200,200") == 2
     assert run_cli(*base, "--vad", "psychic") == 2
+    # BLANK reads no VAD, and its spec is still checked
+    assert run_cli(*base, "--modes", "BLANK", "--vad", "psychic") == 2
+    assert run_cli(*base, "--modes", "BLANK", "--vad", "corrupted:abc") == 2
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -837,6 +874,15 @@ def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):
     assert code == 0
 
 
+def test_endpoint_blank_never_reads_the_vad(tmp_path):
+    calls = simulate(tmp_path)
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
+        "--mode", "BLANK", "--vad", f"model:{tmp_path / 'missing.mdl'}",
+    )
+    assert code == 0
+
+
 def _counting(monkeypatch, owner, name, counts):
     original = getattr(owner, name)
 
@@ -852,12 +898,21 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     model = untrained_model(tmp_path)
     counts = {"load_model": 0, "posteriors": 0, "classify_frames": 0, "merge_streams": 0}
     commits = {"commit_transcript": 0}
+    distinct_lists = []
+    sweep = cli.run_sweep
+
+    def recording_sweep(cfgs, call, is_speech):
+        result = sweep(cfgs, call, is_speech)
+        distinct_lists.append(len({tuple(endpoints) for endpoints in result}))
+        return result
+
+    monkeypatch.setattr(cli, "run_sweep", recording_sweep)
     _counting(monkeypatch, vadnet, "load_model", counts)
     _counting(monkeypatch, vadnet, "posteriors", counts)
     _counting(monkeypatch, vadnet, "classify_frames", counts)
     _counting(monkeypatch, streams, "merge_streams", counts)
     _counting(monkeypatch, cli, "merge_streams", counts)
-    _counting(monkeypatch, cli, "commit_transcript", commits)
+    _counting(monkeypatch, evaluator, "commit_transcript", commits)
     steps = {"step": 0}
     _counting(monkeypatch, endpointer.Endpointer, "step", steps)
     scored = []
@@ -880,8 +935,10 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
         "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 0
     }
     assert steps == {"step": 0}
-    # the four EOW deltas share one endpoint list, so one commit per call
-    assert commits["commit_transcript"] <= 3 * 13
+    # each distinct endpoint list of a call commits once, and the four EOW
+    # deltas share one list
+    assert len(distinct_lists) == 3
+    assert commits["commit_transcript"] == sum(distinct_lists) <= 3 * 13
     # WER runs once per distinct hypothesis of a call (the calls' references
     # differ), and the EOW deltas' shared transcript is one hypothesis
     assert len({ref for ref, _ in scored}) == 3
@@ -1178,3 +1235,28 @@ def test_evaluate_and_tradeoff_score_an_empty_word_alike(tmp_path):
     [row] = callfile.load_report(evaluated)
     assert row == callfile.load_report(swept)[0]
     assert row.report.wer == 0.0
+
+
+@pytest.mark.parametrize("mode", [m.value for m in Mode])
+def test_evaluate_and_tradeoff_score_every_mode_alike(tmp_path, mode):
+    calls = simulate(tmp_path, n_calls=3, config_text=SWEEP_CFG)
+    eps = tmp_path / "eps"
+    code = run_cli(
+        "endpoint", "--calls", str(calls), "--out", str(eps), "--mode", mode,
+        "--delta-ms", "400", "--blank-frames", "10",
+    )
+    assert code == 0
+    evaluated, swept = tmp_path / "evaluate.csv", tmp_path / "tradeoff.csv"
+    code = run_cli(
+        "evaluate", "--calls", str(calls), "--endpoints", str(eps),
+        "--delta-ms", "400", "--out", str(evaluated),
+    )
+    assert code == 0
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(swept),
+        "--modes", mode, "--deltas", "200,400",
+    )
+    assert code == 0
+    [row] = callfile.load_report(evaluated)
+    assert row == callfile.load_report(swept)[1]
+    assert (row.mode.value, row.delta_ms) == (mode, 400)

@@ -7,20 +7,24 @@ import numpy as np
 import pytest
 
 from endpoint_rt import evaluator
-from endpoint_rt.endpointer import EndpointEvent, Trigger, TurnTranscript, hypothesis_words
+from endpoint_rt.endpointer import (
+    EndpointEvent,
+    Trigger,
+    commit_transcript,
+    hypothesis_words,
+)
 from endpoint_rt.evaluator import (
     CallScore,
     EvalConfig,
     align_events,
     pool_scores,
-    score_against,
     score_call,
     score_runs,
     wer,
 )
-from endpoint_rt.streams import CallRecord, ReferenceSegment
+from endpoint_rt.streams import CallRecord, ReferenceSegment, TokenEvent, TokenKind
 
-from oracles import brute_edit_counts, exhaustive_match
+from oracles import brute_edit_counts, exhaustive_match, token_columns
 
 CFG = EvalConfig(ts_threshold_ms=200, tolerance_ms=200)
 
@@ -200,7 +204,16 @@ def test_score_call_collects_all_counts():
     assert score.deferral_timeouts == 1
 
 
-def test_score_against_reads_the_reference_from_the_call_segments():
+def test_score_runs_reads_the_reference_from_the_call_segments():
+    # a BLANK between the words, and "lo" left open by the second endpoint
+    tokens = [
+        TokenEvent(500, TokenKind.SUBWORD, "ka", 0),
+        TokenEvent(600, TokenKind.EOW, "", 0),
+        TokenEvent(1500, TokenKind.BLANK),
+        TokenEvent(2500, TokenKind.SUBWORD, "mi", 1),
+        TokenEvent(2600, TokenKind.EOW, "", 1),
+        TokenEvent(3000, TokenKind.SUBWORD, "lo", 2),
+    ]
     call = CallRecord(
         "c",
         40,
@@ -208,21 +221,19 @@ def test_score_against_reads_the_reference_from_the_call_segments():
             ReferenceSegment("c", 0, 1000, ("ka", "zo")),
             ReferenceSegment("c", 2000, 3000, ("mi",)),
         ),
+        **token_columns(tokens),
     )
     eps = [EndpointEvent(1100, Trigger.TS, 900), EndpointEvent(3100, Trigger.TS, 2900)]
-    turns = [
-        TurnTranscript(0, 0, 1100, (("ka", True),)),
-        TurnTranscript(1, 1100, 3100, (("mi", True), ("lo", False))),
+    assert score_runs(call, [(eps, CFG)]) == [
+        score_call([1000, 3000], eps, ["ka", "zo", "mi"], ["ka", "mi", "lo"], CFG)
     ]
-    assert score_against(call, eps, turns, CFG) == score_call(
-        [1000, 3000], eps, ["ka", "zo", "mi"], ["ka", "mi", "lo"], CFG
-    )
 
 
 VOCAB = ["ka", "zo", "mi", "lo"]
 
 
 def _random_call(rng):
+    """A call of random segments, and random words as tokens over 5 s of frames."""
     segments = []
     start = 0
     for _ in range(rng.randint(0, 3)):
@@ -230,55 +241,87 @@ def _random_call(rng):
         words = tuple(rng.choices(VOCAB, k=rng.randint(0, 3)))
         segments.append(ReferenceSegment("c", start, end, words))
         start = end + rng.randint(0, 500)
-    return CallRecord("c", 40, segments=tuple(segments))
+    tokens = []
+    t = 0
+    for word in range(rng.randint(0, 6)):
+        kinds = [TokenKind.SUBWORD] * rng.randint(1, 2)
+        if rng.random() < 0.8:
+            kinds.append(TokenKind.EOW)
+        if rng.random() < 0.3:
+            kinds.append(TokenKind.BLANK)
+        for kind in kinds:
+            t += rng.randrange(400)
+            if kind is TokenKind.BLANK:
+                tokens.append(TokenEvent(t, kind))
+            else:
+                text = rng.choice(VOCAB) if kind is TokenKind.SUBWORD else ""
+                tokens.append(TokenEvent(t, kind, text, word))
+    n = 125
+    return CallRecord(
+        "c",
+        40,
+        frame_index=np.arange(n),
+        features=np.zeros((n, 0)),
+        labels=np.full(n, -1),
+        teacher_labels=np.full(n, -1),
+        segments=tuple(segments),
+        **token_columns(tokens),
+    )
 
 
-def _random_run(rng, hypotheses):
-    """Random endpoints and config, with a transcript of a hypothesis from the pool."""
+def _random_endpoints(rng):
     times = sorted(rng.randrange(5000) for _ in range(rng.randint(0, 5)))
-    eps = [EndpointEvent(t, rng.choice(list(Trigger)), max(0, t - 400)) for t in times]
-    words = rng.choice(hypotheses)
-    cut = rng.randint(0, len(words))
-    turns = [
-        TurnTranscript(0, 0, 1000, tuple((w, True) for w in words[:cut])),
-        TurnTranscript(1, 1000, 2000, tuple((w, False) for w in words[cut:])),
-    ]
-    if not words and rng.random() < 0.5:
-        turns = []  # no turn at all, as well as turns without words
-    return eps, turns, EvalConfig(rng.choice([200, 400, 600]), rng.choice([100, 200]))
+    return [EndpointEvent(t, rng.choice(list(Trigger)), max(0, t - 400)) for t in times]
 
 
-def test_score_runs_scores_each_run_as_score_against_does(monkeypatch):
+def test_score_runs_commits_each_endpoint_list_and_scores_each_hypothesis_once(
+    monkeypatch,
+):
     rng = random.Random(5)
     hyp_lists = []
+    commits = []
 
     def recording_wer(ref_words, hyp_words):
         hyp_lists.append(tuple(hyp_words))
         return wer(ref_words, hyp_words)
 
+    def recording_commit(tokens, endpoints, stream_end_ms):
+        commits.append(tuple(endpoints))
+        return commit_transcript(tokens, endpoints, stream_end_ms)
+
     monkeypatch.setattr(evaluator, "wer", recording_wer)
+    monkeypatch.setattr(evaluator, "commit_transcript", recording_commit)
     n_runs = 0
     for case in range(200):
         call = _random_call(rng)
-        hypotheses = [[], ["ka"]] + [rng.choices(VOCAB, k=rng.randint(1, 5)) for _ in range(3)]
-        runs = [_random_run(rng, hypotheses) for _ in range(rng.randint(1, 12))]
+        # a few endpoint lists per call, so that runs share them
+        pool = [[]] + [_random_endpoints(rng) for _ in range(3)]
+        cfgs = [EvalConfig(d, tol) for d in (200, 400, 600) for tol in (100, 200)]
+        runs = [(rng.choice(pool), rng.choice(cfgs)) for _ in range(rng.randint(1, 12))]
         n_runs += len(runs)
-        want = [score_against(call, *run) for run in runs]
-        del hyp_lists[:]
-        assert score_runs(call, runs) == want, f"case {case}"
-        # one WER per distinct hypothesis of the call
-        assert len(hyp_lists) == len(set(hyp_lists))
-        assert set(hyp_lists) == {tuple(hypothesis_words(turns)) for _, turns, _ in runs}
-        assert want == [
+        hyps = {
+            tuple(eps): hypothesis_words(
+                commit_transcript(call.non_blank_tokens, eps, call.end_ms)
+            )
+            for eps, _ in runs
+        }
+        want = [
             score_call(
                 [seg.end_ms for seg in call.segments],
                 eps,
                 [w for seg in call.segments for w in seg.words],
-                hypothesis_words(turns),
+                hyps[tuple(eps)],
                 cfg,
             )
-            for eps, turns, cfg in runs
+            for eps, cfg in runs
         ]
+        del hyp_lists[:], commits[:]
+        assert score_runs(call, runs) == want, f"case {case}"
+        # one commit per distinct endpoint list, one WER per distinct hypothesis
+        assert len(commits) == len(set(commits))
+        assert set(commits) == set(hyps)
+        assert len(hyp_lists) == len(set(hyp_lists))
+        assert set(hyp_lists) == {tuple(h) for h in hyps.values()}
     assert n_runs > 1000
 
 

@@ -18,12 +18,7 @@ import re
 import pytest
 
 from endpoint_rt import callfile, cli, vadnet
-from endpoint_rt.endpointer import (
-    EndpointerConfig,
-    Mode,
-    commit_transcript,
-    run_call,
-)
+from endpoint_rt.endpointer import EndpointerConfig, Mode, run_call
 from endpoint_rt.evaluator import EvalReport
 from endpoint_rt.simulator import SimConfig, gen_call, oracle_vad
 from endpoint_rt.streams import merge_streams
@@ -105,11 +100,6 @@ def valid_files(tmp_path_factory):
     cfg = EndpointerConfig(Mode.TS_AND_EOW, frame_ms=call.frame_ms)
     endpoints = run_call(cfg, merge_streams(oracle_vad(call), call.tokens))
     callfile.save_endpoints(call.call_id, cfg.mode, endpoints, d / "c.endpoints")
-    callfile.save_transcripts(
-        call.call_id,
-        commit_transcript(call.tokens, endpoints, call.end_ms),
-        d / "c.transcript",
-    )
     rows = [
         callfile.ReportRow(
             mode, delta, 200,
@@ -129,7 +119,6 @@ def valid_files(tmp_path_factory):
     [
         ("c.call", callfile.load_call, b" "),
         ("c.endpoints", callfile.load_endpoints, b" "),
-        ("c.transcript", callfile.load_transcripts, b" "),
         ("r.csv", callfile.load_report, b","),
     ],
 )
@@ -265,7 +254,6 @@ def test_endpoints_no_rule_writes_name_their_line_and_fail_evaluate(
     calls.mkdir()
     eps.mkdir()
     (calls / f"{call_id}.call").write_bytes((valid_files / "c.call").read_bytes())
-    (eps / f"{call_id}.transcript").write_bytes((valid_files / "c.transcript").read_bytes())
     data = (valid_files / "c.endpoints").read_bytes()
     assert data.count(b"\nendpoint ") >= 2
     path = eps / f"{call_id}.endpoints"
