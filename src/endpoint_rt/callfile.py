@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence, Union
 
@@ -216,7 +217,7 @@ def _token_columns(fields: Sequence[Sequence[str]]) -> dict[str, object]:
 
 
 def _first_bad_line(path: Union[str, Path], lines: list[str]) -> None:
-    """Fail on the first frame or token line whose fields do not convert."""
+    """Fail on the first token line or frame index whose fields do not convert."""
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts or parts[0] not in ("frame", "token"):
@@ -224,20 +225,47 @@ def _first_bad_line(path: Union[str, Path], lines: list[str]) -> None:
         try:
             if parts[0] == "token":
                 _token_columns([parts])
-                continue
-            if not _INT64.min <= int(parts[1]) <= _INT64.max:
+            elif not _INT64.min <= int(parts[1]) <= _INT64.max:
                 raise ValueError(f"frame index {parts[1]} out of range")
-            for value in parts[4:]:
-                float(value)
         except ValueError as exc:
             _fail(path, lineno, f"bad {parts[0]} record: {exc}")
 
 
+def _read_features(
+    path: Union[str, Path], dim: int, lines: list[str], linenos: list[int]
+) -> np.ndarray:
+    """The feature values of the frame ``lines`` (numbered ``linenos``, each
+    of ``4 + dim`` fields), converted as ``float()`` converts them.
+
+    A value that is not a float raises FormatError naming its line.
+    """
+    if lines and dim:
+        try:
+            # numpy's parser parts these lines as str.split() does and reads a
+            # value only where float() does, to the same double; the loop
+            # below reads the rest (such as 1_0) and names a bad value's line
+            return np.loadtxt(
+                lines, np.float64, comments=None, usecols=range(4, 4 + dim), ndmin=2
+            )
+        except ValueError:
+            pass
+    values: list[float] = []
+    for line, lineno in zip(lines, linenos):
+        try:
+            values += map(float, line.split()[4:])
+        except ValueError as exc:
+            _fail(path, lineno, f"bad frame record: {exc}")
+    return np.array(values, dtype=np.float64).reshape(len(lines), dim)
+
+
 def load_call(path: Union[str, Path]) -> CallRecord:
     """Parse a call file; every line is split once, and the fields of all
-    frame lines, like those of all token lines, convert at once.
+    token lines convert at once.
 
-    A malformed line raises FormatError naming ``path:line``.
+    Every field is checked here, and a malformed line raises FormatError
+    naming ``path:line``.  Feature values are counted here but converted
+    on the first read of ``features``, which raises that FormatError for
+    a value that is not a float.
     """
     lines = _read_lines(path)
     call_id = ""
@@ -247,7 +275,8 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     index: list[int] = []
     labels: list[int] = []
     teachers: list[int] = []
-    values: list[str] = []  # every frame's feature strings, row after row
+    frame_lines: list[str] = []  # kept whole: their values convert on first read
+    frame_linenos: list[int] = []
     token_fields: list[list[str]] = []  # every token line, split
     segments: list[ReferenceSegment] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -271,7 +300,8 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                     teachers.append(_LABEL_CODE[parts[3]])
                 except KeyError as exc:
                     raise ValueError(f"{exc.args[0]!r} is not a valid Label") from None
-                values += parts[4:]
+                frame_lines.append(line)
+                frame_linenos.append(lineno)
             elif tag == "token":
                 if len(parts) != 5:
                     _fail(path, lineno, f"token line has {len(parts)} fields, expected 5")
@@ -304,7 +334,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
         _fail(path, len(lines), "no call header line")
     try:
         frame_index = np.array(index, dtype=np.int64)
-        features = np.array(values, dtype=np.float64).reshape(len(index), dim)
+        np.empty((0, dim))  # a dim numpy cannot shape fails here, not on first read
         tokens = _token_columns(token_fields)
     except (ValueError, OverflowError) as exc:
         _first_bad_line(path, lines)
@@ -313,7 +343,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
         call_id,
         frame_ms,
         frame_index=frame_index,
-        features=features,
+        features=partial(_read_features, path, dim, frame_lines, frame_linenos),
         labels=np.array(labels, dtype=np.int8),
         teacher_labels=np.array(teachers, dtype=np.int8),
         segments=tuple(segments),

@@ -126,6 +126,29 @@ _TOKEN_COLUMNS = (
 )
 
 
+def _column(
+    call_id: str, name: str, given: object, dtype: type, ndim: int, rows: int
+) -> np.ndarray:
+    """``given`` as a read-only column; ValueError if its cast changes a value
+    or it is not of ``ndim`` dimensions and ``rows`` rows."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            column = np.asarray(given, dtype=dtype)
+        # a cast that wraps or truncates changes a value
+        kept = column is given or np.array_equal(column, given, equal_nan=True)
+    except OverflowError:
+        kept = False
+    if not kept:
+        raise ValueError(f"{call_id}: {name} holds a value outside {np.dtype(dtype)}")
+    if column.ndim != ndim or column.shape[0] != rows:
+        raise ValueError(
+            f"{call_id}: {name} has shape {column.shape}, "
+            f"expected {ndim} dimension(s) and {rows} rows"
+        )
+    column.setflags(write=False)
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class CallRecord:
     """A complete simulated or recorded call, its frames and tokens held as columns.
@@ -139,6 +162,10 @@ class CallRecord:
     ``token_text[j]`` (a tuple of strings).  The record owns its arrays
     and marks them read-only; ``frames`` and ``tokens`` derive per-frame
     and per-token views on first use.
+
+    ``features`` may also be given as a zero-argument function: its result
+    becomes the column, checked like a given one, on the first read of
+    ``features``.  A function that raises is called again on the next read.
     """
 
     call_id: str
@@ -160,23 +187,12 @@ class CallRecord:
         ):
             for name, dtype, ndim in columns:
                 given = getattr(self, name)
-                try:
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        column = np.asarray(given, dtype=dtype)
-                    # a cast that wraps or truncates changes a value
-                    kept = column is given or np.array_equal(column, given, equal_nan=True)
-                except OverflowError:
-                    kept = False
-                if not kept:
-                    raise ValueError(
-                        f"{self.call_id}: {name} holds a value outside {np.dtype(dtype)}"
-                    )
-                if column.ndim != ndim or column.shape[0] != rows:
-                    raise ValueError(
-                        f"{self.call_id}: {name} has shape {column.shape}, "
-                        f"expected {ndim} dimension(s) and {rows} rows"
-                    )
-                column.setflags(write=False)
+                if name == "features" and callable(given):
+                    # __getattr__ reads the column on first use
+                    object.__delattr__(self, name)
+                    object.__setattr__(self, "_read_features", given)
+                    continue
+                column = _column(self.call_id, name, given, dtype, ndim, rows)
                 object.__setattr__(self, name, column)
         texts = tuple(self.token_text)
         if len(texts) != len(self.token_time):
@@ -197,6 +213,18 @@ class CallRecord:
         bad = np.flatnonzero(self.token_word < NO_WORD)
         if bad.size:
             raise ValueError(f"{self.call_id}: token {bad[0]}: bad token_word code")
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for an attribute the instance lacks: a features
+        # column given as a function and not yet read
+        read = self.__dict__.get("_read_features")
+        if name != "features" or read is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = len(self.frame_index)
+        column = _column(self.call_id, name, read(), np.float64, 2, rows)
+        object.__setattr__(self, name, column)
+        del self.__dict__["_read_features"]  # and what it read from
+        return column
 
     @cached_property
     def frames(self) -> tuple[FrameRecord, ...]:

@@ -1,6 +1,7 @@
 """Round-trip and error-path tests for the on-disk text formats."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -129,13 +130,66 @@ def test_load_call_returns_columns_and_frame_views(tmp_path):
 
 
 def test_load_call_names_the_line_of_a_bad_feature_value(tmp_path):
+    # the file loads; the value fails on every read of the features
     path = tmp_path / "bad.call"
     path.write_text(
         f"{FORMAT_LINE}\ncall c 40 2\nframe 0 speech - 0.5 1\nframe 1 speech - 0.5 0x1\n"
     )
+    call = load_call(path)
+    other = load_call(path)
+    message = r"bad.call:4: bad frame record: could not convert string to float: '0x1'$"
+    reads = [
+        lambda: call.features,
+        lambda: call.frames,
+        lambda: save_call(call, tmp_path / "out.call"),
+        lambda: call == other,
+        lambda: call.features,  # a second read fails the same way
+    ]
+    for read in reads:
+        with pytest.raises(FormatError, match=message):
+            read()
+    assert not (tmp_path / "out.call").exists()
+
+
+def test_a_loaded_call_pickles_before_its_features_are_read(tmp_path):
+    call = gen_call(SimConfig(seed=3, n_turns=1))
+    save_call(call, tmp_path / "a.call")
+    assert pickle.loads(pickle.dumps(load_call(tmp_path / "a.call"))) == call
+
+
+def test_load_call_fails_on_a_bad_token_whatever_the_features(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(
+        f"{FORMAT_LINE}\ncall c 40 1\nframe 0 - - abc\n"
+        + "token 0 BLANK - -\n" * 5
+        + "token 4O BLANK - -\n"
+    )
+    with pytest.raises(FormatError, match=r"bad.call:9: bad token record: invalid literal"):
+        load_call(path)
+
+
+@pytest.mark.parametrize(
+    "values", ["0.5\t-1", "0.5  -1", "0.5 -1 ", "0.5\x1f-1", "\t0.5 \t -1\t"]
+)
+def test_load_call_counts_feature_values_as_str_split_does(tmp_path, values):
+    path = tmp_path / "a.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 20 2\nframe 0 speech - 0.5 -1\n")
+    want = load_call(path)
+    path.write_text(f"{FORMAT_LINE}\ncall c 20 2\nframe 0 speech - {values}\n")
+    got = load_call(path)
+    assert got == want
+    assert got.features.tolist() == [[0.5, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [("0.5", 1), ("0.5 -1 2", 3), ("0.5\t\t", 1), ("0.5  -1\x1f2", 3), ("abc", 1)],
+)
+def test_load_call_refuses_a_wrong_feature_count_before_any_read(tmp_path, values, count):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 2\nframe 0 - - 1 2\nframe 1 - - {values}\n")
     with pytest.raises(
-        FormatError,
-        match=r"bad.call:4: bad frame record: could not convert string to float: '0x1'$",
+        FormatError, match=rf"bad.call:4: frame line has {count} feature values, expected 2$"
     ):
         load_call(path)
 

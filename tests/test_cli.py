@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import zlib
@@ -863,6 +864,107 @@ def test_model_vad_names_the_frame_of_a_non_finite_feature(tmp_path, capsys, com
     assert not out.exists()
     # only the model reads features
     assert run_cli(*base, "--vad", "oracle") == 0
+
+
+def _garble_features(path, frames=None):
+    """Rewrite the feature values of a call file's frame lines (of every
+    frame, or of ``frames``) as ``abc``: the count is right, the text no float."""
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        fields = line.split(" ")
+        if fields[0] == "frame" and (frames is None or int(fields[1]) in frames):
+            lines[k] = " ".join(fields[:4] + ["abc"] * (len(fields) - 4))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _counting_feature_reads(monkeypatch):
+    """The paths of the call files whose feature text is converted, one per read."""
+    reads = []
+    read = callfile._read_features
+
+    def counted(path, *args):
+        reads.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(callfile, "_read_features", counted)
+    return reads
+
+
+def _tree(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+def test_oracle_runs_and_evaluate_never_read_a_feature(tmp_path, monkeypatch, capsys):
+    clean = simulate(tmp_path, n_calls=2, config_text=SWEEP_CFG)
+    garbled = simulate(tmp_path, "garbled", n_calls=2, config_text=SWEEP_CFG)
+    for path in garbled.glob("*.call"):
+        _garble_features(path)
+    reads = _counting_feature_reads(monkeypatch)
+    for mode, vad in itertools.product([m.value for m in Mode], ["oracle", "corrupted:0.2"]):
+        outs = []
+        for calls in (clean, garbled):
+            out = tmp_path / f"{calls.name}-{mode}-{vad}"
+            argv = ("--calls", str(calls), "--out", str(out / "eps"))
+            assert run_cli("endpoint", *argv, "--mode", mode, "--vad", vad) == 0
+            code = run_cli(
+                "evaluate", "--calls", str(calls), "--endpoints", str(out / "eps"),
+                "--out", str(out / "report.csv"),
+            )
+            assert code == 0
+            outs.append(_tree(out))
+        assert outs[0] == outs[1] and len(outs[0]) == 5
+    assert reads == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-vad", "endpoint", "tradeoff"])
+def test_model_reads_name_the_line_of_a_feature_that_is_no_float(tmp_path, capsys, command):
+    calls = simulate(tmp_path)
+    path = sorted(calls.glob("*.call"))[1]
+    _garble_features(path, frames={5})  # frame 5 is on line 8
+    out = tmp_path / "out"
+    if command == "train-vad":
+        argv = (command, "--calls", str(calls), "--out", str(out), "--epochs", "1")
+    else:
+        model = untrained_model(tmp_path)
+        argv = (command, "--calls", str(calls), "--out", str(out), "--vad", f"model:{model}")
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:8: bad frame record: could not convert string to float: 'abc'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["1 2 3", "1 2 3 4 5"])
+def test_evaluate_refuses_a_frame_line_with_a_wrong_value_count(tmp_path, capsys, values):
+    # evaluate reads no feature value, and still counts them
+    calls = simulate(tmp_path)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = sorted(calls.glob("*.call"))[0]
+    lines = path.read_text().splitlines()
+    lines[5] = " ".join(lines[5].split()[:4]) + " " + values  # frame 3, on line 6
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:6: frame line has {len(values.split())} feature values, expected 4\n"
+    )
+
+
+def test_tradeoff_with_a_model_converts_each_call_s_features_once(tmp_path, monkeypatch):
+    calls = simulate(tmp_path, n_calls=3)
+    model = untrained_model(tmp_path)
+    reads = _counting_feature_reads(monkeypatch)
+    code = run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
+        "--vad", f"model:{model}",
+    )
+    assert code == 0
+    assert sorted(map(str, reads)) == sorted(map(str, calls.glob("*.call")))
 
 
 def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):

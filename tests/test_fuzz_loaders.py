@@ -2,11 +2,13 @@
 
 Valid files are written by the package's own savers, then mutated from a
 fixed seed by truncation, bit flips, dropped fields and inserted non-ASCII
-bytes, call files also by hostile token fields, and endpoint files also
-by well-formed endpoints that no rule of the file's mode writes.
+bytes, call files also by hostile token fields and feature values, and
+endpoint files also by well-formed endpoints that no rule of the file's
+mode writes.
 Whatever the mutant, a loader either parses it or raises an error that
 names the file and line (text formats) or the file and field
-(checkpoints); the endpoints no rule writes always fail, and make
+(checkpoints); a feature value is converted, or names its line, only
+when the features are read; the endpoints no rule writes always fail, and make
 ``evaluate`` exit 1.  Every mutated call file fed to the ``endpoint``
 command exits 0, 1 or 2; an exception escaping ``cli.main`` fails the
 test.
@@ -15,6 +17,7 @@ test.
 import random
 import re
 
+import numpy as np
 import pytest
 
 from endpoint_rt import callfile, cli, vadnet
@@ -220,6 +223,65 @@ def test_call_loader_and_endpoint_name_the_line_of_a_mutated_token(
             assert err.startswith(f"error: {path}:"), err
         codes.add(code)
     assert codes == {0, 1}  # the mutants reach both outcomes
+
+
+# hex, overflow, non-finite, doubled signs, digit separators and a
+# fullwidth digit, which Python's float reads but the ASCII format refuses,
+# with valid values so some mutants still parse
+FEATURE_VALUES = (
+    "0x1", "1e400", "-1e400", "nan", "-inf", "inf", "--1", "+-1", "1_0", "_1", "1__0",
+    "1e", ".", "1.5.2", "0.25", "-0", "1e-320", "\uff11",
+)
+
+
+def mutate_feature(data: bytes, rng: random.Random) -> tuple[bytes, int]:
+    """``data`` with one feature value of a random frame line replaced by a
+    hostile value, and the number of that line."""
+    lines = data.decode("ascii").split("\n")
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("frame ")])
+    fields = lines[k].split(" ")
+    fields[rng.randrange(4, len(fields))] = rng.choice(FEATURE_VALUES)
+    lines[k] = " ".join(fields)
+    return "\n".join(lines).encode(), k + 1
+
+
+def test_feature_values_convert_or_name_their_line_on_read(valid_files, tmp_path, capsys):
+    data = (valid_files / "c.call").read_bytes()
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    path = calls / "c.call"
+    model = valid_files / "m.mdl"
+    rng = random.Random(SEED + 6)
+    codes = set()
+    outcomes = set()
+    for _ in range(N_MUTANTS):
+        mutant, line = mutate_feature(data, rng)
+        path.write_bytes(mutant)
+        if not mutant.isascii():
+            with pytest.raises(callfile.FormatError, match=rf"^{re.escape(str(path))}:{line}: "):
+                callfile.load_call(path)
+            outcomes.add("non-ASCII")
+            continue
+        call = callfile.load_call(path)  # every ASCII mutant loads
+        try:
+            got = call.features
+            outcomes.add("parses")
+            rows = [ln.split()[4:] for ln in mutant.decode().splitlines() if ln[:6] == "frame "]
+            assert got.tobytes() == np.array([list(map(float, r)) for r in rows]).tobytes()
+        except callfile.FormatError as exc:
+            assert str(exc).startswith(f"{path}:{line}: bad frame record: "), str(exc)
+            outcomes.add("fails")
+        code = cli.main(
+            ["endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
+             "--vad", f"model:{model}"]
+        )
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 1 and "non-finite" not in err:
+            assert err.startswith(f"error: {path}:{line}: bad frame record: "), err
+        codes.add(code)
+    assert outcomes == {"parses", "fails", "non-ASCII"}
+    assert codes == {0, 1}
 
 
 def mutate_endpoint(data: bytes, rng: random.Random) -> tuple[bytes, int]:
