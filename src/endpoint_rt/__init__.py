@@ -44,9 +44,7 @@ from .streams import (
     TokenEvent,
     TokenKind,
     VadDecision,
-    Violation,
     merge_streams,
-    validate_call,
 )
 from .vadnet import (
     DetCurve,
@@ -89,7 +87,6 @@ __all__ = [
     "Trigger",
     "TurnTranscript",
     "VadDecision",
-    "Violation",
     "WerResult",
     "align_events",
     "classify_frames",
@@ -112,6 +109,5 @@ __all__ = [
     "save_model",
     "score_call",
     "score_runs",
-    "validate_call",
     "wer",
 ]

@@ -44,6 +44,7 @@ from .streams import (
     SPEECH_CODE,
     SUBWORD_CODE,
     CallRecord,
+    InvalidCall,
     Label,
     ReferenceSegment,
     TokenKind,
@@ -263,9 +264,11 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     token lines convert at once.
 
     Every field is checked here, and a malformed line raises FormatError
-    naming ``path:line``.  Feature values are counted here but converted
-    on the first read of ``features``, which raises that FormatError for
-    a value that is not a float.
+    naming ``path:line``, as does a call that the CallRecord constructor
+    refuses: the line is that of the frame, token or segment at fault, or
+    the header for ``frame_ms``.  Feature values are counted here but
+    converted on the first read of ``features``, which raises that
+    FormatError for a value that is not a float.
     """
     lines = _read_lines(path)
     call_id = ""
@@ -278,7 +281,9 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     frame_lines: list[str] = []  # kept whole: their values convert on first read
     frame_linenos: list[int] = []
     token_fields: list[list[str]] = []  # every token line, split
+    token_linenos: list[int] = []
     segments: list[ReferenceSegment] = []
+    segment_linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -306,6 +311,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                 if len(parts) != 5:
                     _fail(path, lineno, f"token line has {len(parts)} fields, expected 5")
                 token_fields.append(parts)
+                token_linenos.append(lineno)
             elif tag == "call":
                 if header_lineno:
                     _fail(path, lineno, "duplicate call header")
@@ -324,6 +330,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                         words=tuple(_opt(w) or "" for w in parts[3:]),
                     )
                 )
+                segment_linenos.append(lineno)
             else:
                 _fail(path, lineno, f"unknown record tag {tag!r}")
         except (ValueError, IndexError) as exc:
@@ -339,16 +346,21 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     except (ValueError, OverflowError) as exc:
         _first_bad_line(path, lines)
         _fail(path, header_lineno, f"bad call record: {exc}")
-    return CallRecord(
-        call_id,
-        frame_ms,
-        frame_index=frame_index,
-        features=partial(_read_features, path, dim, frame_lines, frame_linenos),
-        labels=np.array(labels, dtype=np.int8),
-        teacher_labels=np.array(teachers, dtype=np.int8),
-        segments=tuple(segments),
-        **tokens,
-    )
+    try:
+        return CallRecord(
+            call_id,
+            frame_ms,
+            frame_index=frame_index,
+            features=partial(_read_features, path, dim, frame_lines, frame_linenos),
+            labels=np.array(labels, dtype=np.int8),
+            teacher_labels=np.array(teachers, dtype=np.int8),
+            segments=tuple(segments),
+            **tokens,
+        )
+    except InvalidCall as exc:
+        rows = {"frame": frame_linenos, "token": token_linenos, "segment": segment_linenos}
+        lineno = rows[exc.rows][exc.index] if exc.rows in rows else header_lineno
+        _fail(path, lineno, str(exc))
 
 
 # -- endpoint files -----------------------------------------------------------

@@ -30,7 +30,6 @@ from .streams import (
     SPEECH_CODE,
     CallRecord,
     merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
-    validate_call,
 )
 
 log = logging.getLogger(__name__)
@@ -152,14 +151,12 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
     paths = sorted(calls_dir.glob("*.call"))
     if not paths:
         raise FileNotFoundError(f"no .call files in {calls_dir}")
-    calls = []
-    for p in paths:
-        call = callfile.load_call(p)
-        violations = validate_call(call)
-        if violations:
-            v = violations[0]
-            raise ValueError(f"{p}: invalid call: {v.field}[{v.index}]: {v.message}")
-        calls.append(call)
+    calls = [callfile.load_call(p) for p in paths]
+    named: dict[str, Path] = {}  # call id -> the file that gives it
+    for p, call in zip(paths, calls):
+        if call.call_id in named:
+            raise ValueError(f"{named[call.call_id]} and {p} both give call {call.call_id}")
+        named[call.call_id] = p
     return calls
 
 

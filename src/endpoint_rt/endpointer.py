@@ -413,13 +413,11 @@ def run_sweep(
     s + delta; ``BLANK`` ends each run of at least N BLANK tokens at its
     N-th; the EOW-gated modes walk the runs over the non-BLANK tokens.
 
-    Raises ValueError for a config whose frame_ms is not the call's, for
-    flags that are not one per frame or None with a config that reads
-    them, and for what ``run_call`` would reject on the merged timeline:
-    unsorted frame times or tokens.  With an EOW-gated config it also
-    raises for frame times closer than frame_ms (the walks need that gap
-    to settle each run's fire before the next run starts; every call
-    ``validate_call`` passes has it).
+    Raises ValueError for a config whose frame_ms is not the call's, and
+    for flags that are not one per frame or None with a config that
+    reads them.  A CallRecord's frame times and tokens are sorted and its
+    frame times step by at least frame_ms, which the EOW-gated walks need
+    to settle each run's fire before the next run starts.
     """
     for cfg in cfgs:
         if cfg.frame_ms != call.frame_ms:
@@ -437,25 +435,12 @@ def run_sweep(
             f"{call.call_id}: is_speech has shape {speech.shape}, "
             f"expected one flag for each of {len(times)} frames"
         )
-    inv = _first_inversion(times)
-    if inv is not None:
-        raise ValueError(f"vad stream unsorted: first inversion at index {inv}")
-    inv = _first_inversion(tok_times)
-    if inv is not None:
-        raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 
     first, last = _runs(~speech)
     starts = times[first]
     spans = times[last] - starts
     blank_first, blank_last = _runs(kinds == BLANK_CODE)
     if any(cfg.mode in (Mode.EOW, Mode.TS_AND_EOW) for cfg in cfgs):
-        close = np.flatnonzero(np.diff(times) < call.frame_ms)
-        if close.size:
-            k = int(close[0]) + 1
-            raise ValueError(
-                f"frame times step by less than frame_ms={call.frame_ms}: "
-                f"index {k} at {times[k]} ms after {times[k - 1]} ms"
-            )
         walk = _Walk(times, first, last, tok_times, kinds)
     # the stream ends at its last event, where merge_streams stamps it
     end_ms = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=0)

@@ -13,6 +13,7 @@ time as floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -126,6 +127,35 @@ _TOKEN_COLUMNS = (
 )
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class InvalidCall(ValueError):
+    """A CallRecord's field or row breaks an invariant of a call.
+
+    ``rows`` names the kind of row at fault, "frame", "token" or
+    "segment", and ``index`` which one; a fault of ``frame_ms`` has rows
+    "call" and index -1.
+    """
+
+    def __init__(self, message: str, rows: str = "call", index: int = -1) -> None:
+        super().__init__(message)
+        self.rows, self.index = rows, index
+
+
+def _refuse_first(call_id: str, rows: str, checks: tuple) -> None:
+    """Raise InvalidCall for the first of ``rows`` that a check finds at fault.
+
+    ``checks`` holds, in the order each row is checked, the ascending
+    indices of the rows at fault and a function from such an index to
+    the fault's message.
+    """
+    faults = [(int(at[0]), c) for c, (at, _) in enumerate(checks) if len(at)]
+    if faults:
+        k, c = min(faults)
+        raise InvalidCall(f"{call_id}: {rows} {k}: {checks[c][1](k)}", rows, k)
+
+
 def _column(
     call_id: str, name: str, given: object, dtype: type, ndim: int, rows: int
 ) -> np.ndarray:
@@ -201,18 +231,84 @@ class CallRecord:
                 f"expected {len(self.token_time)}"
             )
         object.__setattr__(self, "token_text", texts)
-        for name in ("labels", "teacher_labels"):
-            codes = getattr(self, name)
-            bad = np.flatnonzero((codes < NO_LABEL) | (codes > SPEECH_CODE))
-            if bad.size:
-                raise ValueError(f"{self.call_id}: frame {bad[0]}: bad {name} code")
-        kinds = self.token_kind
-        bad = np.flatnonzero((kinds < BLANK_CODE) | (kinds > EOW_CODE))
-        if bad.size:
-            raise ValueError(f"{self.call_id}: token {bad[0]}: bad token_kind code")
-        bad = np.flatnonzero(self.token_word < NO_WORD)
-        if bad.size:
-            raise ValueError(f"{self.call_id}: token {bad[0]}: bad token_word code")
+        self._check_rows()
+
+    def _check_rows(self) -> None:
+        """Raise InvalidCall for the first fault of the call's rows.
+
+        ``frame_ms`` is checked first (and a numpy integer kept as an
+        int), then the frames, then the tokens, then the segments, each
+        kind of row by index and each row in the order of the checks
+        below.  Every time of a call that passes lies in [0, end_ms] and
+        end_ms fits in int64, so no int64 column of times can wrap.
+        """
+        call_id = self.call_id
+        try:
+            frame_ms = operator.index(self.frame_ms)
+        except TypeError:
+            raise InvalidCall(
+                f"{call_id}: frame_ms must be an integer, got {self.frame_ms!r}"
+            ) from None
+        object.__setattr__(self, "frame_ms", frame_ms)
+        if not 0 < frame_ms <= _INT64_MAX:
+            raise InvalidCall(
+                f"{call_id}: frame_ms must be positive and within the int64 range, "
+                f"got {frame_ms}"
+            )
+        index, labels, teachers = self.frame_index, self.labels, self.teacher_labels
+        end_ms = self.end_ms
+        _refuse_first(call_id, "frame", (
+            (np.flatnonzero((labels < NO_LABEL) | (labels > SPEECH_CODE)),
+             lambda k: "bad labels code"),
+            (np.flatnonzero((teachers < NO_LABEL) | (teachers > SPEECH_CODE)),
+             lambda k: "bad teacher_labels code"),
+            (np.flatnonzero(index < 0), lambda k: f"negative frame index {index[k]}"),
+            (np.flatnonzero(index[1:] <= index[:-1]) + 1,
+             lambda k: f"frame index {index[k]} does not follow previous {index[k - 1]}"),
+            ([len(index) - 1] if end_ms > _INT64_MAX else [],
+             lambda k: f"frame {index[k]} ends at {end_ms} ms, beyond the int64 range"),
+        ))
+
+        times, kinds, words = self.token_time, self.token_kind, self.token_word
+        texts = self.token_text
+        eow_at: dict[int, int] = {}  # word -> its last EOW so far
+        reopened: list[int] = []  # the first SUBWORD after its word's EOW
+        rows = np.flatnonzero((kinds != BLANK_CODE) & (words != NO_WORD))
+        for k, kind, word in zip(rows.tolist(), kinds[rows].tolist(), words[rows].tolist()):
+            if kind == EOW_CODE:
+                eow_at[word] = k
+            elif word in eow_at:
+                reopened.append(k)
+                break
+        _refuse_first(call_id, "token", (
+            (np.flatnonzero((kinds < BLANK_CODE) | (kinds > EOW_CODE)),
+             lambda k: "bad token_kind code"),
+            (np.flatnonzero(words < NO_WORD), lambda k: "bad token_word code"),
+            (np.flatnonzero(times[1:] < times[:-1]) + 1,
+             lambda k: f"emit time {times[k]} precedes previous {times[k - 1]}"),
+            ([k for k in np.flatnonzero(kinds == BLANK_CODE).tolist() if texts[k]],
+             lambda k: "BLANK token carries non-empty text"),
+            (reopened,
+             lambda k: f"token order: SUBWORD of word {words[k]} follows its EOW "
+             f"(at token {eow_at[int(words[k])]})"),
+            (np.flatnonzero((times < 0) | (times > end_ms)),
+             lambda k: f"emit time {times[k]} outside call bounds [0, {end_ms}]"),
+        ))
+
+        prev_end: Optional[int] = None
+        for k, seg in enumerate(self.segments):
+            if seg.start_ms >= seg.end_ms:
+                message = f"empty or inverted segment [{seg.start_ms}, {seg.end_ms})"
+            elif prev_end is not None and seg.start_ms < prev_end:
+                message = (
+                    f"overlap: segment starts at {seg.start_ms} before previous end {prev_end}"
+                )
+            elif seg.end_ms > end_ms:
+                message = f"segment end {seg.end_ms} beyond call bounds [0, {end_ms}]"
+            else:
+                prev_end = seg.end_ms
+                continue
+            raise InvalidCall(f"{call_id}: segment {k}: {message}", "segment", k)
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached only for an attribute the instance lacks: a features
@@ -284,7 +380,7 @@ class CallRecord:
 
     @property
     def frame_times(self) -> np.ndarray:
-        """Frame times in ms, ``frame_index * frame_ms`` (int64; see validate_call)."""
+        """Frame times in ms, ``frame_index * frame_ms`` (int64)."""
         return self.frame_index * self.frame_ms
 
     @property
@@ -295,29 +391,13 @@ class CallRecord:
         return (int(self.frame_index[-1]) + 1) * self.frame_ms
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by validate_call.
-
-    ``field`` names the offending record field (dotted path), ``index`` the
-    offending element (-1 for call-level problems).
-    """
-
-    field: str
-    index: int
-    message: str
-
-
-def _first_inversion(times: Union[list[int], np.ndarray]) -> Optional[int]:
+def _first_inversion(times: list[int]) -> Optional[int]:
     """Index of the first time below its predecessor, or None if sorted.
 
-    The package's one sortedness check: merge_streams, run_sweep,
-    commit_transcript and align_events all word their errors around it.
-    An array is checked in numpy.
+    The package's one sortedness check of lists handed in by a caller:
+    merge_streams, commit_transcript and align_events all word their
+    errors around it.
     """
-    if isinstance(times, np.ndarray):
-        inversions = np.flatnonzero(times[1:] < times[:-1])
-        return int(inversions[0]) + 1 if inversions.size else None
     for i in range(1, len(times)):
         if times[i] < times[i - 1]:
             return i
@@ -360,118 +440,3 @@ def merge_streams(
     end_time = out[-1].time_ms if out else 0
     out.append(TimelineEvent(end_time, EndOfStream()))
     return out
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def validate_call(call: CallRecord) -> list[Violation]:
-    """Check a CallRecord against its structural invariants.
-
-    Returns violations as data (empty list for a well-formed call); never
-    raises for content problems, so invalid calls can be reported in full.
-    Frame times off the grid and mixed feature dims cannot reach it: the
-    record's columns rule them out when the call is built.
-    """
-    violations: list[Violation] = []
-
-    if not 0 < call.frame_ms <= _INT64_MAX:
-        violations.append(
-            Violation(
-                "frame_ms",
-                -1,
-                f"frame_ms must be positive and within the int64 range, got {call.frame_ms}",
-            )
-        )
-        return violations  # the frame grid is meaningless below here
-
-    index = call.frame_index
-    for k in np.flatnonzero(index < 0).tolist():
-        violations.append(
-            Violation("frames.index", k, f"negative frame index {index[k]}")
-        )
-    for k in (np.flatnonzero(index[1:] <= index[:-1]) + 1).tolist():
-        violations.append(
-            Violation(
-                "frames.index",
-                k,
-                f"frame index {index[k]} does not follow previous {index[k - 1]}",
-            )
-        )
-    # every time of a valid call lies in [0, end_ms], so int64 columns of
-    # frame times cannot wrap
-    end_cap = call.end_ms
-    if end_cap > _INT64_MAX:
-        k = len(index) - 1
-        violations.append(
-            Violation(
-                "frames.index",
-                k,
-                f"frame {index[k]} ends at {end_cap} ms, beyond the int64 range",
-            )
-        )
-    violations.sort(key=lambda v: v.index)  # frame order: callers report the first
-
-    # token checks in numpy; the SUBWORD-after-EOW rule walks the non-BLANK
-    # tokens.  Violations keep token order, and within a token this order
-    # of checks: emit order, BLANK text, word order, bounds.
-    times, kinds, words = call.token_time, call.token_kind, call.token_word
-    found: list[tuple[int, int, Violation]] = []  # (token, check, violation)
-    for k in (np.flatnonzero(times[1:] < times[:-1]) + 1).tolist():
-        message = f"emit time {times[k]} precedes previous {times[k - 1]}"
-        found.append((k, 0, Violation("tokens.emit_time_ms", k, message)))
-    texts = call.token_text
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    for k in np.flatnonzero((kinds == BLANK_CODE) & (lengths > 0)).tolist():
-        message = "BLANK token carries non-empty text"
-        found.append((k, 1, Violation("tokens.text", k, message)))
-    eow_seen_at: dict[int, int] = {}
-    order_flagged: set[int] = set()
-    rows = np.flatnonzero((kinds != BLANK_CODE) & (words != NO_WORD))
-    for k, kind, word in zip(rows.tolist(), kinds[rows].tolist(), words[rows].tolist()):
-        if kind == EOW_CODE:
-            eow_seen_at[word] = k
-        elif word in eow_seen_at and word not in order_flagged:
-            order_flagged.add(word)
-            message = (
-                f"token order: SUBWORD of word {word} follows its EOW "
-                f"(at token {eow_seen_at[word]})"
-            )
-            found.append((k, 2, Violation("tokens.word_index", k, message)))
-    # every time fits in int64, so a cap beyond it bounds nothing
-    outside = (times < 0) | (times > min(end_cap, _INT64_MAX))
-    for k in np.flatnonzero(outside).tolist():
-        message = f"emit time {times[k]} outside call bounds [0, {end_cap}]"
-        found.append((k, 3, Violation("tokens.emit_time_ms", k, message)))
-    found.sort(key=lambda entry: entry[:2])
-    violations += [v for _, _, v in found]
-
-    prev_end: Optional[int] = None
-    for k, seg in enumerate(call.segments):
-        if seg.start_ms >= seg.end_ms:
-            violations.append(
-                Violation(
-                    "segments.start_ms",
-                    k,
-                    f"empty or inverted segment [{seg.start_ms}, {seg.end_ms})",
-                )
-            )
-        if prev_end is not None and seg.start_ms < prev_end:
-            violations.append(
-                Violation(
-                    "segments.start_ms",
-                    k,
-                    f"overlap: segment starts at {seg.start_ms} before previous "
-                    f"end {prev_end}",
-                )
-            )
-        prev_end = max(prev_end, seg.end_ms) if prev_end is not None else seg.end_ms
-        if seg.end_ms > end_cap:
-            violations.append(
-                Violation(
-                    "segments.end_ms",
-                    k,
-                    f"segment end {seg.end_ms} beyond call bounds [0, {end_cap}]",
-                )
-            )
-    return violations

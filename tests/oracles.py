@@ -27,7 +27,6 @@ from endpoint_rt.streams import (
     TokenEvent,
     TokenKind,
     VadDecision,
-    Violation,
 )
 from endpoint_rt.vadnet import MlpModel, TrainConfig, loss_and_grads
 
@@ -242,38 +241,36 @@ def sweep_call(
     return call, np.array([d.is_speech for d in decisions], dtype=bool)
 
 
-def token_violations(tokens: Sequence[TokenEvent], end_cap: int) -> list[Violation]:
-    """validate_call's token violations, by one walk over every token.
+def token_violations(
+    tokens: Sequence[TokenEvent], end_ms: int
+) -> list[tuple[int, str]]:
+    """Every fault of a call's tokens, as (token index, message), by one walk
+    over every token.
 
     Per token, in this order: an emit time below the previous token's, a
     BLANK with text, the first SUBWORD of a word after that word's EOW,
-    and an emit time outside [0, end_cap].
+    and an emit time outside [0, end_ms].  The CallRecord constructor
+    refuses a call for the first of them.
     """
-    out: list[Violation] = []
+    out: list[tuple[int, str]] = []
     eow_at: dict[int, int] = {}
     flagged: set[int] = set()
     for k, tok in enumerate(tokens):
         t = tok.emit_time_ms
         if k and t < tokens[k - 1].emit_time_ms:
-            prev = tokens[k - 1].emit_time_ms
-            out.append(Violation("tokens.emit_time_ms", k, f"emit time {t} precedes previous {prev}"))
+            out.append((k, f"emit time {t} precedes previous {tokens[k - 1].emit_time_ms}"))
         if tok.kind is TokenKind.BLANK and tok.text:
-            out.append(Violation("tokens.text", k, "BLANK token carries non-empty text"))
+            out.append((k, "BLANK token carries non-empty text"))
         w = tok.word_index
         if w is not None and tok.kind is TokenKind.EOW:
             eow_at[w] = k
         if w is not None and tok.kind is TokenKind.SUBWORD and w in eow_at and w not in flagged:
             flagged.add(w)
             out.append(
-                Violation(
-                    "tokens.word_index", k,
-                    f"token order: SUBWORD of word {w} follows its EOW (at token {eow_at[w]})",
-                )
+                (k, f"token order: SUBWORD of word {w} follows its EOW (at token {eow_at[w]})")
             )
-        if not 0 <= t <= end_cap:
-            out.append(
-                Violation("tokens.emit_time_ms", k, f"emit time {t} outside call bounds [0, {end_cap}]")
-            )
+        if not 0 <= t <= end_ms:
+            out.append((k, f"emit time {t} outside call bounds [0, {end_ms}]"))
     return out
 
 

@@ -295,13 +295,22 @@ def test_call_round_trip_keeps_every_token_column(tmp_path):
     rng = random.Random(4)
     for case in range(40):
         tokens, t = [], 0
+        closed = set()  # words whose EOW was emitted: no SUBWORD of theirs follows
         for _ in range(rng.randint(0, 25)):
             t += rng.choice([0, 10, 40])
             kind = rng.choice(list(TokenKind))
             text = "" if kind is TokenKind.BLANK else rng.choice(["", "ka", "zo-"])
             word = None if kind is TokenKind.BLANK else rng.choice([None, 0, 2**63 - 1])
+            if kind is TokenKind.SUBWORD and word in closed:
+                word = None
+            elif kind is TokenKind.EOW:
+                closed.add(word)
             tokens.append(TokenEvent(t, kind, text, word))
-        call = CallRecord("c", 40, **token_columns(tokens))
+        n = t // 40 + 1  # frames whose grid reaches the last token
+        call = CallRecord(
+            "c", 40, frame_index=np.arange(n), features=np.zeros((n, 0)),
+            labels=np.full(n, -1), teacher_labels=np.full(n, -1), **token_columns(tokens),
+        )
         path = tmp_path / f"{case}.call"
         save_call(call, path)
         loaded = load_call(path)
@@ -348,14 +357,59 @@ def test_load_call_reports_the_first_bad_line_of_frames_and_tokens(tmp_path):
         load_call(path)
 
 
+REFUSED_CALL = f"""{FORMAT_LINE}
+call c 40 0
+
+frame 0 - -
+frame 1 - -
+token 0 SUBWORD ka 0
+token 40 EOW - 0
+segment 0 80 ka
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno, message",
+    [
+        ("call c 40", "call c 0", 2,
+         "c: frame_ms must be positive and within the int64 range, got 0"),
+        ("frame 1", "frame 0", 5, "c: frame 1: frame index 0 does not follow previous 0"),
+        ("token 40 EOW", "token 90 EOW", 7,
+         "c: token 1: emit time 90 outside call bounds [0, 80]"),
+        ("segment 0 80", "segment 0 81", 8,
+         "c: segment 0: segment end 81 beyond call bounds [0, 80]"),
+    ],
+    ids=["frame_ms", "frame", "token", "segment"],
+)
+def test_load_call_names_the_line_of_a_call_the_constructor_refuses(
+    tmp_path, old, new, lineno, message
+):
+    path = tmp_path / "c.call"
+    path.write_text(REFUSED_CALL)
+    assert load_call(path).end_ms == 80
+    path.write_text(REFUSED_CALL.replace(old, new))
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
 def test_load_call_keeps_the_largest_token_fields(tmp_path):
+    # one frame of the longest frame_ms ends at the last int64 ms
     big = 2**63 - 1
     path = tmp_path / "big.call"
-    path.write_text(f"{FORMAT_LINE}\ncall c 40 0\ntoken {-2**63} EOW - {big}\n")
+    path.write_text(f"{FORMAT_LINE}\ncall c {big} 0\nframe 0 - -\ntoken {big} EOW - {big}\n")
     call = load_call(path)
-    assert call.token_time.tolist() == [-2**63]
+    assert call.end_ms == big
+    assert call.token_time.tolist() == [big]
     assert call.token_word.tolist() == [big]
-    assert call.tokens == (TokenEvent(-2**63, TokenKind.EOW, "", big),)
+    assert call.tokens == (TokenEvent(big, TokenKind.EOW, "", big),)
+    # the smallest emit time parses, and lies before the call
+    path.write_text(f"{FORMAT_LINE}\ncall c {big} 0\nframe 0 - -\ntoken {-2**63} EOW - {big}\n")
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == (
+        f"{path}:4: c: token 0: emit time {-2**63} outside call bounds [0, {big}]"
+    )
 
 
 @pytest.mark.parametrize("text", ["ka*", "*"])

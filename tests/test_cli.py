@@ -28,7 +28,6 @@ from endpoint_rt.streams import (
     TokenKind,
     VadDecision,
     merge_streams,
-    validate_call,
 )
 from endpoint_rt.vadnet import TrainConfig, init_model, load_model, save_model, train_arrays
 
@@ -616,6 +615,29 @@ def test_evaluate_fails_on_missing_pair(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["endpoint", "evaluate", "tradeoff"])
+def test_a_call_id_given_by_two_call_files_is_refused(tmp_path, capsys, command):
+    # else endpoint writes one call's files over the other's, and evaluate
+    # pools the call twice
+    calls = simulate(tmp_path, n_calls=2)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    first, copy = calls / "sim-00000010.call", calls / "zz-copy.call"
+    copy.write_bytes(first.read_bytes())
+    out = tmp_path / "out"
+    flags = {
+        "endpoint": ("--out", str(out)),
+        "evaluate": ("--endpoints", str(eps), "--out", str(out)),
+        "tradeoff": ("--out", str(out), "--vad", "oracle"),
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, "--calls", str(calls), *flags) == 1
+    assert capsys.readouterr().err == (
+        f"error: {first} and {copy} both give call sim-00000010\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["deleted", "garbled"])
 def test_evaluate_reads_no_transcript(tmp_path, damage):
     # evaluate commits each call's words from its endpoints itself
@@ -1061,9 +1083,9 @@ def test_commands_build_token_events_only_for_non_blank_tokens(tmp_path, monkeyp
         built.append(self.kind)
 
     monkeypatch.setattr(TokenEvent, "__init__", counting_init)
-    # loading and validating a call build none
+    # loading a call, which checks every invariant, builds none
     for path in paths:
-        assert validate_call(callfile.load_call(path)) == []
+        callfile.load_call(path)
     assert built == []
     # each command builds one per non-BLANK token of its calls, and no BLANK
     code = run_cli(
@@ -1180,7 +1202,7 @@ def test_swapped_frame_lines_name_the_call_file(tmp_path, capsys):
     code = run_cli("endpoint", "--calls", str(calls), "--out", str(tmp_path / "e"))
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: invalid call: frames.index[4]: "
+        f"error: {path}:{first + 5}: sim-00000010: frame 4: "
         "frame index 3 does not follow previous 4\n"
     )
 
@@ -1202,7 +1224,7 @@ def test_a_frame_time_beyond_int64_names_the_call_file(tmp_path, capsys, argv):
     code = run_cli(*argv, "--calls", str(calls), "--out", str(tmp_path / "out"))
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: invalid call: frames.index[{len(frames) - 1}]: "
+        f"error: {path}:{frames[-1] + 1}: sim-00000010: frame {len(frames) - 1}: "
         f"frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range\n"
     )
 
@@ -1230,8 +1252,7 @@ def test_a_frameless_call_bounds_its_tokens_at_0_ms(tmp_path, capsys, mode):
     )
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: invalid call: tokens.emit_time_ms[1]: "
-        "emit time 40 outside call bounds [0, 0]\n"
+        f"error: {path}:4: c0: token 1: emit time 40 outside call bounds [0, 0]\n"
     )
 
 

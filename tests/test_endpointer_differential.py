@@ -10,10 +10,10 @@ deferral cap and blank run, and an EndOfStream stamped past the last
 event.  run_sweep, given a CallRecord with a frame at each of a
 timeline's VAD decisions and its tokens, and the decisions' flags, must
 give run_call's endpoints on the timeline ended where merge_streams ends
-it, at the last event, and fail on the inputs that merge_streams and
-run_call reject.  Its EOW-gated rules also refuse
-decisions closer than a frame, such as two at one millisecond, so the
-timelines it is compared on have none.
+it, at the last event.  It is compared on the timelines a call can
+hold: no two decisions at one millisecond, and every token in [0,
+end_ms], some after the last decision.  What merge_streams and run_call
+reject, no CallRecord holds.
 """
 
 import hashlib
@@ -21,7 +21,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from oracles import sweep_call
 
@@ -104,25 +103,45 @@ def random_tokens(rng: random.Random, horizon: int) -> list[TokenEvent]:
     return out
 
 
-def random_case(rng: random.Random, duplicates: bool = True):
+def random_config(rng: random.Random) -> EndpointerConfig:
     frame = rng.choice([10, 20, 40])
     delta = frame * rng.randint(1, 12)
-    cfg = EndpointerConfig(
+    return EndpointerConfig(
         mode=rng.choice(MODES),
         ts_threshold_ms=delta,
         blank_run_frames=rng.randint(1, 6),
         deferral_cap_ms=delta + rng.choice([0, frame, 10 * rng.randint(0, 60)]),
         frame_ms=frame,
     )
+
+
+def random_case(rng: random.Random):
+    cfg = random_config(rng)
+    frame = cfg.frame_ms
     n_frames = rng.randint(0, 60)
     timeline = merge_streams(
-        random_vad(rng, frame, n_frames, duplicates),
+        random_vad(rng, frame, n_frames),
         random_tokens(rng, (n_frames + 2) * frame),
     )
     if rng.random() < 0.3:
         end = timeline[-1].time_ms + rng.randint(1, 500)
         timeline[-1] = TimelineEvent(end, EndOfStream())
     return cfg, timeline
+
+
+def sweep_case(rng: random.Random):
+    """A config and a timeline a call can hold, for run_sweep.
+
+    No two decisions share a millisecond, and every token lies in [0,
+    end_ms] of the call sweep_args builds: the end of the last decision's
+    frame, or 0 without decisions.  So a token may follow the last
+    decision.
+    """
+    cfg = random_config(rng)
+    frame = cfg.frame_ms
+    vad = random_vad(rng, frame, rng.randint(0, 60), duplicates=False)
+    end_ms = vad[-1].time_ms + frame if vad else 0
+    return cfg, merge_streams(vad, random_tokens(rng, end_ms))
 
 
 def run_all():
@@ -167,17 +186,17 @@ def test_a_fire_pending_from_the_previous_run_can_release_an_interior_decision()
     # the fire of the run at 0 ms is pending when the run from 40 ms
     # completes delta there; it resolves silently at the EOW, so the
     # interior decision at 80 ms arms the endpoint the SUBWORD then meets.
-    # Only decisions at one millisecond let a fire outlive its run, and
-    # run_sweep refuses them
+    # Only decisions at one millisecond let a fire outlive its run, and no
+    # call, so no input of run_sweep, holds them
     cfg = EndpointerConfig(Mode.TS_AND_EOW, 40, 1, 1000, 40)
     times = [0, 0, 40, 80, 120, 160]
     speech = [False, True, False, False, False, False]
     tokens = [TokenEvent(60, TokenKind.EOW, "", 0), TokenEvent(90, TokenKind.SUBWORD, "ka", 1)]
-    call, flags = sweep_call(40, list(map(VadDecision, times, speech)), tokens)
+    decisions = list(map(VadDecision, times, speech))
     want = [EndpointEvent(80, Trigger.TS_AND_EOW_IMMEDIATE, 40)]
-    assert _merged_run(cfg, call, flags) == want
-    with pytest.raises(ValueError, match="index 1 at 0 ms after 0 ms"):
-        run_sweep([cfg], call, flags)
+    assert run_call(cfg, merge_streams(decisions, tokens)) == want
+    with pytest.raises(ValueError, match="^c: frame 1: frame index 0 does not follow previous 0$"):
+        sweep_call(40, decisions, tokens)
 
 
 def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerConfig]:
@@ -200,43 +219,41 @@ def sweep_configs(rng: random.Random, cfg: EndpointerConfig) -> list[EndpointerC
 def test_run_sweep_matches_run_call_on_random_timelines():
     rng = random.Random(20261018)
     variants = random.Random(7)
-    shared_eow = 0
+    shared_eow = tokens_after_decisions = 0
     for case in range(N_TIMELINES):
-        cfg, timeline = random_case(rng, duplicates=False)
+        cfg, timeline = sweep_case(rng)
         cfgs = sweep_configs(variants, cfg)
         want = [run_call(c, ended_at_last_event(timeline)) for c in cfgs]
         got = run_sweep(cfgs, *sweep_args(timeline, cfg.frame_ms))
         assert got == want, f"case {case}: {cfgs}"
         if cfg.mode is Mode.EOW and len({c.ts_threshold_ms for c in cfgs}) > 1:
             shared_eow += 1
+        # a token after the last decision ends the stream
+        decided = [ev.time_ms for ev in timeline if isinstance(ev.payload, VadDecision)]
+        if decided and timeline[-2].time_ms > decided[-1]:
+            tokens_after_decisions += 1
     assert shared_eow > 1000  # one EOW walk answered several deltas
+    assert tokens_after_decisions > 1000
 
 
 def test_run_sweep_refuses_decisions_closer_than_a_frame():
     # the pinned digests' timelines: where two decisions share a
-    # millisecond the EOW-gated rules raise, naming the second; TS and
-    # BLANK still give run_call's endpoints
+    # millisecond, the call that would carry them to run_sweep is refused,
+    # naming the second
     rng = random.Random(20261018)
     refused = 0
     for case in range(N_TIMELINES):
         cfg, timeline = random_case(rng)
-        call, speech = sweep_args(timeline, cfg.frame_ms)
-        times = call.frame_times
-        close = np.flatnonzero(np.diff(times) < cfg.frame_ms)
-        if not close.size:
+        times = [ev.time_ms for ev in timeline if isinstance(ev.payload, VadDecision)]
+        k = next((k for k in range(1, len(times)) if times[k] == times[k - 1]), None)
+        if k is None:
             continue
-        k = int(close[0]) + 1
-        for mode in (Mode.TS, Mode.BLANK):
-            plain = replace(cfg, mode=mode)
-            want = [run_call(plain, ended_at_last_event(timeline))]
-            assert run_sweep([plain], call, speech) == want
-        for mode in (Mode.EOW, Mode.TS_AND_EOW):
-            with pytest.raises(ValueError) as err:
-                run_sweep([replace(cfg, mode=Mode.TS), replace(cfg, mode=mode)], call, speech)
-            assert str(err.value) == (
-                f"frame times step by less than frame_ms={cfg.frame_ms}: "
-                f"index {k} at {times[k]} ms after {times[k - 1]} ms"
-            ), f"case {case}"
+        index = times[k] // cfg.frame_ms
+        with pytest.raises(ValueError) as err:
+            sweep_args(timeline, cfg.frame_ms)
+        assert str(err.value) == (
+            f"c: frame {k}: frame index {index} does not follow previous {index}"
+        ), f"case {case}"
         refused += 1
     assert refused > 1000
 
@@ -245,7 +262,7 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
     rng = random.Random(20261018)
     order = random.Random(11)
     for case in range(300):
-        cfg, timeline = random_case(rng, duplicates=False)
+        cfg, timeline = sweep_case(rng)
         cfgs = [
             EndpointerConfig(mode, delta, blanks, delta + cfg.frame_ms, cfg.frame_ms)
             for mode in MODES
@@ -262,7 +279,7 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
 def test_run_sweep_reads_no_flags_when_every_config_is_blank():
     rng = random.Random(20261018)
     for case in range(300):
-        cfg, timeline = random_case(rng)
+        cfg, timeline = sweep_case(rng)
         call, speech = sweep_args(timeline, cfg.frame_ms)
         blank = replace(cfg, mode=Mode.BLANK)
         assert run_sweep([blank], call) == [run_call(blank, timeline)], f"case {case}"
@@ -282,27 +299,18 @@ def test_run_sweep_refuses_a_config_off_the_calls_frame_grid(modes):
     assert str(err.value) == "c: call frame_ms=40 does not match configured frame_ms=20"
 
 
-def _merged_run(cfg, call, speech):
-    """run_call over the timeline merge_streams builds from a call and its flags."""
-    vad = list(map(VadDecision, call.frame_times.tolist(), speech.tolist()))
-    return run_call(cfg, merge_streams(vad, list(call.tokens)))
-
-
-# frame times, speech flags and tokens
+# frame times, speech flags and tokens that merge_streams rejects, and the
+# refusal of the call that would carry them to run_sweep
 REJECTED = {
-    "out of order": ([0, 80, 40], [False, False, True], [TokenEvent(20, TokenKind.BLANK)]),
+    "out of order": (
+        [0, 80, 40], [False, False, True], [TokenEvent(20, TokenKind.BLANK)],
+        "c: frame 2: frame index 1 does not follow previous 2",
+    ),
     "unsorted tokens": (
-        [0, 40], [False, False], [TokenEvent(40, TokenKind.EOW), TokenEvent(20, TokenKind.BLANK)]
+        [0, 40], [False, False], [TokenEvent(40, TokenKind.EOW), TokenEvent(20, TokenKind.BLANK)],
+        "c: token 1: emit time 20 precedes previous 40",
     ),
 }
-
-
-def _error(fn, *args):
-    try:
-        fn(*args)
-    except Exception as exc:  # the error itself is what is compared
-        return type(exc), str(exc)
-    pytest.fail(f"{fn.__name__} accepted the call")
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
@@ -310,12 +318,14 @@ def _error(fn, *args):
     "modes", [[m] for m in MODES] + [MODES], ids=lambda ms: "+".join(m.value for m in ms)
 )
 def test_run_sweep_rejects_what_run_call_rejects(name, modes):
-    times, speech, tokens = REJECTED[name]
-    call, flags = sweep_call(40, list(map(VadDecision, times, speech)), tokens)
-    cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in modes]
-    want = _error(_merged_run, cfgs[0], call, flags)
-    assert all(_error(_merged_run, c, call, flags) == want for c in cfgs)
-    assert _error(run_sweep, cfgs, call, flags) == want
+    times, speech, tokens, refusal = REJECTED[name]
+    decisions = list(map(VadDecision, times, speech))
+    for cfg in (EndpointerConfig(mode, 40, 1, 40) for mode in modes):
+        with pytest.raises(ValueError, match="stream unsorted: first inversion at index"):
+            run_call(cfg, merge_streams(decisions, tokens))
+    with pytest.raises(ValueError) as err:
+        sweep_call(40, decisions, tokens)
+    assert str(err.value) == refusal
 
 
 @pytest.mark.parametrize("times, speech", [([0, 40], [False]), ([0], [True, False])])
@@ -341,7 +351,7 @@ def test_run_sweep_rejects_kind_codes_that_name_no_token_kind(code):
     cfgs = [EndpointerConfig(mode, 40, 1, 40) for mode in MODES]
     refused = "^c: (token_kind holds a value outside int8|token 1: bad token_kind code)$"
     with pytest.raises(ValueError, match=refused):
-        run_sweep(cfgs, CallRecord("c", 40, **_tokens([20, 30], [EOW_CODE, code])), [])
+        run_sweep(cfgs, CallRecord("c", 40, **_tokens([0, 0], [EOW_CODE, code])), [])
 
 
 @pytest.mark.parametrize(

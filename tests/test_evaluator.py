@@ -214,9 +214,14 @@ def test_score_runs_reads_the_reference_from_the_call_segments():
         TokenEvent(2600, TokenKind.EOW, "", 1),
         TokenEvent(3000, TokenKind.SUBWORD, "lo", 2),
     ]
+    n = 80  # frames up to 3200 ms, past the last token and segment
     call = CallRecord(
         "c",
         40,
+        frame_index=np.arange(n),
+        features=np.zeros((n, 0)),
+        labels=np.full(n, -1),
+        teacher_labels=np.full(n, -1),
         segments=(
             ReferenceSegment("c", 0, 1000, ("ka", "zo")),
             ReferenceSegment("c", 2000, 3000, ("mi",)),

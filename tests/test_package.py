@@ -1,6 +1,9 @@
 """The package's public names and the library examples and CLI text in README.md."""
 
 import argparse
+import builtins
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -60,3 +63,30 @@ def test_readme_names_only_flags_its_commands_take():
         assert flag in subcommands[command]._option_string_actions, (
             f"`{command} {flag}`: {command} takes no {flag}"
         )
+
+
+def test_readme_names_only_what_the_package_has():
+    # a backticked call such as `run_sweep(` or `vadnet.posteriors(`, and
+    # every name a README line imports from endpoint_rt or its modules
+    modules = {
+        info.name: importlib.import_module(f"endpoint_rt.{info.name}")
+        for info in pkgutil.iter_modules(endpoint_rt.__path__)
+    }
+    text = README.read_text()
+    called = re.findall(r"`([A-Za-z_][\w.]*)\(", text)
+    assert len(called) >= 8
+    for dotted in called:
+        head, *rest = dotted.split(".")
+        owners = [endpoint_rt, *modules.values(), builtins]
+        found = modules.get(head) or next(
+            (getattr(m, head) for m in owners if hasattr(m, head)), None
+        )
+        for attr in rest:
+            found = getattr(found, attr, None)
+        assert found is not None, f"README calls `{dotted}(`, which endpoint_rt does not have"
+    imports = re.findall(r"^from endpoint_rt(?:\.(\w+))? import (\([^)]*\)|.*)$", text, re.M)
+    assert len(imports) >= 4
+    for module, names in imports:
+        owner = modules[module] if module else endpoint_rt
+        for name in re.findall(r"\w+", names):
+            assert hasattr(owner, name), f"README imports {name} from {owner.__name__}"

@@ -1,6 +1,7 @@
-"""Tests for the timeline records, stream merging, and call validation."""
+"""Tests for the timeline records, stream merging, and the invariants of a call."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from endpoint_rt.streams import (
     TokenKind,
     VadDecision,
     merge_streams,
-    validate_call,
 )
 
 
@@ -285,7 +285,7 @@ def test_tokens_view_every_token_column():
         TokenEvent(80, TokenKind.EOW, "", 3),
         TokenEvent(120, TokenKind.BLANK),
     )
-    call = CallRecord("c", 40, **token_columns(tokens))
+    call = _call(range(4), tokens)
     assert call.tokens == tokens
     assert call.non_blank_tokens == tokens[1:4]
     assert call.tokens is call.tokens  # built once
@@ -295,7 +295,7 @@ def test_tokens_view_every_token_column():
 
 
 # ---------------------------------------------------------------------------
-# validate_call
+# the invariants of a call
 
 
 def _valid_call():
@@ -308,62 +308,96 @@ def _valid_call():
     return _call(range(10), tokens=tokens, segments=segments)
 
 
+def _refused(message, build, *args, **kwargs):
+    """Assert that ``build`` refuses its call with exactly ``message``."""
+    with pytest.raises(ValueError) as err:
+        build(*args, **kwargs)
+    assert str(err.value) == message
+
+
 def test_validate_accepts_well_formed_call():
-    assert validate_call(_valid_call()) == []
+    call = _valid_call()
+    assert call.end_ms == 400 and len(call.token_time) == 3 and len(call.segments) == 1
 
 
 def test_validate_flags_nonpositive_frame_ms():
-    out = validate_call(CallRecord("c", 0))
-    assert [v.field for v in out] == ["frame_ms"]
-    assert out[0].index == -1
+    for frame_ms in (0, -40):
+        _refused(
+            f"c: frame_ms must be positive and within the int64 range, got {frame_ms}",
+            CallRecord, "c", frame_ms,
+        )
+
+
+def test_a_call_refuses_a_frame_ms_that_is_no_integer():
+    _refused("c: frame_ms must be an integer, got 40.5", CallRecord, "c", 40.5)
+    # a numpy integer is kept as an int, so the end of its grid cannot wrap
+    assert type(CallRecord("c", np.int64(40)).frame_ms) is int
+    _refused(
+        f"c: frame 1: frame 1 ends at {2**63} ms, beyond the int64 range",
+        CallRecord, "c", np.int64(2**62), frame_index=[0, 1], features=np.zeros((2, 0)),
+        labels=[0, 0], teacher_labels=[0, 0],
+    )
 
 
 def test_validate_flags_frame_ms_beyond_int64():
-    out = validate_call(CallRecord("c", 2**63))
-    assert [(v.field, v.index) for v in out] == [("frame_ms", -1)]
+    _refused(
+        f"c: frame_ms must be positive and within the int64 range, got {2**63}",
+        CallRecord, "c", 2**63,
+    )
+    assert CallRecord("c", 2**63 - 1).end_ms == 0
 
 
 def test_validate_flags_a_call_ending_beyond_int64():
     # the frame index fits in int64, its end time does not
-    out = validate_call(_call([0, 2**60]))
-    assert [(v.field, v.index, v.message) for v in out] == [
-        ("frames.index", 1, f"frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range")
-    ]
+    _refused(
+        f"c: frame 1: frame {2**60} ends at {(2**60 + 1) * 40} ms, beyond the int64 range",
+        _call, [0, 2**60],
+    )
+
+
+def test_a_frame_grid_that_would_wrap_is_refused():
+    # frame 4 of 2**62 ms would sit at 0 ms in an int64 column of frame times
+    _refused(
+        f"c: frame 1: frame 4 ends at {5 * 2**62} ms, beyond the int64 range",
+        CallRecord, "c", 2**62, frame_index=[0, 4], features=np.zeros((2, 0)),
+        labels=[0, 0], teacher_labels=[0, 0],
+    )
+    # a grid that ends at the last int64 ms is built
+    call = CallRecord("c", 2**63 - 1, frame_index=[0], features=np.zeros((1, 0)),
+                      labels=[0], teacher_labels=[0])
+    assert call.frame_times.tolist() == [0] and call.end_ms == 2**63 - 1
 
 
 def test_validate_bounds_a_frameless_call_at_0_ms():
     tokens = (TokenEvent(0, TokenKind.SUBWORD, "ka", 0), TokenEvent(40, TokenKind.EOW, "", 0))
     segments = (ReferenceSegment("c", 0, 40, ("ka",)),)
-    out = validate_call(CallRecord("c", 40, **token_columns(tokens), segments=segments))
-    assert [(v.field, v.index) for v in out] == [
-        ("tokens.emit_time_ms", 1),
-        ("segments.end_ms", 0),
-    ]
+    _refused(
+        "c: token 1: emit time 40 outside call bounds [0, 0]",
+        CallRecord, "c", 40, **token_columns(tokens), segments=segments,
+    )
+    _refused(
+        "c: segment 0: segment end 40 beyond call bounds [0, 0]",
+        CallRecord, "c", 40, **token_columns(tokens[:1]), segments=segments,
+    )
 
 
 def test_validate_flags_negative_frame_index():
-    out = validate_call(_call([-1]))
-    assert ("frames.index", 0) in [(v.field, v.index) for v in out]
+    _refused("c: frame 0: negative frame index -1", _call, [-1])
 
 
 def test_validate_flags_frame_indices_out_of_order():
-    out = validate_call(_call([0, 2, 1, 3, 3]))
-    assert [(v.field, v.index, v.message) for v in out] == [
-        ("frames.index", 2, "frame index 1 does not follow previous 2"),
-        ("frames.index", 4, "frame index 3 does not follow previous 3"),
-    ]
+    _refused("c: frame 2: frame index 1 does not follow previous 2", _call, [0, 2, 1, 3, 3])
+    _refused("c: frame 4: frame index 3 does not follow previous 3", _call, [0, 1, 2, 3, 3])
 
 
 def test_validate_flags_unsorted_tokens():
     tokens = (TokenEvent(100, TokenKind.BLANK), TokenEvent(50, TokenKind.BLANK))
-    out = validate_call(_call(range(5), tokens=tokens))
-    assert ("tokens.emit_time_ms", 1) in [(v.field, v.index) for v in out]
+    _refused("c: token 1: emit time 50 precedes previous 100", _call, range(5), tokens)
 
 
 def test_validate_flags_blank_with_text():
     tokens = (TokenEvent(0, TokenKind.BLANK, "oops"),)
-    out = validate_call(_call([0], tokens=tokens))
-    assert ("tokens.text", 0) in [(v.field, v.index) for v in out]
+    _refused("c: token 0: BLANK token carries non-empty text", _call, [0], tokens)
 
 
 def test_validate_flags_subword_after_its_eow():
@@ -371,35 +405,61 @@ def test_validate_flags_subword_after_its_eow():
         TokenEvent(0, TokenKind.EOW, "", 7),
         TokenEvent(40, TokenKind.SUBWORD, "ka", 7),
     )
-    out = validate_call(_call(range(3), tokens=tokens))
-    assert ("tokens.word_index", 1) in [(v.field, v.index) for v in out]
+    _refused(
+        "c: token 1: token order: SUBWORD of word 7 follows its EOW (at token 0)",
+        _call, range(3), tokens,
+    )
 
 
 def test_validate_flags_token_beyond_call_end():
     tokens = (TokenEvent(500, TokenKind.BLANK),)
-    out = validate_call(_call(range(3), tokens=tokens))
-    assert ("tokens.emit_time_ms", 0) in [(v.field, v.index) for v in out]
+    _refused("c: token 0: emit time 500 outside call bounds [0, 120]", _call, range(3), tokens)
 
 
 def test_validate_flags_empty_and_overlapping_segments():
-    segments = (
-        ReferenceSegment("c", 100, 100),
-        ReferenceSegment("c", 50, 200),
+    empty = ReferenceSegment("c", 100, 100)
+    _refused(
+        "c: segment 0: empty or inverted segment [100, 100)",
+        _call, range(10), segments=(empty, ReferenceSegment("c", 50, 200)),
     )
-    out = validate_call(
-        _call(range(10), segments=segments)
+    _refused(
+        "c: segment 1: overlap: segment starts at 50 before previous end 100",
+        _call, range(10),
+        segments=(ReferenceSegment("c", 0, 100), ReferenceSegment("c", 50, 200)),
     )
-    keyed = [(v.field, v.index) for v in out]
-    assert ("segments.start_ms", 0) in keyed  # empty span
-    assert ("segments.start_ms", 1) in keyed  # overlaps previous
 
 
 def test_validate_flags_segment_beyond_call_end():
     segments = (ReferenceSegment("c", 0, 1000),)
-    out = validate_call(
-        _call(range(3), segments=segments)
+    _refused(
+        "c: segment 0: segment end 1000 beyond call bounds [0, 120]",
+        _call, range(3), segments=segments,
     )
-    assert ("segments.end_ms", 0) in [(v.field, v.index) for v in out]
+
+
+def test_a_call_is_refused_for_its_first_fault():
+    # frames before tokens before segments, each kind of row by index, and
+    # within a token the order of the checks: emit order, BLANK text, word
+    # order, bounds
+    tokens = (TokenEvent(500, TokenKind.BLANK), TokenEvent(400, TokenKind.BLANK, "oops"))
+    segments = (ReferenceSegment("c", 100, 100),)
+    _refused(
+        "c: frame 1: frame index 0 does not follow previous 0",
+        _call, [0, 0], tokens, segments=segments,
+    )
+    _refused(
+        "c: token 0: emit time 500 outside call bounds [0, 120]",
+        _call, range(3), tokens, segments=segments,
+    )
+    _refused(
+        "c: token 1: emit time 400 precedes previous 500",
+        _call, range(20), tokens, segments=segments,
+    )
+    _refused("c: token 0: BLANK token carries non-empty text", _call, range(3), tokens[1:])
+    _refused(
+        "c: segment 0: empty or inverted segment [100, 100)",
+        _call, range(20), segments=segments,
+    )
 
 
 def test_simulated_calls_always_validate():
@@ -407,7 +467,9 @@ def test_simulated_calls_always_validate():
     for _ in range(20):
         seed = int(rng.integers(0, 2**31))
         call = gen_call(SimConfig(seed=seed, n_turns=int(rng.integers(1, 5))))
-        assert validate_call(call) == []
+        # the call was built, so it holds every invariant; rebuilding it
+        # from its own columns checks them again
+        assert replace(call) == call
 
 
 def test_simulated_call_streams_merge_cleanly():
@@ -418,7 +480,7 @@ def test_simulated_call_streams_merge_cleanly():
     assert isinstance(merged[-1].payload, EndOfStream)
 
 
-# every token list the validate_call cases above build
+# every token list the invariant cases above build
 VALIDATE_CASES = [
     (),
     (TokenEvent(100, TokenKind.SUBWORD, "ka", 0), TokenEvent(200, TokenKind.EOW, "", 0),
@@ -444,14 +506,27 @@ def random_tokens(rng):
     return tuple(out)
 
 
+# a phrase of each token check's message
+TOKEN_CHECKS = ("precedes previous", "BLANK token", "follows its EOW", "outside call bounds")
+
+
 def test_validate_token_checks_match_a_walk_over_every_token():
+    # the constructor refuses a call for the first fault the walk finds,
+    # and builds it when the walk finds none
     rng = random.Random(15)
     cases = VALIDATE_CASES + [random_tokens(rng) for _ in range(2000)]
-    flagged = set()
+    first_faults = Counter()
     for k, tokens in enumerate(cases):
         n_frames = k % 6
-        out = validate_call(_call(range(n_frames), tokens))
         want = token_violations(tokens, n_frames * 40)
-        assert [v for v in out if v.field.startswith("tokens.")] == want, f"case {k}"
-        flagged.update(v.field for v in want)
-    assert flagged == {"tokens.emit_time_ms", "tokens.text", "tokens.word_index"}
+        if not want:
+            assert _call(range(n_frames), tokens).tokens == tokens, f"case {k}"
+            first_faults["none"] += 1
+            continue
+        index, message = want[0]
+        with pytest.raises(ValueError) as err:
+            _call(range(n_frames), tokens)
+        assert str(err.value) == f"c: token {index}: {message}", f"case {k}"
+        first_faults[next(c for c in TOKEN_CHECKS if c in message)] += 1
+    assert set(first_faults) == {"none", *TOKEN_CHECKS}, first_faults
+    assert min(first_faults.values()) >= 10, first_faults
