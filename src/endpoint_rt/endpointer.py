@@ -611,29 +611,46 @@ def commit_transcript(
     final turn only when at least one non-blank token exists there.
     """
     boundaries = [ep.time_ms for ep in endpoints]
+    non_blank = [t for t in tokens if t.kind is not _BLANK]
+    times = [t.emit_time_ms for t in non_blank]
+    # the endpoints' order is checked first; cuts of unsorted tokens go unused
+    cuts = _token_cuts(times, boundaries)
+    inv = _first_inversion(times)
+    if inv is not None:
+        raise ValueError(f"token stream unsorted: first inversion at index {inv}")
+    words = turn_words(non_blank, cuts)
+    if boundaries and cuts[-2] == cuts[-1]:
+        words.pop()
+    edges = [0, *boundaries, stream_end_ms]
+    return [
+        TurnTranscript(k, edges[k], edges[k + 1], turn) for k, turn in enumerate(words)
+    ]
+
+
+def _token_cuts(times: Sequence[int], boundaries: list[int]) -> list[int]:
+    """Where endpoints at ``boundaries`` cut tokens emitted at sorted ``times``.
+
+    Turn k holds the tokens from cut k up to cut k + 1: those emitted after
+    boundary k - 1 and at or before boundary k.  The cuts start at 0 and end
+    at ``len(times)``.
+    """
     inv = _first_inversion(boundaries)
     if inv is not None:
         raise ValueError(
             f"endpoints out of order: {boundaries[inv]} after {boundaries[inv - 1]}"
         )
+    return [0, *(bisect_right(times, t) for t in boundaries), len(times)]
 
-    non_blank = [t for t in tokens if t.kind is not _BLANK]
-    times = [t.emit_time_ms for t in non_blank]
-    inv = _first_inversion(times)
-    if inv is not None:
-        raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 
-    # both lists are sorted, so turn k is the slice of tokens emitted after
-    # boundary k-1 and at or before boundary k
-    cuts = [0, *(bisect_right(times, t) for t in boundaries), len(non_blank)]
-    turn_tokens = [non_blank[i:j] for i, j in zip(cuts, cuts[1:])]
-    if boundaries and not turn_tokens[-1]:
-        turn_tokens.pop()
-    edges = [0, *boundaries, stream_end_ms]
-    return [
-        TurnTranscript(k, edges[k], edges[k + 1], _words(toks))
-        for k, toks in enumerate(turn_tokens)
-    ]
+def turn_words(
+    tokens: Sequence[TokenEvent], cuts: Sequence[int]
+) -> list[tuple[tuple[str, bool], ...]]:
+    """Each turn's words, turn k being ``tokens[cuts[k]:cuts[k + 1]]``.
+
+    ``tokens`` are sorted non-blank tokens and ``cuts`` run from 0 to
+    ``len(tokens)``; the words are those ``commit_transcript`` commits.
+    """
+    return [_words(tokens[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def _words(tokens: Sequence[TokenEvent]) -> tuple[tuple[str, bool], ...]:

@@ -20,8 +20,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from ._kernels import edit_distance_counts
-from .endpointer import EndpointEvent, Trigger, commit_transcript, hypothesis_words
+from ._kernels import edit_distance_counts_batch
+from .endpointer import EndpointEvent, Trigger, _token_cuts, turn_words
 from .streams import CallRecord, _first_inversion
 
 __all__ = [
@@ -165,20 +165,27 @@ def align_events(
 
 def wer(ref_words: Sequence[str], hyp_words: Sequence[str]) -> WerResult:
     """Word error rate (S + D + I) / |ref| with minimal unit-cost edits."""
+    [result] = _wers(ref_words, [hyp_words])
+    return result
+
+
+def _wers(ref_words: Sequence[str], hyps: Sequence[Sequence[str]]) -> list[WerResult]:
+    """``wer(ref_words, hyp)`` for every hypothesis, from one batched DP."""
     ids: dict[str, int] = {}
-    for word in ref_words:
-        ids.setdefault(word, len(ids))
-    for word in hyp_words:
-        ids.setdefault(word, len(ids))
-    _, s, d, i = edit_distance_counts(
-        [ids[w] for w in ref_words], [ids[w] for w in hyp_words]
+    ref = [ids.setdefault(w, len(ids)) for w in ref_words]
+    counts = edit_distance_counts_batch(
+        ref, [[ids.setdefault(w, len(ids)) for w in hyp] for hyp in hyps]
     )
     n = len(ref_words)
-    if n == 0:
-        if i == 0:
-            return WerResult(0.0, 0, 0, 0, 0)
-        return WerResult(float("inf"), s, d, i, 0, defined=False)
-    return WerResult((s + d + i) / n, s, d, i, n)
+    results = []
+    for _, s, d, i in counts:
+        if n:
+            results.append(WerResult((s + d + i) / n, s, d, i, n))
+        elif i == 0:
+            results.append(WerResult(0.0, 0, 0, 0, 0))
+        else:
+            results.append(WerResult(float("inf"), s, d, i, 0, defined=False))
+    return results
 
 
 def score_call(
@@ -223,27 +230,33 @@ def score_runs(call: CallRecord, runs: Iterable[_Run]) -> list[CallScore]:
 
     The reference is the call's segments: their ends are the turn ends,
     their words the reference word sequence.  The hypothesis is the words
-    the endpoints commit from the call's tokens (``commit_transcript``).
-    The reference is built once, each distinct endpoint list commits once,
-    and the WER edit distance runs once per distinct hypothesis word list,
-    so runs that commit the same words share one.
+    the endpoints commit from the call's tokens, as ``commit_transcript``
+    commits them.  Those words depend only on where the endpoints cut the
+    non-blank tokens, so each run is keyed by its distinct cut indices, each
+    distinct key builds its words once, and one batched WER edit distance
+    scores every distinct hypothesis word list of the call against the
+    reference, which is built once.
     """
+    runs = list(runs)
     ref_ends = [seg.end_ms for seg in call.segments]
     ref_words = [w for seg in call.segments for w in seg.words]
-    hyps: dict[tuple[EndpointEvent, ...], tuple[str, ...]] = {}
-    wers: dict[tuple[str, ...], WerResult] = {}
-    scores = []
-    for endpoints, cfg in runs:
-        key = tuple(endpoints)
-        if key not in hyps:
-            turns = commit_transcript(call.non_blank_tokens, endpoints, call.end_ms)
-            hyps[key] = tuple(hypothesis_words(turns))
-        hyp = hyps[key]
-        if hyp not in wers:
-            wers[hyp] = wer(ref_words, hyp)
-        m = align_events(ref_ends, endpoints, cfg)
-        scores.append(_counts(m, wers[hyp], endpoints))
-    return scores
+    tokens = call.non_blank_tokens
+    times = [t.emit_time_ms for t in tokens]
+    words_of: dict[tuple[int, ...], tuple[str, ...]] = {}
+    hyps = []
+    for endpoints, _ in runs:
+        cuts = _token_cuts(times, [ep.time_ms for ep in endpoints])
+        key = tuple(dict.fromkeys(cuts))  # an empty turn adds no words
+        if key not in words_of:
+            turns = turn_words(tokens, key)
+            words_of[key] = tuple(text for words in turns for text, _ in words)
+        hyps.append(words_of[key])
+    distinct = list(dict.fromkeys(hyps))
+    wer_of = dict(zip(distinct, _wers(ref_words, distinct)))
+    return [
+        _counts(align_events(ref_ends, endpoints, cfg), wer_of[hyp], endpoints)
+        for (endpoints, cfg), hyp in zip(runs, hyps)
+    ]
 
 
 def pool_scores(scores: Sequence[CallScore]) -> EvalReport:

@@ -345,7 +345,8 @@ class CallRecord:
     def non_blank_tokens(self) -> tuple[TokenEvent, ...]:
         """The tokens that are not BLANK, as TokenEvents built on first use.
 
-        They are all ``commit_transcript`` reads.
+        They are all ``commit_transcript`` reads, and what ``score_runs``
+        cuts into turns.
         """
         return self._token_events(np.flatnonzero(self.token_kind != BLANK_CODE))
 

@@ -1021,7 +1021,6 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     calls = simulate(tmp_path, n_calls=3)
     model = untrained_model(tmp_path)
     counts = {"load_model": 0, "posteriors": 0, "classify_frames": 0, "merge_streams": 0}
-    commits = {"commit_transcript": 0}
     distinct_lists = []
     sweep = cli.run_sweep
 
@@ -1036,17 +1035,28 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
     _counting(monkeypatch, vadnet, "classify_frames", counts)
     _counting(monkeypatch, streams, "merge_streams", counts)
     _counting(monkeypatch, cli, "merge_streams", counts)
-    _counting(monkeypatch, evaluator, "commit_transcript", commits)
     steps = {"step": 0}
     _counting(monkeypatch, endpointer.Endpointer, "step", steps)
-    scored = []
-    wer = evaluator.wer
+    scored = []  # per call: (the token cuts words were built for, kernel inputs)
+    score_runs = cli.score_runs
+    turn_words = evaluator.turn_words
+    kernel = evaluator.edit_distance_counts_batch
 
-    def recording_wer(ref_words, hyp_words):
-        scored.append((tuple(ref_words), tuple(hyp_words)))
-        return wer(ref_words, hyp_words)
+    def recording_score_runs(call, runs):
+        scored.append(([], []))
+        return score_runs(call, runs)
 
-    monkeypatch.setattr(evaluator, "wer", recording_wer)
+    def recording_turn_words(tokens, cuts):
+        scored[-1][0].append(tuple(cuts))
+        return turn_words(tokens, cuts)
+
+    def recording_kernel(a, bs):
+        scored[-1][1].append((tuple(a), tuple(tuple(b) for b in bs)))
+        return kernel(a, bs)
+
+    monkeypatch.setattr(cli, "score_runs", recording_score_runs)
+    monkeypatch.setattr(evaluator, "turn_words", recording_turn_words)
+    monkeypatch.setattr(evaluator, "edit_distance_counts_batch", recording_kernel)
     code = run_cli(
         "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
         "--vad", f"model:{model}",
@@ -1059,14 +1069,16 @@ def test_tradeoff_classifies_and_merges_each_call_once(tmp_path, monkeypatch):
         "load_model": 1, "posteriors": 3, "classify_frames": 0, "merge_streams": 0
     }
     assert steps == {"step": 0}
-    # each distinct endpoint list of a call commits once, and the four EOW
-    # deltas share one list
-    assert len(distinct_lists) == 3
-    assert commits["commit_transcript"] == sum(distinct_lists) <= 3 * 13
-    # WER runs once per distinct hypothesis of a call (the calls' references
-    # differ), and the EOW deltas' shared transcript is one hypothesis
-    assert len({ref for ref, _ in scored}) == 3
-    assert len(scored) == len(set(scored)) <= 3 * 13
+    # each distinct token cut of a call builds its words once, at most once
+    # per distinct endpoint list, and the four EOW deltas share one list
+    assert len(distinct_lists) == len(scored) == 3
+    for (cuts, batches), n_lists in zip(scored, distinct_lists):
+        assert len(cuts) == len(set(cuts)) <= n_lists <= 13
+        # one batched WER per call scores each distinct hypothesis once
+        [(_, hyps)] = batches
+        assert len(hyps) == len(set(hyps)) <= len(cuts)
+    # the calls' references differ
+    assert len({batches[0][0] for _, batches in scored}) == 3
 
 
 def test_commands_build_token_events_only_for_non_blank_tokens(tmp_path, monkeypatch):

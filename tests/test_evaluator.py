@@ -283,19 +283,21 @@ def test_score_runs_commits_each_endpoint_list_and_scores_each_hypothesis_once(
     monkeypatch,
 ):
     rng = random.Random(5)
-    hyp_lists = []
-    commits = []
+    batches = []
+    cut_keys = []
+    kernel = evaluator.edit_distance_counts_batch
+    words_of_turns = evaluator.turn_words
 
-    def recording_wer(ref_words, hyp_words):
-        hyp_lists.append(tuple(hyp_words))
-        return wer(ref_words, hyp_words)
+    def recording_kernel(a, bs):
+        batches.append((tuple(a), [tuple(b) for b in bs]))
+        return kernel(a, bs)
 
-    def recording_commit(tokens, endpoints, stream_end_ms):
-        commits.append(tuple(endpoints))
-        return commit_transcript(tokens, endpoints, stream_end_ms)
+    def recording_turn_words(tokens, cuts):
+        cut_keys.append(tuple(cuts))
+        return words_of_turns(tokens, cuts)
 
-    monkeypatch.setattr(evaluator, "wer", recording_wer)
-    monkeypatch.setattr(evaluator, "commit_transcript", recording_commit)
+    monkeypatch.setattr(evaluator, "edit_distance_counts_batch", recording_kernel)
+    monkeypatch.setattr(evaluator, "turn_words", recording_turn_words)
     n_runs = 0
     for case in range(200):
         call = _random_call(rng)
@@ -320,14 +322,109 @@ def test_score_runs_commits_each_endpoint_list_and_scores_each_hypothesis_once(
             )
             for eps, cfg in runs
         ]
-        del hyp_lists[:], commits[:]
+        del batches[:], cut_keys[:]
         assert score_runs(call, runs) == want, f"case {case}"
-        # one commit per distinct endpoint list, one WER per distinct hypothesis
-        assert len(commits) == len(set(commits))
-        assert set(commits) == set(hyps)
-        assert len(hyp_lists) == len(set(hyp_lists))
-        assert set(hyp_lists) == {tuple(h) for h in hyps.values()}
+        # words are built once per distinct token cut, at most once per
+        # distinct endpoint list
+        assert len(cut_keys) == len(set(cut_keys)) <= len(hyps)
+        # one batched WER scores each distinct hypothesis once
+        [(_, scored)] = batches
+        assert len(scored) == len(set(scored)) == len({tuple(h) for h in hyps.values()})
     assert n_runs > 1000
+
+
+def _cut_call():
+    """Three words as non-blank tokens at 100..800 ms, a BLANK between two."""
+    tokens = [
+        TokenEvent(100, TokenKind.SUBWORD, "ka", 0),
+        TokenEvent(200, TokenKind.EOW, "", 0),
+        TokenEvent(300, TokenKind.SUBWORD, "zo", 1),
+        TokenEvent(400, TokenKind.SUBWORD, "mi", 1),
+        TokenEvent(500, TokenKind.EOW, "", 1),
+        TokenEvent(600, TokenKind.BLANK),
+        TokenEvent(700, TokenKind.SUBWORD, "lo", 2),
+        TokenEvent(800, TokenKind.EOW, "", 2),
+    ]
+    n = 25  # frames up to 1000 ms
+    return CallRecord(
+        "c",
+        40,
+        frame_index=np.arange(n),
+        features=np.zeros((n, 0)),
+        labels=np.full(n, -1),
+        teacher_labels=np.full(n, -1),
+        segments=(ReferenceSegment("c", 0, 900, ("ka", "zomi", "lo")),),
+        **token_columns(tokens),
+    )
+
+
+def _recorded_hypotheses(monkeypatch, call, endpoint_lists):
+    """score_runs over the lists: the token cuts it built words for, and its WER inputs."""
+    cut_keys = []
+    scored = []
+    words_of_turns = evaluator.turn_words
+    wers = evaluator._wers
+
+    def recording_turn_words(tokens, cuts):
+        cut_keys.append(tuple(cuts))
+        return words_of_turns(tokens, cuts)
+
+    def recording_wers(ref_words, hyps):
+        scored.append([tuple(h) for h in hyps])
+        return wers(ref_words, hyps)
+
+    monkeypatch.setattr(evaluator, "turn_words", recording_turn_words)
+    monkeypatch.setattr(evaluator, "_wers", recording_wers)
+    eps_lists = [[EndpointEvent(t, Trigger.TS, 0) for t in ts] for ts in endpoint_lists]
+    score_runs(call, [(eps, CFG) for eps in eps_lists])
+    [hyps] = scored
+    # each list's hypothesis is the one its committed transcript gives
+    assert set(hyps) == {
+        tuple(hypothesis_words(commit_transcript(call.tokens, eps, call.end_ms)))
+        for eps in eps_lists
+    }
+    return cut_keys, hyps
+
+
+def test_score_runs_shares_the_words_of_endpoint_lists_that_cut_alike(monkeypatch):
+    # 200 is the emit time of "ka"'s EOW, which stays in the first turn, so
+    # all three lists cut the non-blank tokens after the second one
+    cut_keys, hyps = _recorded_hypotheses(monkeypatch, _cut_call(), [[200], [250], [299]])
+    assert cut_keys == [(0, 2, 7)]
+    assert hyps == [("ka", "zomi", "lo")]
+
+
+def test_score_runs_keeps_a_token_emitted_at_an_endpoint_in_the_earlier_turn(
+    monkeypatch,
+):
+    # "mi" at 400 stays with "zo" at an endpoint at 400, and not at 399
+    cut_keys, hyps = _recorded_hypotheses(monkeypatch, _cut_call(), [[400], [399]])
+    assert cut_keys == [(0, 4, 7), (0, 3, 7)]
+    assert hyps == [("ka", "zomi", "lo"), ("ka", "zo", "mi", "lo")]
+
+
+def test_score_runs_endpoints_outside_the_tokens_give_the_uncut_hypothesis(
+    monkeypatch,
+):
+    lists = [[], [50], [800], [900], [50, 60, 900]]
+    cut_keys, hyps = _recorded_hypotheses(monkeypatch, _cut_call(), lists)
+    assert cut_keys == [(0, 7)]
+    assert hyps == [("ka", "zomi", "lo")]
+
+
+def test_score_runs_hypotheses_match_commit_transcript(monkeypatch):
+    # every endpoint list of up to two endpoints over the tokens' span
+    times = range(0, 1000, 50)
+    lists = [[]] + [[t] for t in times] + [[t, u] for t in times for u in times if t <= u]
+    cut_keys, hyps = _recorded_hypotheses(monkeypatch, _cut_call(), lists)
+    assert len(cut_keys) == len(set(cut_keys)) < len(lists)
+    assert len(hyps) == len(set(hyps)) <= len(cut_keys)
+
+
+def test_score_runs_rejects_an_endpoint_list_out_of_order():
+    eps = [EndpointEvent(900, Trigger.TS, 0), EndpointEvent(500, Trigger.TS, 0)]
+    with pytest.raises(ValueError, match=r"^endpoints out of order: 500 after 900$"):
+        score_runs(_cut_call(), [([], CFG), (eps, CFG)])
 
 
 def test_pool_scores_micro_averages():

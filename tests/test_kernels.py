@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from endpoint_rt._kernels import BACKEND, edit_distance_counts, edit_matrix
+from endpoint_rt._kernels import (
+    BACKEND,
+    edit_distance_counts,
+    edit_distance_counts_batch,
+    edit_matrices,
+    edit_matrix,
+)
 
 from oracles import brute_edit_counts
 
@@ -80,6 +86,31 @@ def test_counts_match_brute_force_oracle():
         # stay within the oracle's optimum
         assert got[1] + got[2] + got[3] == got[0]
         assert (got[1], got[2], got[3]) == (want_s, want_d, want_i)
+
+
+def test_batched_counts_match_the_oracle_and_one_at_a_time_counts():
+    rng = np.random.default_rng(31)
+
+    def draw():
+        return [int(x) for x in rng.integers(0, 4, size=rng.integers(0, 11))]
+
+    for case in range(300):
+        a = [] if case % 10 == 0 else draw()  # an empty reference in every tenth
+        bs = []
+        for _ in range(rng.integers(1, 7)):
+            # some hypotheses repeat an earlier one
+            bs.append(bs[rng.integers(len(bs))] if bs and rng.random() < 0.3 else draw())
+        got = edit_distance_counts_batch(_ids(a), [_ids(b) for b in bs])
+        assert got == [brute_edit_counts(a, b) for b in bs], (a, bs)
+        assert got == [edit_distance_counts(_ids(a), _ids(b)) for b in bs], (a, bs)
+        # each hypothesis's matrix is the one it gets alone; the rest is padding
+        mats = edit_matrices(_ids(a), [_ids(b) for b in bs])
+        for mat, b in zip(mats, bs):
+            assert (mat[:, : len(b) + 1] == edit_matrix(_ids(a), _ids(b))).all()
+
+
+def test_batched_counts_of_no_hypotheses_are_empty():
+    assert edit_distance_counts_batch(_ids([1, 2]), []) == []
 
 
 def test_distance_respects_length_difference_bound():
