@@ -177,59 +177,7 @@ def save_call(call: CallRecord, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _token_columns(fields: Sequence[Sequence[str]]) -> dict[str, object]:
-    """The CallRecord token columns of split token lines, converted in bulk.
-
-    Raises ValueError if a field of any line does not convert: an emit
-    time or word index that is not an int64, a negative word index, an
-    unknown kind, or a text ending in the fragment mark.
-    """
-    if not fields:
-        return {}
-    _, times, kinds, texts, words = zip(*fields)
-    try:
-        time = np.fromiter(map(int, times), np.int64, len(times))
-    except OverflowError:
-        raise ValueError("emit time beyond the int64 range") from None
-    try:
-        kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, len(kinds))
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]!r} is not a valid TokenKind") from None
-    # no field holds a space, so one ends in the mark iff "* " is in the join
-    if _FRAGMENT_MARK + " " in " ".join(texts) + " ":
-        raise ValueError("token text ends in '*', the mark of an unclosed word")
-    try:
-        word = np.array(
-            [NO_WORD if w == _PLACEHOLDER else int(w) for w in words], dtype=np.int64
-        )
-    except OverflowError:
-        raise ValueError("word index beyond the int64 range") from None
-    if np.count_nonzero(word < 0) != words.count(_PLACEHOLDER):
-        raise ValueError("negative word index")
-    return {
-        "token_time": time,
-        "token_kind": kind,
-        "token_word": word,
-        "token_text": tuple(["" if t == _PLACEHOLDER else t for t in texts]),
-    }
-
-
-def _first_bad_line(path: Union[str, Path], lines: list[str]) -> None:
-    """Fail on the first token line or frame index whose fields do not convert."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts or parts[0] not in ("frame", "token"):
-            continue
-        try:
-            if parts[0] == "token":
-                _token_columns([parts])
-            elif not _INT64.min <= int(parts[1]) <= _INT64.max:
-                raise ValueError(f"frame index {parts[1]} out of range")
-        except ValueError as exc:
-            _fail(path, lineno, f"bad {parts[0]} record: {exc}")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _read_features(
@@ -260,15 +208,16 @@ def _read_features(
 
 
 def load_call(path: Union[str, Path]) -> CallRecord:
-    """Parse a call file; every line is split once, and the fields of all
-    token lines convert at once.
+    """Parse a call file; every line is split once and its fields convert
+    where it is split.
 
     Every field is checked here, and a malformed line raises FormatError
-    naming ``path:line``, as does a call that the CallRecord constructor
-    refuses: the line is that of the frame, token or segment at fault, or
-    the header for ``frame_ms``.  Feature values are counted here but
-    converted on the first read of ``features``, which raises that
-    FormatError for a value that is not a float.
+    naming ``path:line`` of the first line at fault, as does a call that
+    the CallRecord constructor refuses: the line is that of the frame,
+    token or segment at fault, or the header for ``frame_ms``.  Feature
+    values are counted here but converted on the first read of
+    ``features``, which raises that FormatError for a value that is not
+    a float.
     """
     lines = _read_lines(path)
     call_id = ""
@@ -280,7 +229,10 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     teachers: list[int] = []
     frame_lines: list[str] = []  # kept whole: their values convert on first read
     frame_linenos: list[int] = []
-    token_fields: list[list[str]] = []  # every token line, split
+    times: list[int] = []
+    kinds: list[int] = []
+    texts: list[str] = []
+    words: list[int] = []
     token_linenos: list[int] = []
     segments: list[ReferenceSegment] = []
     segment_linenos: list[int] = []
@@ -299,7 +251,10 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                         lineno,
                         f"frame line has {len(parts) - 4} feature values, expected {dim}",
                     )
-                index.append(int(parts[1]))
+                i = int(parts[1])
+                if not _INT64_MIN <= i <= _INT64_MAX:
+                    raise ValueError(f"frame index {parts[1]} out of range")
+                index.append(i)
                 try:
                     labels.append(_LABEL_CODE[parts[2]])
                     teachers.append(_LABEL_CODE[parts[3]])
@@ -308,9 +263,33 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                 frame_lines.append(line)
                 frame_linenos.append(lineno)
             elif tag == "token":
+                if not header_lineno:
+                    _fail(path, lineno, "token record before call header")
                 if len(parts) != 5:
                     _fail(path, lineno, f"token line has {len(parts)} fields, expected 5")
-                token_fields.append(parts)
+                _, emit, kind, text, word = parts
+                t = int(emit)
+                if not _INT64_MIN <= t <= _INT64_MAX:
+                    raise ValueError("emit time beyond the int64 range")
+                times.append(t)
+                try:
+                    kinds.append(_KIND_CODE[kind])
+                except KeyError:
+                    raise ValueError(f"{kind!r} is not a valid TokenKind") from None
+                if text[-1] == _FRAGMENT_MARK:  # split yields no empty field
+                    raise ValueError("token text ends in '*', the mark of an unclosed word")
+                texts.append("" if text == _PLACEHOLDER else text)
+                if word == _PLACEHOLDER:
+                    words.append(NO_WORD)
+                else:
+                    w = int(word)
+                    if not 0 <= w <= _INT64_MAX:
+                        raise ValueError(
+                            "negative word index"
+                            if _INT64_MIN <= w < 0
+                            else "word index beyond the int64 range"
+                        )
+                    words.append(w)
                 token_linenos.append(lineno)
             elif tag == "call":
                 if header_lineno:
@@ -318,6 +297,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                 call_id, frame_ms, dim = parts[1], int(parts[2]), int(parts[3])
                 if dim < 0:
                     _fail(path, lineno, f"negative feature dim {dim}")
+                np.empty((0, dim))  # a dim numpy cannot shape fails here, not on first read
                 header_lineno = lineno
             elif tag == "segment":
                 if not header_lineno:
@@ -340,22 +320,18 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     if not header_lineno:
         _fail(path, len(lines), "no call header line")
     try:
-        frame_index = np.array(index, dtype=np.int64)
-        np.empty((0, dim))  # a dim numpy cannot shape fails here, not on first read
-        tokens = _token_columns(token_fields)
-    except (ValueError, OverflowError) as exc:
-        _first_bad_line(path, lines)
-        _fail(path, header_lineno, f"bad call record: {exc}")
-    try:
         return CallRecord(
             call_id,
             frame_ms,
-            frame_index=frame_index,
+            frame_index=np.fromiter(index, np.int64, len(index)),
             features=partial(_read_features, path, dim, frame_lines, frame_linenos),
-            labels=np.array(labels, dtype=np.int8),
-            teacher_labels=np.array(teachers, dtype=np.int8),
+            labels=np.fromiter(labels, np.int8, len(labels)),
+            teacher_labels=np.fromiter(teachers, np.int8, len(teachers)),
+            token_time=np.fromiter(times, np.int64, len(times)),
+            token_kind=np.fromiter(kinds, np.int8, len(kinds)),
+            token_word=np.fromiter(words, np.int64, len(words)),
+            token_text=tuple(texts),
             segments=tuple(segments),
-            **tokens,
         )
     except InvalidCall as exc:
         rows = {"frame": frame_linenos, "token": token_linenos, "segment": segment_linenos}
@@ -434,6 +410,8 @@ def load_endpoints(
                     _fail(path, lineno, "duplicate mode line")
                 mode = Mode(parts[1])
             elif parts[0] == "endpoint":
+                if not call_id:
+                    _fail(path, lineno, "endpoint line before the call line")
                 ep = EndpointEvent(
                     time_ms=int(parts[1]),
                     trigger=Trigger(parts[2]),

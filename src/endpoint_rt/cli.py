@@ -91,6 +91,11 @@ def _no_vad(call: CallRecord) -> None:
     return None
 
 
+def _call_seed(seed: int, call: CallRecord) -> int:
+    """The seed of one call's draws: the run's seed offset by the call id."""
+    return (seed + zlib.crc32(call.call_id.encode())) % 2**32
+
+
 def _vad_source(spec: str, seed: int, reads: bool) -> VadSource:
     """Parse --vad {model:<p>|oracle|corrupted:<eer>} once.
 
@@ -109,8 +114,7 @@ def _vad_source(spec: str, seed: int, reads: bool) -> VadSource:
             raise UsageError(f"--vad: corruption rate must lie in [0, 0.5), got {eer}")
 
         def corrupted(call: CallRecord) -> np.ndarray:
-            call_seed = (seed + zlib.crc32(call.call_id.encode())) % 2**32
-            return corrupt_speech(oracle_speech(call), eer, call_seed)
+            return corrupt_speech(oracle_speech(call), eer, _call_seed(seed, call))
 
         source = corrupted
     elif spec.startswith("model:"):
@@ -231,9 +235,7 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
     calls = _load_calls(Path(args.calls))
     if sep is not None:
         calls = [
-            simulator.resample_features(
-                call, sep, (args.seed + zlib.crc32(call.call_id.encode())) % 2**32
-            )
+            simulator.resample_features(call, sep, _call_seed(args.seed, call))
             for call in calls
         ]
 

@@ -427,17 +427,11 @@ def merge_streams(
     if inv is not None:
         raise ValueError(f"token stream unsorted: first inversion at index {inv}")
 
-    out: list[TimelineEvent] = []
-    i = j = 0
-    while i < len(vad) or j < len(tokens):
-        if j >= len(tokens) or (
-            i < len(vad) and vad[i].time_ms <= tokens[j].emit_time_ms
-        ):
-            out.append(TimelineEvent(vad[i].time_ms, vad[i]))
-            i += 1
-        else:
-            out.append(TimelineEvent(tokens[j].emit_time_ms, tokens[j]))
-            j += 1
+    # a stable sort keeps each stream's order and, listing the decisions
+    # first, puts a decision before a token of the same millisecond
+    out = [TimelineEvent(d.time_ms, d) for d in vad]
+    out += [TimelineEvent(t.emit_time_ms, t) for t in tokens]
+    out.sort(key=operator.attrgetter("time_ms"))
     end_time = out[-1].time_ms if out else 0
     out.append(TimelineEvent(end_time, EndOfStream()))
     return out

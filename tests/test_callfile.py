@@ -248,6 +248,14 @@ def test_load_call_rejects_frame_before_header(tmp_path):
         load_call(path)
 
 
+def test_load_call_rejects_token_before_header(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\ntoken 0 BLANK - -\ncall c 40 1\nframe 0 - - 1\n")
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == f"{path}:2: token record before call header"
+
+
 def test_load_call_rejects_duplicate_header(tmp_path):
     path = tmp_path / "bad.call"
     path.write_text(f"{FORMAT_LINE}\ncall c 40 1\ncall d 40 1\n")
@@ -355,6 +363,25 @@ def test_load_call_reports_the_first_bad_line_of_frames_and_tokens(tmp_path):
     )
     with pytest.raises(FormatError, match="bad.call:4: bad token record"):
         load_call(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("token 40 WORD ka 0", "bad token record: 'WORD' is not a valid TokenKind"),
+        ("token 40 SUBWORD ka -1", "bad token record: negative word index"),
+        (f"frame {2**63} - - 1", f"bad frame record: frame index {2**63} out of range"),
+        (f"frame {-2**63 - 1} - - 1",
+         f"bad frame record: frame index {-2**63 - 1} out of range"),
+    ],
+)
+def test_load_call_names_the_first_line_at_fault(tmp_path, line, message):
+    # the bad field on line 4 comes before a malformed line 5
+    path = tmp_path / "multi.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 1\nframe 0 - - 1\n{line}\nfrustum 1\n")
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 REFUSED_CALL = f"""{FORMAT_LINE}
@@ -511,6 +538,14 @@ def test_load_endpoints_reads_the_mode_before_any_endpoint(tmp_path):
     with pytest.raises(FormatError) as err:
         load_endpoints(path)
     assert str(err.value) == f"{path}:3: endpoint line before the mode line"
+
+
+def test_load_endpoints_reads_the_call_line_before_any_endpoint(tmp_path):
+    path = tmp_path / "late.endpoints"
+    path.write_text(f"{FORMAT_LINE}\nmode TS\nendpoint 400 TS 200 0\ncall c\n")
+    with pytest.raises(FormatError) as err:
+        load_endpoints(path)
+    assert str(err.value) == f"{path}:3: endpoint line before the call line"
 
 
 @pytest.mark.parametrize(

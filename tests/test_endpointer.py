@@ -161,6 +161,15 @@ def test_step_rejects_out_of_order_events_and_poisons():
         machine.step(TimelineEvent(500, VadDecision(500, False)))
 
 
+def test_step_rejects_an_unknown_payload_and_poisons():
+    machine = new_endpointer(EndpointerConfig(mode=Mode.TS))
+    machine.step(TimelineEvent(400, VadDecision(400, False)))
+    with pytest.raises(ValueError, match="^unknown payload type str$"):
+        machine.step(TimelineEvent(440, "speech"))
+    with pytest.raises(RuntimeError, match="poisoned"):
+        machine.step(TimelineEvent(480, VadDecision(480, False)))
+
+
 def test_step_rejects_events_after_end_of_stream():
     machine = new_endpointer(EndpointerConfig(mode=Mode.TS))
     for ev in merge_streams(vad_seq("ssnn"), []):
