@@ -297,7 +297,9 @@ class CallRecord:
 
         prev_end: Optional[int] = None
         for k, seg in enumerate(self.segments):
-            if seg.start_ms >= seg.end_ms:
+            if seg.start_ms < 0:
+                message = f"segment start {seg.start_ms} before call bounds [0, {end_ms}]"
+            elif seg.start_ms >= seg.end_ms:
                 message = f"empty or inverted segment [{seg.start_ms}, {seg.end_ms})"
             elif prev_end is not None and seg.start_ms < prev_end:
                 message = (

@@ -420,6 +420,17 @@ def test_load_call_names_the_line_of_a_call_the_constructor_refuses(
     assert str(err.value) == f"{path}:{lineno}: {message}"
 
 
+@pytest.mark.parametrize("start", ["-5", "-100000000000000000000"])
+def test_load_call_names_the_line_of_a_segment_before_the_call(tmp_path, start):
+    path = tmp_path / "c.call"
+    path.write_text(f"{FORMAT_LINE}\ncall c 40 0\nframe 0 - -\nsegment {start} 40 ka\n")
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == (
+        f"{path}:4: c: segment 0: segment start {start} before call bounds [0, 40]"
+    )
+
+
 def test_load_call_keeps_the_largest_token_fields(tmp_path):
     # one frame of the longest frame_ms ends at the last int64 ms
     big = 2**63 - 1

@@ -1,6 +1,7 @@
 """Tests for the endpoint state machine and transcript commitment."""
 
 import random
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -195,6 +196,50 @@ def test_step_returns_a_fire_from_the_event_that_stamps_it_in_the_past():
     returned = [machine.step(ev) for ev in merge_streams(vad, [eow(0)])]
     immediate = EndpointEvent(200, Trigger.TS_AND_EOW_IMMEDIATE, 0, 0)
     assert returned == [None, None, immediate, None]
+
+
+def test_step_times_out_a_deferral_from_the_event_that_arms_it_in_the_past():
+    # a sparse decision at 2000 ms completes a threshold stamped at 200 ms
+    # with no EOW in hand; the deferral's deadline at 1000 ms has passed too,
+    # so the same step times it out instead of the next event.  (An EOW-mode
+    # fire is never stamped before the event that arms it, so only
+    # TS_AND_EOW shows this.)
+    vad = [VadDecision(0, False), VadDecision(2000, False), VadDecision(2040, True)]
+    cfg = EndpointerConfig(mode=Mode.TS_AND_EOW, ts_threshold_ms=200, deferral_cap_ms=1000)
+    machine = new_endpointer(cfg)
+    returned = [machine.step(ev) for ev in merge_streams(vad, [])]
+    timeout = EndpointEvent(1000, Trigger.DEFERRAL_TIMEOUT, 0, 800)
+    assert returned == [None, timeout, None, None]
+
+
+def _python_calls(step, events):
+    """Names of the Python functions entered while stepping ``events``."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":  # C calls raise "c_call", which is not counted
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for ev in events:
+            step(ev)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize(
+    "mode, tokens",
+    [(Mode.TS, []), (Mode.EOW, [sub(t, wi=t) for t in range(20, 400, 80)])],
+)
+def test_step_makes_no_python_call_of_its_own_while_no_fire_can_arm(mode, tokens):
+    # speech decisions (and, in EOW mode, SUBWORD tokens) never settle, arm
+    # or emit a fire, so each event is one Python call: step() itself
+    events = merge_streams(vad_seq("s" * 10), tokens)[:-1]  # no EndOfStream
+    assert len(events) == 10 + len(tokens)
+    machine = new_endpointer(EndpointerConfig(mode=mode))
+    assert _python_calls(machine.step, events) == ["step"] * len(events)
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,19 @@ def test_validate_flags_segment_beyond_call_end():
     )
 
 
+def test_validate_flags_segment_before_call_start():
+    _refused(
+        "c: segment 0: segment start -5 before call bounds [0, 40]",
+        _call, [0], segments=(ReferenceSegment("c", -5, 40, ("ka",)),),
+    )
+    # the start is checked first: an empty segment before 0 ms names its start
+    _refused(
+        "c: segment 1: segment start -80 before call bounds [0, 120]",
+        _call, range(3),
+        segments=(ReferenceSegment("c", 0, 40), ReferenceSegment("c", -80, -80)),
+    )
+
+
 def test_a_call_is_refused_for_its_first_fault():
     # frames before tokens before segments, each kind of row by index, and
     # within a token the order of the checks: emit order, BLANK text, word
