@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -81,6 +82,11 @@ REPORT_COLUMNS = (
     "median_latency_ms",
     "deferral_timeouts",
 )
+# the EvalReport fields written after mode, delta_ms and tolerance_ms, in
+# column order, and the type each column converts to when read
+_REPORT_FIELDS = [f.name for f in fields(EvalReport)]
+_REPORT_TYPES = [get_type_hints(EvalReport)[name] for name in _REPORT_FIELDS]
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 class FormatError(ValueError):
@@ -476,24 +482,10 @@ def save_report(rows: Sequence[ReportRow], path: Union[str, Path]) -> None:
     buf.write(f"# {FORMAT_LINE}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
+    # csv writes each value with str, which for a float is its repr
     for row in rows:
-        r = row.report
         writer.writerow(
-            [
-                row.mode.value,
-                row.delta_ms,
-                row.tolerance_ms,
-                repr(r.precision),
-                repr(r.recall),
-                repr(r.f1),
-                repr(r.wer),
-                r.substitutions,
-                r.deletions,
-                r.insertions,
-                repr(r.mean_latency_ms),
-                repr(r.median_latency_ms),
-                r.deferral_timeouts,
-            ]
+            (row.mode.value, row.delta_ms, row.tolerance_ms, *_report_values(row.report))
         )
     Path(path).write_text(buf.getvalue(), encoding="ascii")
 
@@ -516,25 +508,8 @@ def load_report(path: Union[str, Path]) -> list[ReportRow]:
         if len(rec) != len(REPORT_COLUMNS):
             _fail(path, lineno, f"row has {len(rec)} fields, expected {len(REPORT_COLUMNS)}")
         try:
-            rows.append(
-                ReportRow(
-                    mode=Mode(rec[0]),
-                    delta_ms=int(rec[1]),
-                    tolerance_ms=int(rec[2]),
-                    report=EvalReport(
-                        precision=float(rec[3]),
-                        recall=float(rec[4]),
-                        f1=float(rec[5]),
-                        wer=float(rec[6]),
-                        substitutions=int(rec[7]),
-                        deletions=int(rec[8]),
-                        insertions=int(rec[9]),
-                        mean_latency_ms=float(rec[10]),
-                        median_latency_ms=float(rec[11]),
-                        deferral_timeouts=int(rec[12]),
-                    ),
-                )
-            )
+            report = EvalReport(*[typ(v) for typ, v in zip(_REPORT_TYPES, rec[3:])])
+            rows.append(ReportRow(Mode(rec[0]), int(rec[1]), int(rec[2]), report))
         except ValueError as exc:
             _fail(path, lineno, f"bad report row: {exc}")
     return rows

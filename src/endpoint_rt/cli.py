@@ -304,12 +304,8 @@ def _check_finite(call: CallRecord) -> None:
 
 def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerConfig:
     try:
-        mode = Mode(args.mode)
-    except ValueError as exc:
-        raise UsageError(f"--mode: unknown endpointing mode {args.mode!r}") from exc
-    try:
         return EndpointerConfig(
-            mode=mode,
+            mode=Mode(args.mode),  # argparse's choices admit only Mode values
             ts_threshold_ms=args.delta_ms,
             blank_run_frames=args.blank_frames,
             deferral_cap_ms=args.deferral_cap_ms,
@@ -368,6 +364,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         elif mode is not ep_mode:
             raise ValueError(
                 f"{ep_path}: mode {ep_mode.value} differs from {mode.value}"
+            )
+        late = [ep.time_ms for ep in endpoints if ep.time_ms > call.end_ms]
+        if late:
+            raise ValueError(
+                f"{ep_path}: endpoint at {late[0]} ms lies past the end of call "
+                f"{call.call_id} at {call.end_ms} ms"
             )
         [s] = score_runs(call, [(endpoints, eval_cfg)])
         scores.append(s)

@@ -31,9 +31,11 @@ subwords straggle in at or before T.
 
 The EOW-gated rules read one token fact: the EOW slot, which holds the
 emit time of the last non-blank token while that token is an EOW no
-endpoint has consumed yet, and is empty otherwise.  A deferral ends at a
-late EOW through one discharge path, whether the EOW arrives while the
-deferral is open or was already in the slot when a sparse timeline
+endpoint has consumed yet, and is empty otherwise.  The held endpoint is
+one pending fire, which a deferral re-stamps at its deadline, settled
+mid-stream and at end of stream by one path.  A deferral ends at a late
+EOW or its timeout through one path too, whether the EOW arrives while
+the deferral is open or was already in the slot when a sparse timeline
 resolved the fire late.
 
 After emitting, the machine disarms until the next speech frame (token
@@ -153,19 +155,15 @@ class TurnTranscript:
 
 
 @dataclass
-class _PendingFire:
-    """An EOW-gated endpoint stamped at fire_time, awaiting time > fire_time."""
+class _Pending:
+    """An EOW-gated endpoint stamped at ``time``, awaiting a later clock;
+    once ``deferred``, ``time`` is its deadline and an EOW or speech may
+    end it first."""
 
-    fire_time: int
+    time: int
     silence_start: int
+    deferred: bool = False
     speech_at_boundary: bool = False
-
-
-@dataclass
-class _Deferral:
-    silence_start: int
-    trigger_time: int
-    deadline: int
 
 
 def new_endpointer(cfg: EndpointerConfig) -> "Endpointer":
@@ -195,7 +193,7 @@ class Endpointer:
         # the EOW slot: emit time of an unconsumed EOW that is the last
         # non-blank token, else None
         self._eow: Optional[int] = None
-        self._pending: Union[_PendingFire, _Deferral, None] = None
+        self._pending: Optional[_Pending] = None
 
     # -- public -------------------------------------------------------------
 
@@ -229,11 +227,9 @@ class Endpointer:
                 pass  # BLANK reads no decision
             elif payload.is_speech:
                 p = self._pending
-                if p is None:
-                    pass  # the common case, spared the isinstance call
-                elif isinstance(p, _Deferral):
+                if p is not None and p.deferred:
                     self._pending = None  # speech resumption cancels the deferral
-                elif mode is _TS_AND_EOW_MODE:
+                elif p is not None and mode is _TS_AND_EOW_MODE:
                     p.speech_at_boundary = True
                 # an EOW-mode pending fire survives: its silence span completed
                 # and the closing token is in hand
@@ -249,13 +245,13 @@ class Endpointer:
                     if mode is _EOW_MODE:
                         eow = self._eow
                         if eow is not None:
-                            self._pending = _PendingFire(max(start + self._frame, eow), start)
+                            self._pending = _Pending(max(start + self._frame, eow), start)
                     elif t + self._frame - start >= self._delta:
                         fire_time = start + self._delta
                         if mode is _TS_MODE:
                             ep = self._emit(fire_time, Trigger.TS, start)
                         else:
-                            self._pending = _PendingFire(fire_time, start)
+                            self._pending = _Pending(fire_time, start)
         elif isinstance(payload, TokenEvent):
             ep = None if self._pending is None else self._resolve(t)
             kind = payload.kind
@@ -277,15 +273,15 @@ class Endpointer:
                 self._eow = t
                 p = self._pending
                 start = self._run_start
-                if isinstance(p, _Deferral):
+                if p is not None and p.deferred:
                     # the deferral is open at t: the leading _resolve timed
                     # out any whose deadline lies before t
-                    ep = self._discharge(p, t)
+                    ep = self._end_deferral(p, t, Trigger.TS_AND_EOW_DEFERRED)
                 elif mode is _EOW_MODE and self._armed and p is None and start is not None:
-                    self._pending = _PendingFire(max(start + self._frame, t), start)
+                    self._pending = _Pending(max(start + self._frame, t), start)
         elif isinstance(payload, EndOfStream):
             self._closed = "endpointer already saw EndOfStream"
-            return self._flush(t)
+            return None if self._pending is None else self._resolve(t, end=True)
         else:
             self._closed = "endpointer state is poisoned by an earlier error"
             raise ValueError(f"unknown payload type {type(payload).__name__}")
@@ -304,80 +300,60 @@ class Endpointer:
         log.debug("endpoint %s at %d ms (silence from %d)", trigger, time_ms, silence_start)
         return EndpointEvent(time_ms, trigger, silence_start, deferred_by)
 
-    def _discharge(self, deferral: _Deferral, when: int) -> EndpointEvent:
-        """End a deferral at the EOW emitted at ``when``, within its deadline."""
+    def _end_deferral(self, p: _Pending, when: int, trigger: Trigger) -> EndpointEvent:
+        """End deferral ``p`` at ``when``, at the EOW emitted then, which it
+        consumes, or at its timeout (``DEFERRAL_TIMEOUT``)."""
         self._pending = None
-        self._eow = None
-        return self._emit(
-            when,
-            Trigger.TS_AND_EOW_DEFERRED,
-            deferral.silence_start,
-            when - deferral.trigger_time,
-        )
-
-    def _time_out(self, deferral: _Deferral, when: int) -> EndpointEvent:
-        """End a deferral no EOW answered, at its deadline or the stream's end."""
-        self._pending = None
-        return self._emit(
-            when,
-            Trigger.DEFERRAL_TIMEOUT,
-            deferral.silence_start,
-            max(0, when - deferral.trigger_time),
-        )
+        if trigger is Trigger.TS_AND_EOW_DEFERRED:
+            self._eow = None
+        # the stream ends at its last event, so an end-of-stream timeout can
+        # come before the trigger time; the clamp keeps deferred_by at 0 then
+        deferred_by = max(0, when - (p.silence_start + self._delta))
+        return self._emit(when, trigger, p.silence_start, deferred_by)
 
     # -- pending resolution ---------------------------------------------------
 
-    def _resolve(self, now: int) -> Optional[EndpointEvent]:
+    def _resolve(self, now: int, end: bool = False) -> Optional[EndpointEvent]:
+        """Settle the pending entry once the clock ``now`` passes its time.
+
+        At the end of stream (``end``) a fire settles whatever its stamp: it
+        was stamped after every event, so any EOW in hand lies at or before
+        it and ``_adjudicate`` settles it as it would mid-stream.  A deferral
+        then times out at its deadline or at ``now``, whichever is first.
+        """
         p = self._pending
-        if isinstance(p, _PendingFire):
-            if now <= p.fire_time:
+        if not p.deferred:
+            if now <= p.time and not end:
                 return None
             ep = self._adjudicate(p)
-            if ep is not None:
+            if self._pending is None:
                 return ep
-            p = self._pending
-        if p is not None and now > p.deadline:  # p is a _Deferral here
-            return self._time_out(p, p.deadline)
-        return None
+        if now <= p.time and not end:
+            return None
+        return self._end_deferral(p, min(p.time, now), Trigger.DEFERRAL_TIMEOUT)
 
-    def _adjudicate(self, p: _PendingFire) -> Optional[EndpointEvent]:
-        """Settle a pending fire once the clock has passed its fire time."""
+    def _adjudicate(self, p: _Pending) -> Optional[EndpointEvent]:
+        """Settle a pending fire once the clock has passed its stamp."""
         self._pending = None
         eow = self._eow
         if self._mode is _EOW_MODE:
-            # any cancelling SUBWORD at or before fire_time already cleared
-            # the pending entry, so the condition held through fire_time
+            # any cancelling SUBWORD at or before the stamp already cleared
+            # the pending entry, so the condition held through it
             self._eow = None
-            return self._emit(p.fire_time, Trigger.EOW, p.silence_start)
-        if eow is not None and eow <= p.fire_time:
+            return self._emit(p.time, Trigger.EOW, p.silence_start)
+        if eow is not None and eow <= p.time:
             self._eow = None
-            return self._emit(p.fire_time, Trigger.TS_AND_EOW_IMMEDIATE, p.silence_start)
+            return self._emit(p.time, Trigger.TS_AND_EOW_IMMEDIATE, p.silence_start)
         if p.speech_at_boundary:
             return None  # speech resumed the instant the threshold completed
-        deferral = _Deferral(
-            p.silence_start,
-            p.fire_time,
-            p.silence_start + self.cfg.deferral_cap_ms,
-        )
-        # an EOW already in the slot lies after the fire time; sparse
+        p.deferred = True
+        p.time = p.silence_start + self.cfg.deferral_cap_ms
+        # an EOW already in the slot lies after the fire's stamp; sparse
         # timelines resolve late, so it may also lie before the deadline
-        if eow is not None and eow <= deferral.deadline:
-            return self._discharge(deferral, eow)
-        self._pending = deferral
+        if eow is not None and eow <= p.time:
+            return self._end_deferral(p, eow, Trigger.TS_AND_EOW_DEFERRED)
+        self._pending = p
         return None
-
-    # -- end of stream ----------------------------------------------------------
-
-    def _flush(self, eos_time: int) -> Optional[EndpointEvent]:
-        # a fire still pending was stamped after every event, so any EOW in
-        # hand is at or before its fire time and _adjudicate settles it as
-        # it would mid-stream; a deferral left open times out at the end
-        ep = None
-        if isinstance(self._pending, _PendingFire):
-            ep = self._adjudicate(self._pending)
-        if isinstance(self._pending, _Deferral):
-            ep = self._time_out(self._pending, min(self._pending.deadline, eos_time))
-        return ep
 
 
 def run_call(

@@ -649,6 +649,15 @@ def test_report_header_shape(tmp_path):
     assert lines[1] == ",".join(REPORT_COLUMNS)
 
 
+def test_report_row_is_written_as_pinned(tmp_path):
+    path = tmp_path / "report.csv"
+    save_report([ReportRow(Mode.TS, 200, 200, _report())], path)
+    assert path.read_text().splitlines()[2:] == [
+        "TS,200,200,0.75,0.6,0.6666666666666665,0.3333333333333333,1,2,0,"
+        "216.66666666666666,200.0,3"
+    ]
+
+
 def test_load_report_rejects_missing_comment_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(REPORT_COLUMNS) + "\n")

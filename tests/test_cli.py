@@ -341,13 +341,102 @@ PINNED_SETUP_SHA256 = {
 }
 
 
-def test_simulate_and_train_vad_write_the_pinned_set_up_bytes(tmp_path):
+def _pinned_set_up(tmp_path):
     calls = simulate(tmp_path, n_calls=6, config_text=NOISY_CFG, seed=0)
     model_path = tmp_path / "vad.mdl"
     assert run_cli("train-vad", "--calls", str(calls), "--out", str(model_path), "--seed", "0") == 0
+    return calls, model_path
+
+
+def test_simulate_and_train_vad_write_the_pinned_set_up_bytes(tmp_path):
+    calls, model_path = _pinned_set_up(tmp_path)
     paths = sorted(calls.glob("*.call")) + [model_path]
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == PINNED_SETUP_SHA256
+
+
+# sha256 of every file the endpoint, evaluate and tradeoff commands write on
+# the pinned set-up: a change to any rule, format or score moves one.
+PINNED_OUTPUT_SHA256 = {
+    "BLANK/sim-00000000.endpoints": "4095ca7998c34faf9ebcda2f599ee23cf4aaacca7e50f6842d3298b89a65d6e9",
+    "BLANK/sim-00000000.transcript": "37312653346e01a7e4b44b2c8074d8ed72d0ec0705b0a798002e3d60dab793ac",
+    "BLANK/sim-00000001.endpoints": "e366faec175dceff5294fcaefb2b1b75893a1f968782221d11f66fd7c0ef94d4",
+    "BLANK/sim-00000001.transcript": "3981b4092f611ba6af0aaca38f30d209b336b4dca7fd646f50e7c18eda6c74f1",
+    "BLANK/sim-00000002.endpoints": "6935f0e1aa3a923312acefa6caf330dda6053db1e926ffe73808448b21635598",
+    "BLANK/sim-00000002.transcript": "ba92af58f9bf3fcd6573da8a4d17ff5e82fd850d8223a91b182ac5a224f95b7a",
+    "BLANK/sim-00000003.endpoints": "f50508e01bb8a3b0105531632db8afa7a57a5aefb37160bb7daa60b48b3ddf7c",
+    "BLANK/sim-00000003.transcript": "b1abb14638fa204a01c94d793305de8f417d33eca8abdf0628ada294e73f7402",
+    "BLANK/sim-00000004.endpoints": "64bf44a3dc9878dc126957c127756354386b0fbe3ca6bfbe064d4e08a2f7222b",
+    "BLANK/sim-00000004.transcript": "183ce4ff25696ef93e4e1527a1290d525a49aeeddab2e3552a6d236c210eb2cc",
+    "BLANK/sim-00000005.endpoints": "15978cc49343d4e91bc82e1c2b564e8b6b122fd7620f4cff1506b975ee677bd6",
+    "BLANK/sim-00000005.transcript": "e7e4783a29fe166e6670e5db511fb8f7bf0e85afd461f057a2519aedeaeed7bd",
+    "BLANK.csv": "e34d3e8765e1b44dd809f5a275ffc001d9b2285e1bd6dc87e1b40f72de736c79",
+    "EOW/sim-00000000.endpoints": "6eba3b1b8389cd8a1c7b3f30e6ce2046dcab22614401417f09947b897c75e04c",
+    "EOW/sim-00000000.transcript": "bcddcdd28a215a598514e2c9bd5abe2f690eccb210b5119f6022c03ae9fd0bca",
+    "EOW/sim-00000001.endpoints": "385d839611dd02f65e11fc57d430a346d292eddaa77d2aae2c5ee7ae76a7a3e0",
+    "EOW/sim-00000001.transcript": "716f81854ac2c40a6968d9448fb71141648932b9739b3cb401952efee809711d",
+    "EOW/sim-00000002.endpoints": "bb366713d6d31b98b7f31e052ec163aa46cb0dc3c92b1df30989cfc227bfc8b8",
+    "EOW/sim-00000002.transcript": "9cb01a70de935d5f2c25886b2e2487d2bf59fd3fd5fb8d986a8fe6f8d877e9c3",
+    "EOW/sim-00000003.endpoints": "ef65a18db1c92fe81e66132436d5a3d03320b217b5e9b86fba84dfaa9f2218e2",
+    "EOW/sim-00000003.transcript": "f4938d0071edfd603d0d46bb531b9aa57d53f6592d64ace5b183d0b7f55931a3",
+    "EOW/sim-00000004.endpoints": "d49e76a34339453045272a80605ad82580f15f92eb8c9c705e58ab5cfdbff92d",
+    "EOW/sim-00000004.transcript": "22730ab42637fd9f62367ed576dbe6ba2a68aa3e221a86df190e1240aaf697a3",
+    "EOW/sim-00000005.endpoints": "a9a88b0c91deb62586900e3004ffb52fff962fab7fdc88ee9660531ddd815761",
+    "EOW/sim-00000005.transcript": "53c62f6955e4f966097da3c726a83fef3b3f4a3c3f1d30604ad6deda2239d557",
+    "EOW.csv": "f54d8f8ddabaaadf92d165bb414a84c86aeb4ff6746a0c4a3370ca9d52f3c38f",
+    "TS/sim-00000000.endpoints": "0bdf319176af279fa64d202bde0f28cde626bec482267b52cd93ed560f190e6f",
+    "TS/sim-00000000.transcript": "00305c3a8a510a1a7cc6c297bc6d19fd807f21061c2ecf8f6032afe7ec7f2d1a",
+    "TS/sim-00000001.endpoints": "1a433a270428c1051cebff986635f51d9ba2c09cc89d9448eaa87fd197b88306",
+    "TS/sim-00000001.transcript": "743c5bf508f6e84f859b230f8e61348926c065423b36f06fe7aeabd8d80ba7ad",
+    "TS/sim-00000002.endpoints": "4cbc0ef26edc972e22b84474ded0f8d8284e1d373dd51a383d5f415878699390",
+    "TS/sim-00000002.transcript": "491eeb7d0d436cf6007a0fd9694e651e9d8abbaeb5221017895ed2cab8557439",
+    "TS/sim-00000003.endpoints": "5f416de0e4f2e258ad34dd36481b367fbf597f9c687a4da95205248880b64f85",
+    "TS/sim-00000003.transcript": "fe8aa12820dcb2fec9f1b58937e6fb25abf3360f3a58e6173ac9823a8e6e2dd9",
+    "TS/sim-00000004.endpoints": "65b31b0b5a7cc52ae5e46b3ef77234b7852d4424393498eae76428b70044238f",
+    "TS/sim-00000004.transcript": "950fcb6951cc8f3d8a7858793b63f3b609d973e37302cff8c0d852324f1219eb",
+    "TS/sim-00000005.endpoints": "e2a17578c6d7f734ac686326b13d6c9a3d7bc1509960e40abbb56641149f23d8",
+    "TS/sim-00000005.transcript": "659cce30aa2318e62ad9935915220f178f0c6f1097eb04c66ccdd7b0875256c0",
+    "TS.csv": "1c12b82ce1b4a0d1febb9e03066cdc91867bdb9e7e1fbde872c2f75c798111c6",
+    "TS_AND_EOW/sim-00000000.endpoints": "497fd421b6ce8f0d79faff111422072e3cabcbdf67646c637e01631157ad2475",
+    "TS_AND_EOW/sim-00000000.transcript": "a7af8508512713ed8dede4769be723739243ee4069ca0491f1f5448cab89c71f",
+    "TS_AND_EOW/sim-00000001.endpoints": "6031a6869b274212bc6943c86201e043d0cc1050e24bb528053b87dc5dddf574",
+    "TS_AND_EOW/sim-00000001.transcript": "55d32663f63f3428bebe2808e84cf1fcae14db47668cbba4c021a8cdd3c31e8e",
+    "TS_AND_EOW/sim-00000002.endpoints": "1d2ca48ef171790900fbf53cae73490a5066bbcb17bf2411b7f541bba943f877",
+    "TS_AND_EOW/sim-00000002.transcript": "6650a1ec905a038bc0839154d434507b4aba241c7cf5bf2e7bcda93755022963",
+    "TS_AND_EOW/sim-00000003.endpoints": "8d4e445f3897bd2da8af479f899a7693fa70ce9c8bd490351e6a7cb78627f253",
+    "TS_AND_EOW/sim-00000003.transcript": "a8f639a63188d70cd5dd96049b10a40858c5a70642b3886ef897511b9876e6c6",
+    "TS_AND_EOW/sim-00000004.endpoints": "b575726af8701bf970531c5d89c0290bc4e8631f0cdb5c31d3c7350af6fca3df",
+    "TS_AND_EOW/sim-00000004.transcript": "b39cc30642c56f6e5a96eb0d7a5a8a239efd0b4b660f07e224825a69b338b1db",
+    "TS_AND_EOW/sim-00000005.endpoints": "59ba2ce5434f2064c229108e99779cec13d5a251a21bae888be745b634e13a54",
+    "TS_AND_EOW/sim-00000005.transcript": "d0b88c2e9e1f6d471c8f00db4d27f595a92ab3d05e796f20b548a3d610b1d445",
+    "TS_AND_EOW.csv": "6a1d1556a2425bc9245cf17d63ae12f45ffe8d0a0a9e20270f7c377530105ddf",
+    "tradeoff.csv": "037df750d8420b8279c894f9984b1b566801221df11307fbfa7df4a90f531a9d",
+}
+
+
+def test_endpoint_evaluate_and_tradeoff_write_the_pinned_output_bytes(tmp_path):
+    calls, model_path = _pinned_set_up(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(
+        "tradeoff", "--calls", str(calls), "--out", str(out / "tradeoff.csv"),
+        "--vad", f"model:{model_path}",
+    ) == 0
+    for mode in Mode:
+        eps = out / mode.value
+        assert run_cli(
+            "endpoint", "--calls", str(calls), "--out", str(eps), "--mode", mode.value,
+            "--vad", "corrupted:0.2", "--delta-ms", "400",
+        ) == 0
+        assert run_cli(
+            "evaluate", "--calls", str(calls), "--endpoints", str(eps),
+            "--delta-ms", "400", "--out", str(out / f"{mode.value}.csv"),
+        ) == 0
+    digests = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*.*"))
+    }
+    assert digests == PINNED_OUTPUT_SHA256
 
 
 def test_train_vad_loss_stays_finite_when_the_squared_weights_overflow(tmp_path, capsys):
@@ -592,9 +681,12 @@ def test_shifted_endpoints_score_zero_recall(tmp_path, capsys):
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
     for path in eps.glob("*.endpoints"):
         call_id, mode, endpoints = callfile.load_endpoints(path)
+        # evaluate refuses an endpoint past its call's end
+        end_ms = callfile.load_call(calls / f"{call_id}.call").end_ms
         shifted = [
             type(e)(e.time_ms + 5000, e.trigger, e.silence_start_ms + 5000, e.deferred_by_ms)
             for e in endpoints
+            if e.time_ms + 5000 <= end_ms
         ]
         callfile.save_endpoints(call_id, mode, shifted, path)
     assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 0
@@ -724,6 +816,24 @@ def test_evaluate_names_the_file_of_a_call_id_mismatch(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
     assert capsys.readouterr().err == f"error: {path}: call id mismatch with sim-00000010\n"
+
+
+def test_evaluate_refuses_an_endpoint_past_its_call_s_end(tmp_path, capsys):
+    calls = simulate(tmp_path, n_calls=2)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = eps / "sim-00000011.endpoints"
+    end_ms = callfile.load_call(calls / "sim-00000011.call").end_ms
+    text = path.read_text()
+    # an endpoint at the call's end is accepted, one a millisecond later is not
+    for time_ms, code in ((end_ms, 0), (end_ms + 1, 1)):
+        path.write_text(text + f"endpoint {time_ms} TS {end_ms - 200} 0\n")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == code
+    assert capsys.readouterr().err == (
+        f"error: {path}: endpoint at {end_ms + 1} ms lies past the end of call "
+        f"sim-00000011 at {end_ms} ms\n"
+    )
 
 
 def test_evaluate_rejects_bad_tolerance(tmp_path):
