@@ -17,7 +17,7 @@ import sys
 import zlib
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,17 +26,25 @@ from .endpointer import EndpointerConfig, Mode, commit_transcript, run_sweep
 from .evaluator import CallScore, EvalConfig, pool_scores, score_runs
 from .simulator import SimConfig, corrupt_speech, gen_call, oracle_speech
 from .streams import (
-    NO_LABEL,
     SPEECH_CODE,
     CallRecord,
     merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
 )
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 class UsageError(Exception):
     """A problem the user can fix by changing flags or config."""
+
+
+def _checked(make: Callable[..., T], *values: object) -> T:
+    """``make(*values)``, whose ValueError is a usage error (exit 2)."""
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # -- config file --------------------------------------------------------------
@@ -180,10 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # --seed and --frame-ms override the config only when given
     overrides = {"seed": args.seed, "frame_ms": args.frame_ms}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    try:
-        simulator._check_config(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _checked(simulator._check_config, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_calls):
@@ -271,7 +276,7 @@ def _frame_arrays(
     """The calls' stacked features and label (or teacher label) codes.
 
     Every frame must carry the label and finite features; ``role`` names
-    the calls in errors.
+    the calls when none has a frame.
     """
     calls = [c for c in calls if len(c.frame_index)]
     if not calls:
@@ -284,11 +289,8 @@ def _frame_arrays(
                 f"{calls[0].call_id} has {dim}"
             )
         _check_finite(call)
+        simulator._check_labeled(call, "teacher_label" if teacher else "label")
     codes = np.concatenate([c.teacher_labels if teacher else c.labels for c in calls])
-    missing = np.flatnonzero(codes == NO_LABEL)
-    if missing.size:
-        column = "teacher_label" if teacher else "label"
-        raise ValueError(f"{role} frame {missing[0]} has no {column}")
     return np.concatenate([c.features for c in calls]), codes
 
 
@@ -302,22 +304,16 @@ def _check_finite(call: CallRecord) -> None:
         )
 
 
-def _endpointer_config(args: argparse.Namespace, frame_ms: int) -> EndpointerConfig:
-    try:
-        return EndpointerConfig(
-            mode=Mode(args.mode),  # argparse's choices admit only Mode values
-            ts_threshold_ms=args.delta_ms,
-            blank_run_frames=args.blank_frames,
-            deferral_cap_ms=args.deferral_cap_ms,
-            frame_ms=frame_ms,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_endpoint(args: argparse.Namespace) -> int:
     calls = _load_calls(Path(args.calls))
-    cfg = _endpointer_config(args, calls[0].frame_ms)
+    cfg = _checked(
+        EndpointerConfig,
+        Mode(args.mode),  # argparse's choices admit only Mode values
+        args.delta_ms,
+        args.blank_frames,
+        args.deferral_cap_ms,
+        calls[0].frame_ms,
+    )
     vad = _vad_source(args.vad, args.seed, reads=cfg.mode is not Mode.BLANK)
     # every call is endpointed before any file is written: a bad call leaves --out as it was
     results = []
@@ -341,10 +337,7 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        eval_cfg = EvalConfig(args.delta_ms, args.tolerance_ms)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    eval_cfg = _checked(EvalConfig, args.delta_ms, args.tolerance_ms)
     calls = _load_calls(Path(args.calls))
     ep_dir = Path(args.endpoints)
     if not ep_dir.is_dir():
@@ -428,23 +421,11 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     eval_cfgs: list[EvalConfig] = []
     for mode in modes:
         for delta in deltas:
-            if delta % frame_ms != 0:
-                raise UsageError(
-                    f"--deltas: {delta} is not a multiple of frame_ms={frame_ms}"
-                )
-            try:
-                cfgs.append(
-                    EndpointerConfig(
-                        mode=mode,
-                        ts_threshold_ms=delta,
-                        blank_run_frames=delta // frame_ms,
-                        deferral_cap_ms=max(args.deferral_cap_ms, delta),
-                        frame_ms=frame_ms,
-                    )
-                )
-                eval_cfgs.append(EvalConfig(delta, eval_tol))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            cap = max(args.deferral_cap_ms, delta)
+            cfgs.append(
+                _checked(EndpointerConfig, mode, delta, delta // frame_ms, cap, frame_ms)
+            )
+            eval_cfgs.append(_checked(EvalConfig, delta, eval_tol))
 
     # the VAD does not depend on the config: classify each call once
     # (BLANK reads only its tokens), then sweep every config

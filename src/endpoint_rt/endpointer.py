@@ -374,7 +374,7 @@ def run_sweep(
     call: CallRecord,
     is_speech: Optional[Sequence[bool]] = None,
 ) -> list[list[EndpointEvent]]:
-    """The endpoints ``run_call`` gives for each config on a call.
+    """The endpoints ``run_call`` gives for each config on a call, a new list each.
 
     ``is_speech[k]`` is the VAD flag of the call's frame k, at
     ``call.frame_times[k]``, or ``is_speech`` is None when every config
@@ -385,7 +385,7 @@ def run_sweep(
     decisions, a run having first time s, last time l and next (speech)
     decision n: ``TS`` ends each run with l + frame_ms - s >= delta at
     s + delta; ``BLANK`` ends each run of at least N BLANK tokens at its
-    N-th; the EOW-gated modes walk the runs over the non-BLANK tokens.
+    N-th; the EOW-gated modes walk the runs over the non-BLANK tokens, EOW once.
 
     Raises ValueError for a config whose frame_ms is not the call's, and
     for flags that are not one per frame or None with a config that
@@ -419,34 +419,33 @@ def run_sweep(
     # the stream ends at its last event, where merge_streams stamps it
     end_ms = max(times[-1:].tolist() + tok_times[-1:].tolist(), default=0)
 
-    def endpoints(cfg: EndpointerConfig) -> list[EndpointEvent]:
+    out: list[list[EndpointEvent]] = []
+    eow: Optional[list[EndpointEvent]] = None
+    for cfg in cfgs:
         if cfg.mode is Mode.TS:
             delta = cfg.ts_threshold_ms
-            return [
+            eps = [
                 EndpointEvent(s + delta, Trigger.TS, s)
                 for s in starts[spans >= delta - cfg.frame_ms].tolist()
             ]
-        if cfg.mode is Mode.BLANK:
+        elif cfg.mode is Mode.BLANK:
             # no run outlasts the tokens, so n - 1 indexes within int64
             n = min(cfg.blank_run_frames, len(tok_times) + 1)
-            first = blank_first[blank_last - blank_first + 1 >= n]
-            ends = tok_times[first + n - 1]
-            return [
+            long_first = blank_first[blank_last - blank_first + 1 >= n]
+            ends = tok_times[long_first + n - 1]
+            eps = [
                 EndpointEvent(t, Trigger.BLANK_RUN, s)
-                for s, t in zip(tok_times[first].tolist(), ends.tolist())
+                for s, t in zip(tok_times[long_first].tolist(), ends.tolist())
             ]
-        if cfg.mode is Mode.EOW:
-            return _eow_walk(cfg.frame_ms, walk)
-        done = np.flatnonzero(spans >= cfg.ts_threshold_ms - cfg.frame_ms).tolist()
-        return _ts_and_eow_walk(cfg, walk, done, end_ms)
-
-    shared: dict[tuple, list[EndpointEvent]] = {}
-    out = []
-    for cfg in cfgs:
-        key = _rule_inputs(cfg)
-        if key not in shared:
-            shared[key] = endpoints(cfg)
-        out.append(list(shared[key]))
+        elif cfg.mode is Mode.EOW:
+            # the walk reads only frame_ms, the call's for every cfg (checked above)
+            if eow is None:
+                eow = _eow_walk(call.frame_ms, walk)
+            eps = list(eow)
+        else:
+            done = np.flatnonzero(spans >= cfg.ts_threshold_ms - cfg.frame_ms).tolist()
+            eps = _ts_and_eow_walk(cfg, walk, done, end_ms)
+        out.append(eps)
     return out
 
 
@@ -545,17 +544,6 @@ def _ts_and_eow_walk(
                 t = min(s + cap, end_ms)
                 out.append(EndpointEvent(t, Trigger.DEFERRAL_TIMEOUT, s, max(0, t - fire)))
     return out
-
-
-def _rule_inputs(cfg: EndpointerConfig) -> tuple:
-    """The config fields cfg's rule reads; configs equal in them agree."""
-    if cfg.mode is Mode.BLANK:
-        return (cfg.mode, cfg.blank_run_frames)
-    if cfg.mode is Mode.EOW:
-        return (cfg.mode, cfg.frame_ms)
-    if cfg.mode is Mode.TS:
-        return (cfg.mode, cfg.ts_threshold_ms, cfg.frame_ms)
-    return (cfg.mode, cfg.ts_threshold_ms, cfg.deferral_cap_ms, cfg.frame_ms)
 
 
 def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -258,10 +258,13 @@ def resample_features(
     return replace(call, features=features)
 
 
-def _check_labeled(call: CallRecord) -> None:
-    missing = np.flatnonzero(call.labels == NO_LABEL)
+def _check_labeled(call: CallRecord, column: str = "label") -> None:
+    """Every frame of ``call`` carries its ``label`` or ``teacher_label``."""
+    codes = call.teacher_labels if column == "teacher_label" else call.labels
+    missing = np.flatnonzero(codes == NO_LABEL)
     if missing.size:
-        raise ValueError(f"frame {missing[0]} has no label")
+        frame = call.frame_index[missing[0]]
+        raise ValueError(f"{call.call_id}: frame {frame} has no {column}")
 
 
 def oracle_speech(call: CallRecord) -> np.ndarray:

@@ -62,10 +62,6 @@ class DetCurve:
     fpr: np.ndarray
     fnr: np.ndarray
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.fpr.tolist(), self.fnr.tolist()))
-
 
 @dataclass(frozen=True)
 class OperatingPoint:

@@ -503,7 +503,7 @@ def test_agreement_with_brute_force_oracles():
         scores = np.round(rng.random(n), 1).tolist()
         curve = vadnet.det_curve(scores, labels)
         oracle_pts = enumerate_det_points(scores, labels.tolist())
-        got_pts = curve.points
+        got_pts = list(zip(curve.fpr.tolist(), curve.fnr.tolist()))
         if len(got_pts) != len(oracle_pts) or any(
             g != (float(o[0]), float(o[1])) for g, o in zip(got_pts, oracle_pts)
         ):

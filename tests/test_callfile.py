@@ -256,6 +256,14 @@ def test_load_call_rejects_token_before_header(tmp_path):
     assert str(err.value) == f"{path}:2: token record before call header"
 
 
+def test_load_call_rejects_segment_before_header(tmp_path):
+    path = tmp_path / "bad.call"
+    path.write_text(f"{FORMAT_LINE}\nsegment 0 40 ka\ncall c 40 1\nframe 0 - - 1\n")
+    with pytest.raises(FormatError) as err:
+        load_call(path)
+    assert str(err.value) == f"{path}:2: segment record before call header"
+
+
 def test_load_call_rejects_duplicate_header(tmp_path):
     path = tmp_path / "bad.call"
     path.write_text(f"{FORMAT_LINE}\ncall c 40 1\ncall d 40 1\n")

@@ -284,6 +284,7 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
         ("--lr", "0"),
         ("--features", "oracle:nan"),
         ("--features", "oracle:inf"),
+        ("--features", "oracle:abc"),
     ):
         capsys.readouterr()
         assert run_cli("train-vad", "--calls", missing, "--out", model, flag, value) == 2
@@ -319,9 +320,39 @@ def test_train_vad_trains_on_the_teacher_column(tmp_path, capsys):
     capsys.readouterr()
     model_path.unlink()
     assert run_cli(*argv, "--teacher") == 1
-    assert capsys.readouterr().err == "error: training frame 0 has no teacher_label\n"
+    assert capsys.readouterr().err == "error: sim-00000010: frame 0 has no teacher_label\n"
     assert not model_path.exists()
     assert run_cli(*argv) == 0
+
+
+# frames 5-7, frame 6 without a label and frame 7 without a teacher label
+UNLABELED_FRAMES_CALL = """format=1
+call c1 40 2
+frame 5 speech speech 0.5 0.1
+frame 6 - nonspeech 0.2 0.3
+frame 7 nonspeech - 0.1 0.2
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["endpoint", "--vad", "oracle"], "c1: frame 6 has no label"),
+        (["train-vad", "--holdout", "0"], "c1: frame 6 has no label"),
+        (["train-vad", "--holdout", "0", "--teacher"], "c1: frame 7 has no teacher_label"),
+        (["train-vad", "--features", "oracle:2"], "c1: frame 6 has no label"),
+    ],
+)
+def test_a_frame_without_a_label_is_named_by_call_and_frame_index(
+    tmp_path, capsys, argv, message
+):
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    (calls / "c1.call").write_text(UNLABELED_FRAMES_CALL)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--calls", str(calls), "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
 
 
 # Long, jittery emission delays and weakly separable features.
@@ -836,6 +867,26 @@ def test_evaluate_refuses_an_endpoint_past_its_call_s_end(tmp_path, capsys):
     )
 
 
+def test_evaluate_fails_on_a_missing_endpoints_directory(tmp_path, capsys):
+    calls = simulate(tmp_path)
+    eps = tmp_path / "nope"
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: endpoints directory not found: {eps}\n"
+
+
+def test_evaluate_refuses_endpoint_files_of_two_modes(tmp_path, capsys):
+    calls = simulate(tmp_path)
+    eps, eow = tmp_path / "eps", tmp_path / "eow"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eow), "--mode", "EOW") == 0
+    second = eps / "sim-00000011.endpoints"
+    second.write_bytes((eow / second.name).read_bytes())
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: {second}: mode EOW differs from TS\n"
+
+
 def test_evaluate_rejects_bad_tolerance(tmp_path):
     calls = simulate(tmp_path)
     eps = tmp_path / "eps"
@@ -898,6 +949,21 @@ def test_tradeoff_rejects_off_grid_delta(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, delta",
+    [(["tradeoff", "--deltas", "200,230"], 230), (["endpoint", "--delta-ms", "30"], 30)],
+)
+def test_an_off_grid_delta_names_frame_ms_before_any_call_runs(tmp_path, capsys, argv, delta):
+    calls = simulate(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*argv, "--calls", str(calls), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: ts_threshold_ms: {delta} is not a positive multiple of frame_ms=40\n"
+    )
+    assert not out.exists()
+
+
 def test_tradeoff_rejects_unknown_mode(tmp_path):
     calls = simulate(tmp_path)
     code = run_cli(
@@ -924,6 +990,7 @@ def test_tradeoff_rejects_bad_flags_before_any_call_runs(tmp_path):
     base = ("tradeoff", "--calls", str(calls), "--out", out)
     assert run_cli(*base, "--tolerance-ms", "0") == 2
     assert run_cli(*base, "--deltas=-200,200") == 2
+    assert run_cli(*base, "--deltas", "200,abc") == 2
     assert run_cli(*base, "--vad", "psychic") == 2
     # BLANK reads no VAD, and its spec is still checked
     assert run_cli(*base, "--modes", "BLANK", "--vad", "psychic") == 2

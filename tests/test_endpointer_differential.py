@@ -276,6 +276,18 @@ def test_run_sweep_keeps_the_order_of_mixed_configs():
         assert got == want, f"case {case}: {cfgs}"
 
 
+def test_each_config_of_a_sweep_gets_a_list_of_its_own():
+    # one EOW walk answers every EOW config, whatever its delta
+    decisions = [VadDecision(t, t < 80) for t in range(0, 400, 40)]
+    tokens = [TokenEvent(60, TokenKind.SUBWORD, "ka", 0), TokenEvent(100, TokenKind.EOW, "", 0)]
+    call, speech = sweep_call(40, decisions, tokens)
+    cfgs = [EndpointerConfig(Mode.EOW, delta, 1, delta, 40) for delta in (40, 80)]
+    first, second = run_sweep(cfgs, call, speech)
+    assert first == second == [EndpointEvent(120, Trigger.EOW, 80)]
+    first.append(first[0])
+    assert second == [EndpointEvent(120, Trigger.EOW, 80)]
+
+
 def test_run_sweep_reads_no_flags_when_every_config_is_blank():
     rng = random.Random(20261018)
     for case in range(300):
