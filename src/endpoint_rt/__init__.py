@@ -7,7 +7,7 @@ merged event timeline, and score the detected endpoints for
 precision/recall/F1, word error rate, and latency.
 """
 
-from ._kernels import BACKEND, edit_distance_counts, edit_matrix
+from ._kernels import BACKEND
 from .endpointer import (
     EndpointEvent,
     Endpointer,
@@ -92,8 +92,6 @@ __all__ = [
     "classify_frames",
     "commit_transcript",
     "det_curve",
-    "edit_distance_counts",
-    "edit_matrix",
     "eer",
     "gen_call",
     "hypothesis_words",

@@ -9,8 +9,7 @@ minimum.  A cell reads only cells above it and to its left, so the padding
 changes no cell of a hypothesis's own matrix.  The backtrace in
 ``edit_distance_counts_batch`` turns each matrix into
 substitution/deletion/insertion counts and resolves ties in a fixed order:
-substitution, then deletion, then insertion.  ``edit_matrix`` and
-``edit_distance_counts`` are the one-hypothesis case.
+substitution, then deletion, then insertion.
 """
 
 from __future__ import annotations
@@ -51,15 +50,15 @@ def edit_matrices(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     return dp
 
 
-def edit_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full unit-cost edit-distance DP matrix for int id sequences."""
-    return edit_matrices(a, [b])[0]
-
-
 def edit_distance_counts_batch(
     a: np.ndarray, bs: Sequence[np.ndarray]
 ) -> list[tuple[int, int, int, int]]:
-    """``edit_distance_counts(a, b)`` for every ``b`` in ``bs``, from one DP."""
+    """Edit distance of each of ``bs`` against reference ``a``, from one DP.
+
+    Gives ``(distance, substitutions, deletions, insertions)`` per
+    hypothesis; the backtrace prefers substitution over deletion over
+    insertion when costs tie, so the counts are deterministic.
+    """
     a = np.ascontiguousarray(a, dtype=np.int64)
     bs = [np.ascontiguousarray(b, dtype=np.int64) for b in bs]
     ref = a.tolist()
@@ -82,14 +81,3 @@ def edit_distance_counts_batch(
                 j -= 1
         out.append((dp[len(ref)][len(hyp)], subs, dels, ins))
     return out
-
-
-def edit_distance_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
-    """Edit distance of ``b`` against reference ``a``, with operation counts.
-
-    Returns ``(distance, substitutions, deletions, insertions)``; the
-    backtrace prefers substitution over deletion over insertion when costs
-    tie, so counts are deterministic (distance is unique regardless).
-    """
-    [counts] = edit_distance_counts_batch(a, [b])
-    return counts

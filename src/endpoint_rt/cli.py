@@ -39,10 +39,10 @@ class UsageError(Exception):
     """A problem the user can fix by changing flags or config."""
 
 
-def _checked(make: Callable[..., T], *values: object) -> T:
-    """``make(*values)``, whose ValueError is a usage error (exit 2)."""
+def _checked(make: Callable[..., T], *values: object, **named: object) -> T:
+    """``make(*values, **named)``, whose ValueError is a usage error (exit 2)."""
     try:
-        return make(*values)
+        return make(*values, **named)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -54,8 +54,11 @@ def load_sim_config(path: Path) -> SimConfig:
 
     Each value parses as the key's ``SimConfig()`` default is typed: a
     scalar of that type, or a tuple of that length and element types.
+    The config is built after each line, so a value it refuses names
+    the line that gives it.
     """
-    defaults = vars(SimConfig())  # field name -> default
+    cfg = SimConfig()
+    defaults = vars(cfg)  # field name -> default
     values: dict[str, object] = {}
     data = path.read_bytes()
     try:
@@ -84,7 +87,11 @@ def load_sim_config(path: Path) -> SimConfig:
                 values[key] = type(default)(value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-    return SimConfig(**values)  # type: ignore[arg-type]
+        try:
+            cfg = SimConfig(**values)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+    return cfg
 
 
 # -- VAD channel --------------------------------------------------------------
@@ -175,20 +182,13 @@ def _load_calls(calls_dir: Path) -> list[CallRecord]:
 # -- subcommands --------------------------------------------------------------
 
 
-def _check_count(flag: str, value: int, least: int = 1) -> None:
-    if value < least:
-        raise UsageError(f"{flag}: must be >= {least}, got {value}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_count("--n-calls", args.n_calls)
-    if args.seed is not None:
-        _check_count("--seed", args.seed, least=0)
+    if args.n_calls < 1:
+        raise UsageError(f"--n-calls: must be >= 1, got {args.n_calls}")
     cfg = load_sim_config(args.config) if args.config else SimConfig()
     # --seed and --frame-ms override the config only when given
     overrides = {"seed": args.seed, "frame_ms": args.frame_ms}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    _checked(simulator._check_config, cfg)
+    cfg = _checked(replace, cfg, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_calls):
@@ -210,17 +210,9 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
         raise UsageError(f"--hidden: {exc}") from exc
     if not 0.0 <= args.holdout < 1.0:
         raise UsageError(f"--holdout: must lie in [0, 1), got {args.holdout}")
-    _check_count("--epochs", args.epochs)
-    _check_count("--batch-size", args.batch_size)
-    _check_count("--seed", args.seed, least=0)
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr: must be a positive finite number, got {args.lr}")
-    train_cfg = vadnet.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
+    train_cfg = _checked(vadnet.TrainConfig, args.lr, args.epochs, args.batch_size, args.seed)
     sep = None
     if args.features != "file":
         if not args.features.startswith("oracle:"):
@@ -338,10 +330,10 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     eval_cfg = _checked(EvalConfig, args.delta_ms, args.tolerance_ms)
-    calls = _load_calls(Path(args.calls))
     ep_dir = Path(args.endpoints)
     if not ep_dir.is_dir():
         raise FileNotFoundError(f"endpoints directory not found: {ep_dir}")
+    calls = _load_calls(Path(args.calls))
 
     scores = []
     mode: Optional[Mode] = None

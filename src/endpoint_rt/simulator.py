@@ -54,7 +54,7 @@ _VOCAB = tuple(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs for one synthetic call; all ranges are inclusive (min, max)."""
+    """Knobs for one synthetic call, checked when built; ranges are inclusive (min, max)."""
 
     seed: int = 0
     n_turns: int = 4
@@ -69,39 +69,46 @@ class SimConfig:
     teacher_flip_prob: float = 0.0
     frame_ms: int = 40
 
-
-def _check_config(cfg: SimConfig) -> None:
-    if cfg.seed < 0:
-        raise ValueError(f"seed: must be non-negative, got {cfg.seed}")
-    if cfg.frame_ms < 1:
-        raise ValueError(f"frame_ms: must be positive, got {cfg.frame_ms}")
-    if cfg.n_turns < 1:
-        raise ValueError(f"n_turns: must be positive, got {cfg.n_turns}")
-    if cfg.feature_dim < 1:
-        raise ValueError(f"feature_dim: must be positive, got {cfg.feature_dim}")
-    if not (math.isfinite(cfg.feature_separability) and cfg.feature_separability >= 0):
-        raise ValueError(
-            f"feature_separability: must be finite and non-negative, "
-            f"got {cfg.feature_separability}"
-        )
-    if not 0.0 <= cfg.teacher_flip_prob < 1.0:
-        raise ValueError(
-            f"teacher_flip_prob: must lie in [0, 1), got {cfg.teacher_flip_prob}"
-        )
-    for name in ("turn_dur_ms", "gap_dur_ms", "word_dur_ms", "pause_dur_ms"):
-        lo, hi = getattr(cfg, name)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"{name}: need 1 <= min <= max, got ({lo}, {hi})")
-    k_lo, k_hi = cfg.subwords_per_word
-    if k_lo < 1 or k_hi < k_lo:
-        raise ValueError(
-            f"subwords_per_word: need 1 <= min <= max, got ({k_lo}, {k_hi})"
-        )
-    if not all(math.isfinite(v) and v >= 0 for v in cfg.emission_delay):
-        raise ValueError(
-            f"emission_delay: all of (mean, std, clip_max) must be finite and "
-            f"non-negative, got {cfg.emission_delay}"
-        )
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed: must be non-negative, got {self.seed}")
+        if self.frame_ms < 1:
+            raise ValueError(f"frame_ms: must be positive, got {self.frame_ms}")
+        if self.n_turns < 1:
+            raise ValueError(f"n_turns: must be positive, got {self.n_turns}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim: must be positive, got {self.feature_dim}")
+        sep = self.feature_separability
+        if not (math.isfinite(sep) and sep >= 0):
+            raise ValueError(
+                f"feature_separability: must be finite and non-negative, got {sep}"
+            )
+        if not 0.0 <= self.teacher_flip_prob < 1.0:
+            raise ValueError(
+                f"teacher_flip_prob: must lie in [0, 1), got {self.teacher_flip_prob}"
+            )
+        ranges = ("turn_dur_ms", "gap_dur_ms", "word_dur_ms", "pause_dur_ms")
+        for name in ranges + ("subwords_per_word",):
+            lo, hi = getattr(self, name)
+            if lo < 1 or hi < lo:
+                raise ValueError(f"{name}: need 1 <= min <= max, got ({lo}, {hi})")
+        k_max = self.subwords_per_word[1]
+        if k_max >= 2**63:  # rng.integers draws below k_max + 1, an int64
+            raise ValueError(f"subwords_per_word: max must be below 2**63, got {k_max}")
+        if not all(math.isfinite(v) and v >= 0 for v in self.emission_delay):
+            raise ValueError(
+                f"emission_delay: all of (mean, std, clip_max) must be finite and "
+                f"non-negative, got {self.emission_delay}"
+            )
+        # a turn, its last pause and word and the gap after it each overrun
+        # their max by under a frame, so this bounds the call's length; below
+        # 2**53 ms every time is exact in float64 and fits in int64
+        turn_ms = sum(getattr(self, name)[1] for name in ranges) + 4 * self.frame_ms
+        if self.n_turns * turn_ms > 2**53:
+            raise ValueError(
+                f"call length: {self.n_turns} turns of up to {turn_ms} ms each "
+                f"(turn, word, pause and gap max plus 4 frames) exceed 2**53 ms"
+            )
 
 
 def _snap(ms: int, frame_ms: int) -> int:
@@ -114,28 +121,21 @@ def _sample_ms(rng: np.random.Generator, bounds: tuple[int, int], frame_ms: int)
     return _snap(int(rng.integers(lo, hi + 1)), frame_ms)
 
 
-@dataclass(frozen=True)
-class _Word:
-    text: str
-    start_ms: int
-    unit_ends: tuple[int, ...]  # absolute end time of each subword unit
-    index: int
-
-    @property
-    def end_ms(self) -> int:
-        return self.unit_ends[-1]
-
-
 def gen_call(cfg: SimConfig) -> CallRecord:
     """Generate one call; bit-deterministic for a fixed config."""
-    _check_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     f = cfg.frame_ms
 
-    words: list[_Word] = []
-    turns: list[tuple[int, int, tuple[str, ...]]] = []  # (start, end, word texts)
+    # ideal token times (subwords at unit ends, EOW at the word end), as
+    # columns: time, kind code, text, word index
+    ideal: list[int] = []
+    kinds: list[int] = []
+    texts: list[str] = []
+    word_index: list[int] = []
+    spans: list[tuple[int, int]] = []  # (start, end) of each word
+    call_id = f"sim-{cfg.seed:08d}"
+    segments: list[ReferenceSegment] = []  # one per turn
     t = 0
-    word_counter = 0
     for turn_idx in range(cfg.n_turns):
         if turn_idx > 0:
             t += _sample_ms(rng, cfg.gap_dur_ms, f)
@@ -147,43 +147,29 @@ def gen_call(cfg: SimConfig) -> CallRecord:
                 t += _sample_ms(rng, cfg.pause_dur_ms, f)
             dur = _sample_ms(rng, cfg.word_dur_ms, f)
             k = int(rng.integers(cfg.subwords_per_word[0], cfg.subwords_per_word[1] + 1))
-            text = _VOCAB[word_counter % len(_VOCAB)]
+            index = len(spans)
+            text = _VOCAB[index % len(_VOCAB)]
             k = min(k, len(text))
             base, extra = divmod(dur, k)
-            ends = []
-            u = t
+            base_len, extra_len = divmod(len(text), k)
+            u, pos = t, 0
             for j in range(k):
                 u += base + (1 if j < extra else 0)
-                ends.append(u)
-            words.append(_Word(text, t, tuple(ends), word_counter))
+                size = base_len + (1 if j < extra_len else 0)
+                ideal.append(u)
+                texts.append(text[pos : pos + size])
+                pos += size
+            ideal.append(u)
+            texts.append("")
+            kinds += [SUBWORD_CODE] * k + [EOW_CODE]
+            word_index += [index] * (k + 1)
+            spans.append((t, u))
             turn_words.append(text)
-            word_counter += 1
             t = u
-        turns.append((turn_start, t, tuple(turn_words)))
+        segments.append(ReferenceSegment(call_id, turn_start, t, tuple(turn_words)))
     t += _sample_ms(rng, cfg.gap_dur_ms, f)  # tail gap after the last turn
     total_ms = t
     n_frames = total_ms // f
-
-    # ideal token times (subwords at unit ends, EOW at the word end), as
-    # columns: time, kind code, text, word index
-    ideal: list[int] = []
-    kinds: list[int] = []
-    texts: list[str] = []
-    word_index: list[int] = []
-    for w in words:
-        k = len(w.unit_ends)
-        base_len, extra_len = divmod(len(w.text), k)
-        pos = 0
-        for j, end in enumerate(w.unit_ends):
-            size = base_len + (1 if j < extra_len else 0)
-            ideal.append(end)
-            kinds.append(SUBWORD_CODE)
-            texts.append(w.text[pos : pos + size])
-            pos += size
-        ideal.append(w.end_ms)
-        kinds.append(EOW_CODE)
-        texts.append("")
-        word_index += [w.index] * (k + 1)
 
     # one clipped delay per token, rounded half to even; the emission times
     # are made monotone and capped at the stream's end.  In float64 the sum
@@ -208,8 +194,8 @@ def gen_call(cfg: SimConfig) -> CallRecord:
 
     # frame labels: speech exactly inside word intervals (pauses/gaps are not)
     labels = np.zeros(n_frames, dtype=bool)
-    for w in words:
-        labels[w.start_ms // f : w.end_ms // f] = True
+    for start, end in spans:
+        labels[start // f : end // f] = True
 
     eps = rng.standard_normal((n_frames, cfg.feature_dim))
     shift = cfg.feature_separability / 2.0
@@ -217,10 +203,6 @@ def gen_call(cfg: SimConfig) -> CallRecord:
 
     flips = rng.random(n_frames) < cfg.teacher_flip_prob
 
-    call_id = f"sim-{cfg.seed:08d}"
-    segments = [
-        ReferenceSegment(call_id, start, end, texts) for start, end, texts in turns
-    ]
     return CallRecord(
         call_id=call_id,
         frame_ms=f,

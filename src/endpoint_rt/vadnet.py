@@ -44,10 +44,20 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built; a learning rate of 0 trains nothing."""
+
     learning_rate: float = 0.3
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs: must be positive, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size: must be positive, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -165,13 +175,9 @@ def train_arrays(
         raise ValueError("no training frames")
     if len(np.unique(y)) < 2:
         raise ValueError("training data contains a single class")
-    if cfg.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
 
     rng = np.random.default_rng(cfg.seed)
-    size = cfg.batch_size
+    size = min(cfg.batch_size, n)  # any size past n is one batch of all n rows
     history: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)

@@ -183,8 +183,49 @@ def test_simulate_rejects_non_finite_config_values(tmp_path, capsys, line, key):
     code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}: ") and "must be finite" in err
+    assert err.startswith(f"error: {path}:1: {key}: ") and "must be finite" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_config_file_names_the_line_of_a_value_the_config_refuses(tmp_path, capsys):
+    path = write_config(tmp_path, "seed = 3\n\nn_turns = 0\nframe_ms = 20\n")
+    with pytest.raises(cli.UsageError) as info:
+        load_sim_config(path)
+    assert str(info.value) == f"{path}:3: n_turns: must be positive, got 0"
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:3: n_turns: must be positive, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("n_turns = 100000000000000000000\n", 1),
+        ("frame_ms = 20\nturn_dur_ms = 1, 100000000000000000000\n", 2),
+        ("subwords_per_word = 1, 9223372036854775808\n", 1),
+        # each line alone keeps the bound; the second pushes the config past it
+        ("n_turns = 1000000000000\nturn_dur_ms = 1000, 9000\nseed = 2\n", 2),
+    ],
+)
+def test_config_file_names_the_line_that_passes_a_bound(tmp_path, capsys, text, lineno):
+    path = write_config(tmp_path, text)
+    with pytest.raises(cli.UsageError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+        load_sim_config(path)
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_refuses_a_frame_ms_past_the_call_length_bound(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli("simulate", "--out", str(out), "--frame-ms", str(10**20)) == 2
+    assert capsys.readouterr().err == (
+        f"error: call length: 4 turns of up to {5460 + 4 * 10**20} ms each "
+        "(turn, word, pause and gap max plus 4 frames) exceed 2**53 ms\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +253,16 @@ def test_simulate_seed_defaults_to_the_config_seed(tmp_path):
 def test_negative_seeds_are_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert run_cli("simulate", "--out", out, "--seed", "-1") == 2
-    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: seed: must be non-negative, got -1\n"
     missing = str(tmp_path / "no-calls")
     assert run_cli("train-vad", "--calls", missing, "--out", out, "--seed", "-1") == 2
-    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: seed: must be non-negative, got -1\n"
     path = write_config(tmp_path, "seed = -1\n")
     assert run_cli("simulate", "--config", str(path), "--out", out) == 2
-    assert capsys.readouterr().err == "error: seed: must be non-negative, got -1\n"
+    assert capsys.readouterr().err == f"error: {path}:1: seed: must be non-negative, got -1\n"
+    # the file is checked on its own, so --seed does not excuse its seed
+    assert run_cli("simulate", "--config", str(path), "--out", out, "--seed", "7") == 2
+    assert capsys.readouterr().err == f"error: {path}:1: seed: must be non-negative, got -1\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -264,6 +308,17 @@ def test_train_vad_checkpoint_is_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_train_vad_takes_a_batch_size_past_the_frame_count_as_one_batch(tmp_path):
+    calls = simulate(tmp_path)
+    paths = []
+    for size in (10**6, 10**20):  # both hold every frame in one batch
+        path = tmp_path / f"m{size}.mdl"
+        argv = ["--out", str(path), "--epochs", "2", "--batch-size", str(size)]
+        assert run_cli("train-vad", "--calls", str(calls), *argv) == 0
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_train_vad_rejects_bad_flags(tmp_path, capsys):
     calls = simulate(tmp_path)
     model = str(tmp_path / "m.mdl")
@@ -275,9 +330,14 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
     )
     # count, size, rate and feature flags fail before any call file is read
     missing = str(tmp_path / "no-calls")
+    for flag, value, message in (
+        ("--epochs", "0", "epochs: must be positive, got 0"),
+        ("--batch-size", "0", "batch_size: must be positive, got 0"),
+    ):
+        capsys.readouterr()
+        assert run_cli("train-vad", "--calls", missing, "--out", model, flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     for flag, value in (
-        ("--epochs", "0"),
-        ("--batch-size", "0"),
         ("--hidden", "0,16"),
         ("--lr", "nan"),
         ("--lr", "-1"),
@@ -869,6 +929,15 @@ def test_evaluate_refuses_an_endpoint_past_its_call_s_end(tmp_path, capsys):
 
 def test_evaluate_fails_on_a_missing_endpoints_directory(tmp_path, capsys):
     calls = simulate(tmp_path)
+    eps = tmp_path / "nope"
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: endpoints directory not found: {eps}\n"
+
+
+def test_evaluate_names_a_missing_endpoints_directory_before_reading_calls(tmp_path, capsys):
+    calls = simulate(tmp_path)
+    (calls / "zz.call").write_text("not a call\n")
     eps = tmp_path / "nope"
     capsys.readouterr()
     assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1

@@ -46,12 +46,48 @@ from endpoint_rt.streams import (
         ("feature_separability", float("inf")),
         ("emission_delay", (float("nan"), 1.0, 2.0)),
         ("emission_delay", (150.0, 50.0, float("inf"))),
+        ("seed", -1),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
-    cfg = SimConfig(**{field: value})
     with pytest.raises(ValueError, match=field.split("_")[0]):
-        gen_call(cfg)
+        SimConfig(**{field: value})
+
+
+# turn, word, pause and gap max plus 4 frames: 2**53 - 7 + 1 + 1 + 1 + 4
+AT_THE_BOUND = dict(
+    n_turns=1,
+    frame_ms=1,
+    turn_dur_ms=(1, 2**53 - 7),
+    word_dur_ms=(1, 1),
+    pause_dur_ms=(1, 1),
+    gap_dur_ms=(1, 1),
+)
+
+
+def test_config_bounds_the_longest_call_at_2_to_the_53_ms():
+    # only built, never simulated: a call this long is never drawn
+    SimConfig(**AT_THE_BOUND)
+    SimConfig(subwords_per_word=(1, 2**63 - 1))
+    for change in (
+        {"turn_dur_ms": (1, 2**53 - 6)},
+        {"n_turns": 2},
+        {"frame_ms": 2},
+    ):
+        with pytest.raises(ValueError, match=r"^call length: .* exceed 2\*\*53 ms$"):
+            SimConfig(**{**AT_THE_BOUND, **change})
+    for field, value in (
+        ("frame_ms", 10**20),
+        ("n_turns", 10**20),
+        ("turn_dur_ms", (1, 10**20)),
+        ("gap_dur_ms", (1, 10**20)),
+        ("word_dur_ms", (1, 10**20)),
+        ("pause_dur_ms", (1, 10**20)),
+    ):
+        with pytest.raises(ValueError, match=r"^call length: "):
+            SimConfig(**{field: value})
+    with pytest.raises(ValueError, match=r"^subwords_per_word: max must be below 2\*\*63"):
+        SimConfig(subwords_per_word=(1, 2**63))
 
 
 # ---------------------------------------------------------------------------

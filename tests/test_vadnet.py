@@ -173,6 +173,7 @@ def test_train_is_deterministic_for_fixed_seed():
         (130, 7, 0.5),
         (37, 1, 0.3),
         (200, 64, 0.0),
+        (40, 10**20, 0.3),  # one batch; numpy holds no dimension this long
     ],
 )
 def test_train_matches_the_reference_loop_bit_for_bit(seed, n, batch_size, rate):
@@ -184,6 +185,19 @@ def test_train_matches_the_reference_loop_bit_for_bit(seed, n, batch_size, rate)
     assert np.array(history).tobytes() == np.array(reference_train(want, x, y, cfg)).tobytes()
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epochs", 0, "epochs: must be positive, got 0"),
+        ("batch_size", 0, "batch_size: must be positive, got 0"),
+        ("seed", -1, "seed: must be non-negative, got -1"),
+    ],
+)
+def test_train_config_rejects_bad_values_when_built(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
 
 
 def test_train_rejects_single_class_data():
