@@ -2,17 +2,13 @@
 
 Exit codes: 0 success, 2 usage or configuration error (bad flag values,
 malformed config file, invalid parameter combinations), 1 runtime failure
-(missing/corrupt inputs, data that cannot be processed).  The
-``ENDPOINT_RT_LOG`` environment variable sets the log level (DEBUG, INFO,
-WARNING, ERROR; default WARNING).
+(missing/corrupt inputs, data that cannot be processed).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
 import zlib
 from dataclasses import replace
@@ -31,7 +27,6 @@ from .streams import (
     merge_streams,  # noqa: F401  (the benchmark's tracer tests read cli.merge_streams)
 )
 
-log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
@@ -54,12 +49,13 @@ def load_sim_config(path: Path) -> SimConfig:
 
     Each value parses as the key's ``SimConfig()`` default is typed: a
     scalar of that type, or a tuple of that length and element types.
-    The config is built after each line, so a value it refuses names
-    the line that gives it.
+    The config is built once, after the last line: a value it refuses
+    names the line that sets it, and its call-length bound the last line
+    that sets one of the fields it sums.
     """
-    cfg = SimConfig()
-    defaults = vars(cfg)  # field name -> default
+    defaults = vars(SimConfig())  # field name -> default
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # field name -> the line that sets it
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -87,11 +83,16 @@ def load_sim_config(path: Path) -> SimConfig:
                 values[key] = type(default)(value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-        try:
-            cfg = SimConfig(**values)  # type: ignore[arg-type]
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    return cfg
+        if key in lines:
+            raise UsageError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
+    try:
+        return SimConfig(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        # a refused value's message starts with its field; the bound's names none
+        field = str(exc).partition(":")[0]
+        fields = [field] if field in lines else simulator.CALL_LENGTH_FIELDS
+        raise UsageError(f"{path}:{max(lines.get(f, 0) for f in fields)}: {exc}") from exc
 
 
 # -- VAD channel --------------------------------------------------------------
@@ -186,15 +187,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n_calls < 1:
         raise UsageError(f"--n-calls: must be >= 1, got {args.n_calls}")
     cfg = load_sim_config(args.config) if args.config else SimConfig()
-    # --seed and --frame-ms override the config only when given
-    overrides = {"seed": args.seed, "frame_ms": args.frame_ms}
-    cfg = _checked(replace, cfg, **{k: v for k, v in overrides.items() if v is not None})
+    if args.seed is not None:  # --seed overrides the config only when given
+        cfg = _checked(replace, cfg, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.n_calls):
         call = gen_call(replace(cfg, seed=cfg.seed + k))
         callfile.save_call(call, out_dir / f"{call.call_id}.call")
-        log.info("wrote %s (%d frames)", call.call_id, len(call.frame_index))
     print(f"wrote {args.n_calls} call files to {out_dir}")
     return 0
 
@@ -241,7 +240,10 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
     train_calls = calls[: len(calls) - n_hold]
     hold_calls = calls[len(calls) - n_hold :] if n_hold else train_calls
     if n_hold == 0:
-        log.warning("holdout fraction rounds to 0 calls; evaluating on training data")
+        print(
+            "warning: holdout fraction rounds to 0 calls; evaluating on training data",
+            file=sys.stderr,
+        )
 
     x, codes = _frame_arrays(train_calls, args.teacher, args.calls, "training")
     model = vadnet.init_model([x.shape[1], hidden[0], hidden[1], 1], seed=args.seed)
@@ -456,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--seed", type=int, default=None, help="first call's seed (default: config seed)"
     )
-    p_sim.add_argument("--frame-ms", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_train = sub.add_parser("train-vad", help="train the frame classifier")
@@ -520,14 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("ENDPOINT_RT_LOG", "WARNING").upper()
-    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
-        level = "WARNING"
-    logging.basicConfig(
-        level=getattr(logging, level),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -50,7 +50,6 @@ EOW-gated rules need frame times at least frame_ms apart.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -69,8 +68,6 @@ from .streams import (
     VadDecision,
     _first_inversion,
 )
-
-log = logging.getLogger(__name__)
 
 
 class Mode(str, Enum):
@@ -297,7 +294,6 @@ class Endpointer:
         self, time_ms: int, trigger: Trigger, silence_start: int, deferred_by: int = 0
     ) -> EndpointEvent:
         self._armed = False
-        log.debug("endpoint %s at %d ms (silence from %d)", trigger, time_ms, silence_start)
         return EndpointEvent(time_ms, trigger, silence_start, deferred_by)
 
     def _end_deferral(self, p: _Pending, when: int, trigger: Trigger) -> EndpointEvent:

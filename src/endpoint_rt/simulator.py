@@ -50,6 +50,9 @@ _SYLLABLES = ("ba", "de", "ki", "lo", "mu", "na", "po", "re", "si", "tu", "va", 
 _VOCAB = tuple(
     "".join(parts) for parts in itertools.product(_SYLLABLES, repeat=3)
 )
+_RANGES_MS = ("turn_dur_ms", "gap_dur_ms", "word_dur_ms", "pause_dur_ms")
+# the fields whose values SimConfig's call-length bound sums
+CALL_LENGTH_FIELDS = ("n_turns", "frame_ms") + _RANGES_MS
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,7 @@ class SimConfig:
             raise ValueError(
                 f"teacher_flip_prob: must lie in [0, 1), got {self.teacher_flip_prob}"
             )
-        ranges = ("turn_dur_ms", "gap_dur_ms", "word_dur_ms", "pause_dur_ms")
-        for name in ranges + ("subwords_per_word",):
+        for name in _RANGES_MS + ("subwords_per_word",):
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name}: need 1 <= min <= max, got ({lo}, {hi})")
@@ -103,7 +105,7 @@ class SimConfig:
         # a turn, its last pause and word and the gap after it each overrun
         # their max by under a frame, so this bounds the call's length; below
         # 2**53 ms every time is exact in float64 and fits in int64
-        turn_ms = sum(getattr(self, name)[1] for name in ranges) + 4 * self.frame_ms
+        turn_ms = sum(getattr(self, name)[1] for name in _RANGES_MS) + 4 * self.frame_ms
         if self.n_turns * turn_ms > 2**53:
             raise ValueError(
                 f"call length: {self.n_turns} turns of up to {turn_ms} ms each "

@@ -4,12 +4,17 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import endpoint_rt
 from endpoint_rt import callfile, cli, endpointer, evaluator, streams, vadnet
 from endpoint_rt.cli import load_sim_config, main
 from endpoint_rt.endpointer import (
@@ -142,6 +147,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert code == 2
 
 
+def test_config_file_refuses_a_key_set_twice(tmp_path, capsys):
+    # the config is built once, so a value a later line replaced would go unchecked
+    path = write_config(tmp_path, "n_turns = 0\nseed = 1\nn_turns = 3\n")
+    code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:3: n_turns is already set on line 1\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_rejects_wrong_tuple_arity(tmp_path):
     path = write_config(tmp_path, "turn_dur_ms = 800\n")
     code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "x"))
@@ -204,8 +218,10 @@ def test_config_file_names_the_line_of_a_value_the_config_refuses(tmp_path, caps
         ("n_turns = 100000000000000000000\n", 1),
         ("frame_ms = 20\nturn_dur_ms = 1, 100000000000000000000\n", 2),
         ("subwords_per_word = 1, 9223372036854775808\n", 1),
-        # each line alone keeps the bound; the second pushes the config past it
+        # each line alone keeps the bound; together they pass it, and the
+        # last of them is named in either order
         ("n_turns = 1000000000000\nturn_dur_ms = 1000, 9000\nseed = 2\n", 2),
+        ("turn_dur_ms = 1000, 9000\nn_turns = 1000000000000\nseed = 2\n", 2),
     ],
 )
 def test_config_file_names_the_line_that_passes_a_bound(tmp_path, capsys, text, lineno):
@@ -218,11 +234,21 @@ def test_config_file_names_the_line_that_passes_a_bound(tmp_path, capsys, text, 
     assert not (tmp_path / "x").exists()
 
 
+def test_config_file_loads_the_same_config_in_either_line_order(tmp_path):
+    # the call-length bound is checked once, on the whole file, so the
+    # default durations a later line replaces take no part
+    lines = ["n_turns = 2000000000000", "turn_dur_ms = 1, 2"]
+    want = SimConfig(n_turns=2000000000000, turn_dur_ms=(1, 2))
+    for text in ("\n".join(lines), "\n".join(reversed(lines))):
+        assert load_sim_config(write_config(tmp_path, text + "\n")) == want
+
+
 def test_simulate_refuses_a_frame_ms_past_the_call_length_bound(tmp_path, capsys):
+    path = write_config(tmp_path, f"frame_ms = {10**20}\n")
     out = tmp_path / "x"
-    assert run_cli("simulate", "--out", str(out), "--frame-ms", str(10**20)) == 2
+    assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"error: call length: 4 turns of up to {5460 + 4 * 10**20} ms each "
+        f"error: {path}:1: call length: 4 turns of up to {5460 + 4 * 10**20} ms each "
         "(turn, word, pause and gap max plus 4 frames) exceed 2**53 ms\n"
     )
     assert not out.exists()
@@ -357,6 +383,20 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
     assert not (tmp_path / "m.mdl").exists()
 
 
+HOLDOUT_WARNING = "warning: holdout fraction rounds to 0 calls; evaluating on training data\n"
+
+
+@pytest.mark.parametrize("holdout, warning", [("0", HOLDOUT_WARNING), ("0.5", "")])
+def test_train_vad_warns_when_no_call_is_held_out(tmp_path, capsys, holdout, warning):
+    calls = simulate(tmp_path)
+    argv = ["train-vad", "--calls", str(calls), "--out", str(tmp_path / "m.mdl")]
+    capsys.readouterr()
+    assert run_cli(*argv, "--epochs", "1", "--holdout", holdout) == 0
+    out, err = capsys.readouterr()
+    assert err == warning
+    assert f"held_out_calls={0 if warning else 1} " in out
+
+
 def test_train_vad_trains_on_the_teacher_column(tmp_path, capsys):
     calls = simulate(tmp_path, config_text=ZERO_DELAY_CFG + "teacher_flip_prob = 0.3\n")
     model_path = tmp_path / "vad.mdl"
@@ -380,7 +420,9 @@ def test_train_vad_trains_on_the_teacher_column(tmp_path, capsys):
     capsys.readouterr()
     model_path.unlink()
     assert run_cli(*argv, "--teacher") == 1
-    assert capsys.readouterr().err == "error: sim-00000010: frame 0 has no teacher_label\n"
+    assert capsys.readouterr().err == (
+        HOLDOUT_WARNING + "error: sim-00000010: frame 0 has no teacher_label\n"
+    )
     assert not model_path.exists()
     assert run_cli(*argv) == 0
 
@@ -658,10 +700,10 @@ MIXED_GRID_ERROR = (
 def simulate_mixed_grids(tmp_path, capsys):
     """Two 40 ms calls, then a 20 ms one: the first call sets the grid."""
     mixed = simulate(tmp_path, out_name="mixed")
-    cfg = write_config(tmp_path, ZERO_DELAY_CFG)
+    cfg = write_config(tmp_path, ZERO_DELAY_CFG + "frame_ms = 20\n")
     assert run_cli(
         "simulate", "--config", str(cfg), "--out", str(mixed),
-        "--n-calls", "1", "--seed", "12", "--frame-ms", "20",
+        "--n-calls", "1", "--seed", "12",
     ) == 0
     capsys.readouterr()
     return mixed
@@ -1200,7 +1242,9 @@ def test_model_reads_name_the_line_of_a_feature_that_is_no_float(tmp_path, capsy
         argv = (command, "--calls", str(calls), "--out", str(out), "--vad", f"model:{model}")
     capsys.readouterr()
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err == (
+    # two calls at the default holdout fraction hold none out
+    warning = HOLDOUT_WARNING if command == "train-vad" else ""
+    assert capsys.readouterr().err == warning + (
         f"error: {path}:8: bad frame record: could not convert string to float: 'abc'\n"
     )
     assert not out.exists()
@@ -1434,10 +1478,22 @@ def test_tradeoff_report_matches_a_per_config_library_sweep(tmp_path, spec):
 # harness behavior
 
 
-def test_log_level_env_var_is_honored(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ENDPOINT_RT_LOG", "DEBUG")
-    simulate(tmp_path)
-    capsys.readouterr()  # drained; smoke only: the run must still exit 0
+ROOT_LOGGER_SCRIPT = """
+import logging, sys
+from endpoint_rt import cli
+before = list(logging.getLogger().handlers)
+code = cli.main(sys.argv[1:])
+assert logging.getLogger().handlers == before, logging.getLogger().handlers
+sys.exit(code)
+"""
+
+
+def test_main_leaves_the_root_logger_as_it_found_it(tmp_path):
+    # pytest hangs handlers of its own on the root logger: run in a fresh process
+    env = {**os.environ, "PYTHONPATH": str(Path(endpoint_rt.__file__).parents[1])}
+    argv = [sys.executable, "-c", ROOT_LOGGER_SCRIPT, "simulate", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_missing_subcommand_is_a_usage_error():

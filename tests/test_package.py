@@ -22,6 +22,17 @@ def test_every_public_name_resolves():
     assert len(set(endpoint_rt.__all__)) == len(endpoint_rt.__all__)
 
 
+def test_the_package_reads_no_environment_variable():
+    # every setting is a flag or a config key: no os.environ, no getenv
+    reads = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(Path(endpoint_rt.__file__).parent.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"environ|getenv", line)
+    ]
+    assert reads == []
+
+
 def test_readme_library_examples_run():
     # the blocks share one namespace and run in order, as a reader would
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
