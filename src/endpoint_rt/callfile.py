@@ -1,18 +1,25 @@
 """Line-oriented text formats for calls, endpoints, transcripts, and reports.
 
-Every format starts with a ``format=1`` version line (the CSV report uses
-a ``# format=1`` comment so spreadsheet tools still open it).  Formats
-with a reader round-trip exactly: floats are written with ``repr``, which
-the reader recovers bit-identically, and empty strings or absent values
-are written as the placeholder ``-``.
+Every format starts with a version line: ``format=2`` for the call files
+``save_call`` writes, ``format=1`` for the rest (the CSV report uses a
+``# format=1`` comment so spreadsheet tools still open it).  Formats with
+a reader round-trip exactly: call features are written as the hex digits
+of their IEEE-754 bytes, report floats with ``repr``, which the reader
+recovers bit-identically, and empty strings or absent values are written
+as the placeholder ``-``.
 
 Call file layout, one call per file::
 
-    format=1
+    format=2
     call <call_id> <frame_ms> <feature_dim>
-    frame <index> <label|-> <teacher_label|-> <f0> <f1> ...
+    frame <index> <label|-> <teacher_label|-> x<hex>
     token <emit_time_ms> <kind> <text|-> <word_index|->
     segment <start_ms> <end_ms> <word> ...
+
+``<hex>`` is the ``16 * feature_dim`` hex digits of the row's
+little-endian float64 bytes.  ``load_call`` also reads ``format=1`` call
+files, which hand-written and older calls use: the same lines, but each
+frame's features are ``feature_dim`` decimal fields ``<f0> <f1> ...``.
 
 Endpoint files carry one ``endpoint`` line per event, each one a rule of
 the file's mode writes (``_check_endpoint``).  Transcript files are
@@ -53,6 +60,7 @@ from .streams import (
 
 __all__ = [
     "FORMAT_LINE",
+    "CALL_FORMAT_LINE",
     "REPORT_COLUMNS",
     "ReportRow",
     "save_call",
@@ -65,6 +73,7 @@ __all__ = [
 ]
 
 FORMAT_LINE = "format=1"
+CALL_FORMAT_LINE = "format=2"  # call files whose features are hex
 _PLACEHOLDER = "-"
 
 REPORT_COLUMNS = (
@@ -157,18 +166,19 @@ _KIND_TEXT = {code: text for text, code in _KIND_CODE.items()}
 
 
 def save_call(call: CallRecord, path: Union[str, Path]) -> None:
+    """Write ``call`` as a ``format=2`` call file."""
+    features = np.ascontiguousarray(call.features, "<f8")
+    width = 16 * features.shape[1]  # hex digits per row
+    digits = features.tobytes().hex()
     out = [
-        FORMAT_LINE,
-        f"call {_encode(call.call_id)} {call.frame_ms} {call.features.shape[1]}",
+        CALL_FORMAT_LINE,
+        f"call {_encode(call.call_id)} {call.frame_ms} {features.shape[1]}",
     ]
-    for index, label, teacher, row in zip(
-        call.frame_index.tolist(),
-        call.labels.tolist(),
-        call.teacher_labels.tolist(),
-        call.features.tolist(),
+    for k, (index, label, teacher) in enumerate(
+        zip(call.frame_index.tolist(), call.labels.tolist(), call.teacher_labels.tolist())
     ):
         labels = f"{_LABEL_TEXT[label]} {_LABEL_TEXT[teacher]}"
-        out.append(f"frame {index} {labels} {' '.join(map(repr, row))}".rstrip())
+        out.append(f"frame {index} {labels} x{digits[k * width : (k + 1) * width]}")
     for time, kind, text, word in zip(
         call.token_time.tolist(),
         call.token_kind.tolist(),
@@ -187,45 +197,67 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _read_features(
-    path: Union[str, Path], dim: int, lines: list[str], linenos: list[int]
+    path: Union[str, Path], dim: int, fields: list[str], linenos: list[int], hexed: bool
 ) -> np.ndarray:
-    """The feature values of the frame ``lines`` (numbered ``linenos``, each
-    of ``4 + dim`` fields), converted as ``float()`` converts them.
+    """The feature rows of a call file's frame lines (numbered ``linenos``).
 
-    A value that is not a float raises FormatError naming its line.
+    In a ``format=2`` file (``hexed``) ``fields`` are each row's hex digits,
+    ``16 * dim`` of them, and decode to its little-endian float64 bytes.  In
+    a ``format=1`` file they are the whole lines, each of ``4 + dim``
+    fields, whose values convert as ``float()`` converts them.
+
+    A row that does not decode raises FormatError naming its line.
     """
-    if lines and dim:
+    if hexed:
+        try:
+            data = bytes.fromhex("".join(fields))
+        except ValueError:
+            # every field has an even digit count, so a bad digit pair lies
+            # within one field, and the loop names its line
+            for field, lineno in zip(fields, linenos):
+                try:
+                    bytes.fromhex(field)
+                except ValueError as exc:
+                    _fail(path, lineno, f"bad frame record: {exc}")
+            raise
+        return np.frombuffer(data, "<f8").reshape(len(fields), dim)
+    if fields and dim:
         try:
             # numpy's parser parts these lines as str.split() does and reads a
             # value only where float() does, to the same double; the loop
             # below reads the rest (such as 1_0) and names a bad value's line
             return np.loadtxt(
-                lines, np.float64, comments=None, usecols=range(4, 4 + dim), ndmin=2
+                fields, np.float64, comments=None, usecols=range(4, 4 + dim), ndmin=2
             )
         except ValueError:
             pass
     values: list[float] = []
-    for line, lineno in zip(lines, linenos):
+    for line, lineno in zip(fields, linenos):
         try:
             values += map(float, line.split()[4:])
         except ValueError as exc:
             _fail(path, lineno, f"bad frame record: {exc}")
-    return np.array(values, dtype=np.float64).reshape(len(lines), dim)
+    return np.array(values, dtype=np.float64).reshape(len(fields), dim)
 
 
 def load_call(path: Union[str, Path]) -> CallRecord:
     """Parse a call file; every line is split once and its fields convert
     where it is split.
 
-    Every field is checked here, and a malformed line raises FormatError
-    naming ``path:line`` of the first line at fault, as does a call that
-    the CallRecord constructor refuses: the line is that of the frame,
-    token or segment at fault, or the header for ``frame_ms``.  Feature
-    values are counted here but converted on the first read of
-    ``features``, which raises that FormatError for a value that is not
-    a float.
+    The version line, ``format=2`` or ``format=1``, decides how frame
+    lines hold their features.  Every field is checked here, and a
+    malformed line raises FormatError naming ``path:line`` of the first
+    line at fault, as does a call that the CallRecord constructor refuses:
+    the line is that of the frame, token or segment at fault, or the
+    header for ``frame_ms``.  Feature fields are counted (``format=1``) or
+    measured (``format=2``) here but converted on the first read of
+    ``features``, which raises that FormatError for a value that is not a
+    float or a row that is not hex.
     """
-    lines = _read_lines(path)
+    lines = _read_text(path).splitlines()
+    if not lines or lines[0] not in (CALL_FORMAT_LINE, FORMAT_LINE):
+        _fail(path, 1, f"missing {FORMAT_LINE!r} header or {CALL_FORMAT_LINE!r} header")
+    hexed = lines[0] == CALL_FORMAT_LINE
     call_id = ""
     frame_ms = 0
     dim = 0
@@ -233,7 +265,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     index: list[int] = []
     labels: list[int] = []
     teachers: list[int] = []
-    frame_lines: list[str] = []  # kept whole: their values convert on first read
+    frame_fields: list[str] = []  # hex digits or whole lines, converted on first read
     frame_linenos: list[int] = []
     times: list[int] = []
     kinds: list[int] = []
@@ -251,7 +283,16 @@ def load_call(path: Union[str, Path]) -> CallRecord:
             if tag == "frame":
                 if not header_lineno:
                     _fail(path, lineno, "frame record before call header")
-                if len(parts) != 4 + dim:
+                if hexed:
+                    if len(parts) != 5:
+                        _fail(path, lineno, f"frame line has {len(parts)} fields, expected 5")
+                    if parts[4][0] != "x" or len(parts[4]) != 1 + 16 * dim:
+                        _fail(
+                            path,
+                            lineno,
+                            f"feature field is not 'x' and {16 * dim} hex digits",
+                        )
+                elif len(parts) != 4 + dim:
                     _fail(
                         path,
                         lineno,
@@ -266,7 +307,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                     teachers.append(_LABEL_CODE[parts[3]])
                 except KeyError as exc:
                     raise ValueError(f"{exc.args[0]!r} is not a valid Label") from None
-                frame_lines.append(line)
+                frame_fields.append(parts[4][1:] if hexed else line)
                 frame_linenos.append(lineno)
             elif tag == "token":
                 if not header_lineno:
@@ -325,12 +366,14 @@ def load_call(path: Union[str, Path]) -> CallRecord:
             _fail(path, lineno, f"bad {tag} record: {exc}")
     if not header_lineno:
         _fail(path, len(lines), "no call header line")
+    features = partial(_read_features, path, dim, frame_fields, frame_linenos, hexed)
+    features.dim = dim  # type: ignore[attr-defined]  # CallRecord.feature_dim reads it
     try:
         return CallRecord(
             call_id,
             frame_ms,
             frame_index=np.fromiter(index, np.int64, len(index)),
-            features=partial(_read_features, path, dim, frame_lines, frame_linenos),
+            features=features,
             labels=np.fromiter(labels, np.int8, len(labels)),
             teacher_labels=np.fromiter(teachers, np.int8, len(teachers)),
             token_time=np.fromiter(times, np.int64, len(times)),

@@ -235,7 +235,8 @@ def resample_features(
         )
     _check_labeled(call)
     rng = np.random.default_rng(seed)
-    features = rng.standard_normal(call.features.shape)
+    # sized without reading the features the draws replace
+    features = rng.standard_normal((len(call.frame_index), call.feature_dim))
     if len(features):  # an empty call may have no feature columns at all
         shift = separability / 2.0
         features[:, 0] += np.where(call.labels == SPEECH_CODE, shift, -shift)

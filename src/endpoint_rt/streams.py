@@ -196,6 +196,8 @@ class CallRecord:
     ``features`` may also be given as a zero-argument function: its result
     becomes the column, checked like a given one, on the first read of
     ``features``.  A function that raises is called again on the next read.
+    A function with an int attribute ``dim``, the number of values per row,
+    tells ``feature_dim`` that number without being called.
     """
 
     call_id: str
@@ -323,6 +325,13 @@ class CallRecord:
         object.__setattr__(self, name, column)
         del self.__dict__["_read_features"]  # and what it read from
         return column
+
+    @property
+    def feature_dim(self) -> int:
+        """The number of feature values per frame; a ``features`` function
+        with a ``dim`` attribute is not called for it."""
+        dim = getattr(self.__dict__.get("_read_features"), "dim", None)
+        return self.features.shape[1] if dim is None else dim
 
     @cached_property
     def frames(self) -> tuple[FrameRecord, ...]:

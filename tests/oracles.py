@@ -6,13 +6,15 @@ DP matrix, event matching enumerates every one-to-one assignment, DET/EER
 counts per threshold interval with exact fractions, the nonspeech-run
 scan works offline on the raw decision list, the token checks walk
 one TokenEvent at a time, and the training loop gathers each batch by
-index and takes its loss from the public ``loss_and_grads``.
+index and takes its loss from the public ``loss_and_grads``, and the
+decimal call writer formats each feature with ``repr``, one field each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -302,3 +304,25 @@ def reference_train(
                 model.biases[layer] -= cfg.learning_rate * gb[layer]
         history.append(total / n)
     return history
+
+
+# ---------------------------------------------------------------------------
+# decimal call files
+
+
+def write_decimal_call(src: Path, dst: Path) -> None:
+    """Write the ``format=2`` call file ``src`` as the ``format=1`` file
+    ``dst``: each frame's hex field becomes its values' ``repr`` texts.
+
+    The result is what ``save_call`` wrote before call files held hex.
+    """
+    lines = Path(src).read_text(encoding="ascii").splitlines()
+    assert lines[0] == "format=2", lines[0]
+    out = ["format=1"]
+    for line in lines[1:]:
+        fields = line.split(" ")
+        if fields[0] == "frame":
+            row = np.frombuffer(bytes.fromhex(fields[4][1:]), "<f8").tolist()
+            line = " ".join(fields[:4] + [repr(v) for v in row])
+        out.append(line)
+    Path(dst).write_text("\n".join(out) + "\n", encoding="ascii")

@@ -6,9 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from oracles import token_columns
+from oracles import token_columns, write_decimal_call
 
 from endpoint_rt.callfile import (
+    CALL_FORMAT_LINE,
     FORMAT_LINE,
     REPORT_COLUMNS,
     FormatError,
@@ -99,6 +100,75 @@ def test_call_round_trip_is_bit_exact_on_random_doubles(tmp_path):
     loaded = load_call(path)
     assert loaded.features.view(np.uint64).tolist() == values.view(np.uint64).tolist()
     assert loaded == call
+
+
+def test_call_round_trip_keeps_the_bits_of_every_special_double(tmp_path):
+    bits = [
+        0x8000000000000000,  # -0.0
+        0x0000000000000001,  # the smallest subnormal
+        0x7FEFFFFFFFFFFFFF,  # the largest float
+        0x7FF0000000000000,  # inf
+        0xFFF0000000000000,  # -inf
+        0x7FF0000000000ABC,  # a signalling nan with a payload
+        0xFFF8000000012345,  # a negative quiet nan with a payload
+        0x3FF0000000000000,  # 1.0
+    ]
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(4, 2)
+    call = CallRecord(
+        "c", 40, frame_index=np.arange(4), features=values, labels=np.full(4, 1),
+        teacher_labels=np.full(4, -1),
+    )
+    path = tmp_path / "s.call"
+    save_call(call, path)
+    assert path.read_text().splitlines()[2] == "frame 0 speech - x00000000000000800100000000000000"
+    assert load_call(path).features.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+def test_a_call_without_feature_columns_writes_a_bare_x(tmp_path):
+    call = CallRecord("c", 40, frame_index=[0, 2], features=np.zeros((2, 0)),
+                      labels=[1, 0], teacher_labels=[-1, -1])
+    path = tmp_path / "z.call"
+    save_call(call, path)
+    assert path.read_text().splitlines()[2:] == ["frame 0 speech - x", "frame 2 nonspeech - x"]
+    loaded = load_call(path)
+    assert loaded.features.shape == (2, 0) and loaded == call
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_format_1_and_format_2_calls_load_to_the_same_columns(tmp_path, seed):
+    call = gen_call(SimConfig(seed=seed, n_turns=2, teacher_flip_prob=0.2))
+    save_call(call, tmp_path / "hex.call")
+    write_decimal_call(tmp_path / "hex.call", tmp_path / "decimal.call")
+    hexed, decimal = load_call(tmp_path / "hex.call"), load_call(tmp_path / "decimal.call")
+    assert decimal.features.tobytes() == hexed.features.tobytes() == call.features.tobytes()
+    assert decimal == hexed == call
+
+
+def test_load_call_reads_hex_digits_of_either_case(tmp_path):
+    path = tmp_path / "u.call"
+    path.write_text(f"{CALL_FORMAT_LINE}\ncall c 40 1\nframe 0 - - x000000000000F03F\n")
+    assert load_call(path).features.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize(
+    "field, position",
+    [("x000000000000f03g", 15), ("x-00000000000f03f", 0), ("xx00000000000f03f", 0)],
+)
+def test_load_call_names_the_line_of_a_row_that_is_not_hex_on_read(tmp_path, field, position):
+    # the file loads; the row fails on every read of the features
+    path = tmp_path / "bad.call"
+    path.write_text(
+        f"{CALL_FORMAT_LINE}\ncall c 40 1\nframe 0 - - x000000000000f03f\n"
+        f"frame 1 - - {field}\n"
+    )
+    call = load_call(path)
+    message = (
+        r"bad.call:4: bad frame record: non-hexadecimal number found in fromhex\(\) "
+        rf"arg at position {position}$"
+    )
+    for _ in range(2):
+        with pytest.raises(FormatError, match=message):
+            call.features
 
 
 def test_load_call_returns_columns_and_frame_views(tmp_path):
@@ -224,7 +294,33 @@ def test_call_file_starts_with_the_format_line(tmp_path):
     call = gen_call(SimConfig(seed=1, n_turns=1))
     path = tmp_path / "d.call"
     save_call(call, path)
-    assert path.read_text().splitlines()[0] == FORMAT_LINE
+    assert path.read_text().splitlines()[0] == CALL_FORMAT_LINE == "format=2"
+    # a format=1 call, as written before call files held hex, still loads
+    write_decimal_call(path, tmp_path / "e.call")
+    assert (tmp_path / "e.call").read_text().splitlines()[0] == FORMAT_LINE == "format=1"
+    assert load_call(tmp_path / "e.call") == call
+    # the other formats keep format=1
+    save_endpoints("c", Mode.TS, [], tmp_path / "c.endpoints")
+    save_transcripts("c", [], tmp_path / "c.transcript")
+    save_report([], tmp_path / "r.csv")
+    first_lines = [(tmp_path / name).read_text().splitlines()[0]
+                   for name in ("c.endpoints", "c.transcript", "r.csv")]
+    assert first_lines == [FORMAT_LINE, FORMAT_LINE, f"# {FORMAT_LINE}"]
+
+
+def test_only_call_files_take_format_2_and_none_format_3(tmp_path):
+    path = tmp_path / "f"
+    path.write_text(f"{CALL_FORMAT_LINE}\ncall c\nmode TS\n")
+    with pytest.raises(FormatError, match=r"^\S*/f:1: missing 'format=1' header$"):
+        load_endpoints(path)
+    path.write_text(f"# {CALL_FORMAT_LINE}\n{','.join(REPORT_COLUMNS)}\n")
+    with pytest.raises(FormatError, match=r"^\S*/f:1: missing '# format=1' header$"):
+        load_report(path)
+    path.write_text("format=3\ncall c 40 0\n")
+    with pytest.raises(
+        FormatError, match=r"^\S*/f:1: missing 'format=1' header or 'format=2' header$"
+    ):
+        load_call(path)
 
 
 def test_load_call_rejects_missing_format_line(tmp_path):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import write_decimal_call
 
 import endpoint_rt
 from endpoint_rt import callfile, cli, endpointer, evaluator, streams, vadnet
@@ -65,6 +66,13 @@ def simulate(tmp_path, out_name="calls", n_calls=2, config_text=ZERO_DELAY_CFG, 
     )
     assert code == 0
     return out
+
+
+def as_decimal(calls):
+    """Rewrite every call file under ``calls`` in place as ``format=1``."""
+    for path in calls.glob("*.call"):
+        write_decimal_call(path, path)
+    return calls
 
 
 def untrained_model(tmp_path, d_in=4, name="vad.mdl"):
@@ -464,13 +472,23 @@ NOISY_CFG = "n_turns = 8\nemission_delay = 300, 150, 900\nfeature_separability =
 # the `train-vad --seed 0` checkpoint trained on it, as written when gen_call
 # drew one delay per token and train_arrays gathered each batch by index.
 PINNED_SETUP_SHA256 = {
+    "sim-00000000.call": "1797f4e86d4c7367c527389a6c4c844924f48b3f576b996a69cae740b260c4b0",
+    "sim-00000001.call": "fad7e49226644b98015a5daa35b729eb96b83180cc0b9845789292436f813db1",
+    "sim-00000002.call": "aead3497764aa1953c1e9bc9d7836046043b68a8969944cc178ce7de7c905241",
+    "sim-00000003.call": "7f2cb4bfb5d951e07a59439cd89ca30b8df647030ccfa3731887537d116199b7",
+    "sim-00000004.call": "d55e8627cc7dad8ebbdaafc52884927bceb0af87c191e62474e0cd17bc2c437b",
+    "sim-00000005.call": "a6f9671039b00b2053dd81364288d06adbde2c5b17917f38e54c1dee743cf091",
+    "vad.mdl": "dfaa359f34336c713726555622245a5d39b0eacc6f0d861093b61829041e2591",
+}
+# sha256 of the same calls written as format=1, each feature as its repr:
+# the bytes simulate wrote before call files held hex
+PINNED_DECIMAL_CALL_SHA256 = {
     "sim-00000000.call": "c86cb7eb703db3aaace52450aec0a61b2d634717a3c7a17e17eef4b3a0f05c8d",
     "sim-00000001.call": "1b1ae7c972776ebe946e8a9e0703e069e852cffef5eacbb9ad7028520833a68d",
     "sim-00000002.call": "5a7d0fc544fbcca3d5ed14066439e15d3fc0dcbfaee438909617464ba9e0dc48",
     "sim-00000003.call": "34cb009ca19ff66bdd46ca43c60115b18cc7b1d73adc86bc701c9eaa52bf608f",
     "sim-00000004.call": "0a5c759eae52f66ec0c2136d1fc7aad6514d46d51e8dd1c687044f981c863043",
     "sim-00000005.call": "f2f4ba0d9bb75bebd8bedb90f8ec15033c6bdd701d526f4cda980751e43c50f3",
-    "vad.mdl": "dfaa359f34336c713726555622245a5d39b0eacc6f0d861093b61829041e2591",
 }
 
 
@@ -481,11 +499,19 @@ def _pinned_set_up(tmp_path):
     return calls, model_path
 
 
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 def test_simulate_and_train_vad_write_the_pinned_set_up_bytes(tmp_path):
     calls, model_path = _pinned_set_up(tmp_path)
-    paths = sorted(calls.glob("*.call")) + [model_path]
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert digests == PINNED_SETUP_SHA256
+    assert _digests(sorted(calls.glob("*.call")) + [model_path]) == PINNED_SETUP_SHA256
+    decimal = as_decimal(calls)
+    assert _digests(sorted(decimal.glob("*.call"))) == PINNED_DECIMAL_CALL_SHA256
+    decimal_model = tmp_path / "decimal.mdl"
+    argv = ("--calls", str(decimal), "--out", str(decimal_model), "--seed", "0")
+    assert run_cli("train-vad", *argv) == 0
+    assert decimal_model.read_bytes() == model_path.read_bytes()
 
 
 # sha256 of every file the endpoint, evaluate and tradeoff commands write on
@@ -547,9 +573,8 @@ PINNED_OUTPUT_SHA256 = {
 }
 
 
-def test_endpoint_evaluate_and_tradeoff_write_the_pinned_output_bytes(tmp_path):
-    calls, model_path = _pinned_set_up(tmp_path)
-    out = tmp_path / "out"
+def _pinned_outputs(calls, model_path, out):
+    """sha256 of what tradeoff, endpoint and evaluate write on ``calls``."""
     out.mkdir()
     assert run_cli(
         "tradeoff", "--calls", str(calls), "--out", str(out / "tradeoff.csv"),
@@ -565,11 +590,22 @@ def test_endpoint_evaluate_and_tradeoff_write_the_pinned_output_bytes(tmp_path):
             "evaluate", "--calls", str(calls), "--endpoints", str(eps),
             "--delta-ms", "400", "--out", str(out / f"{mode.value}.csv"),
         ) == 0
-    digests = {
+    return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*.*"))
     }
-    assert digests == PINNED_OUTPUT_SHA256
+
+
+def test_endpoint_evaluate_and_tradeoff_write_the_pinned_output_bytes(tmp_path):
+    calls, model_path = _pinned_set_up(tmp_path)
+    assert _pinned_outputs(calls, model_path, tmp_path / "out") == PINNED_OUTPUT_SHA256
+
+
+def test_a_format_1_copy_of_the_pinned_set_up_writes_the_pinned_output_bytes(tmp_path):
+    calls, model_path = _pinned_set_up(tmp_path)
+    decimal = as_decimal(calls)
+    assert _digests(sorted(decimal.glob("*.call"))) == PINNED_DECIMAL_CALL_SHA256
+    assert _pinned_outputs(decimal, model_path, tmp_path / "out") == PINNED_OUTPUT_SHA256
 
 
 def test_train_vad_loss_stays_finite_when_the_squared_weights_overflow(tmp_path, capsys):
@@ -1177,14 +1213,29 @@ def test_model_vad_names_the_frame_of_a_non_finite_feature(tmp_path, capsys, com
 
 
 def _garble_features(path, frames=None):
-    """Rewrite the feature values of a call file's frame lines (of every
-    frame, or of ``frames``) as ``abc``: the count is right, the text no float."""
+    """Rewrite the features of a call file's frame lines (of every frame, or
+    of ``frames``) so that they do not convert, at the right count and width:
+    each decimal value as ``abc``, each hex field as ``x`` and a ``g`` a digit."""
     lines = path.read_text().splitlines()
+    hexed = lines[0] == callfile.CALL_FORMAT_LINE
     for k, line in enumerate(lines):
         fields = line.split(" ")
         if fields[0] == "frame" and (frames is None or int(fields[1]) in frames):
-            lines[k] = " ".join(fields[:4] + ["abc"] * (len(fields) - 4))
+            garbled = ["x" + "g" * (len(fields[4]) - 1)] if hexed else ["abc"] * (len(fields) - 4)
+            lines[k] = " ".join(fields[:4] + garbled)
     path.write_text("\n".join(lines) + "\n")
+
+
+# what a feature that does not convert reports, by call file form
+BAD_FEATURE = {
+    "decimal": "could not convert string to float: 'abc'",
+    "hex": "non-hexadecimal number found in fromhex() arg at position 0",
+}
+
+
+def _calls_in_form(calls, form):
+    """``calls``, rewritten as format=1 for the ``decimal`` form."""
+    return as_decimal(calls) if form == "decimal" else calls
 
 
 def _counting_feature_reads(monkeypatch):
@@ -1207,14 +1258,17 @@ def _tree(root):
 
 
 def test_oracle_runs_and_evaluate_never_read_a_feature(tmp_path, monkeypatch, capsys):
-    clean = simulate(tmp_path, n_calls=2, config_text=SWEEP_CFG)
-    garbled = simulate(tmp_path, "garbled", n_calls=2, config_text=SWEEP_CFG)
-    for path in garbled.glob("*.call"):
-        _garble_features(path)
+    dirs = []  # clean and garbled calls, in each call file form
+    for form in BAD_FEATURE:
+        for name in ("clean", "garbled"):
+            calls = simulate(tmp_path, f"{form}-{name}", n_calls=2, config_text=SWEEP_CFG)
+            dirs.append(_calls_in_form(calls, form))
+        for path in dirs[-1].glob("*.call"):
+            _garble_features(path)
     reads = _counting_feature_reads(monkeypatch)
     for mode, vad in itertools.product([m.value for m in Mode], ["oracle", "corrupted:0.2"]):
         outs = []
-        for calls in (clean, garbled):
+        for calls in dirs:
             out = tmp_path / f"{calls.name}-{mode}-{vad}"
             argv = ("--calls", str(calls), "--out", str(out / "eps"))
             assert run_cli("endpoint", *argv, "--mode", mode, "--vad", vad) == 0
@@ -1224,36 +1278,38 @@ def test_oracle_runs_and_evaluate_never_read_a_feature(tmp_path, monkeypatch, ca
             )
             assert code == 0
             outs.append(_tree(out))
-        assert outs[0] == outs[1] and len(outs[0]) == 5
+        assert all(o == outs[0] for o in outs) and len(outs[0]) == 5
     assert reads == []
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train-vad", "endpoint", "tradeoff"])
 def test_model_reads_name_the_line_of_a_feature_that_is_no_float(tmp_path, capsys, command):
-    calls = simulate(tmp_path)
-    path = sorted(calls.glob("*.call"))[1]
-    _garble_features(path, frames={5})  # frame 5 is on line 8
     out = tmp_path / "out"
-    if command == "train-vad":
-        argv = (command, "--calls", str(calls), "--out", str(out), "--epochs", "1")
-    else:
-        model = untrained_model(tmp_path)
-        argv = (command, "--calls", str(calls), "--out", str(out), "--vad", f"model:{model}")
-    capsys.readouterr()
-    assert run_cli(*argv) == 1
-    # two calls at the default holdout fraction hold none out
-    warning = HOLDOUT_WARNING if command == "train-vad" else ""
-    assert capsys.readouterr().err == warning + (
-        f"error: {path}:8: bad frame record: could not convert string to float: 'abc'\n"
-    )
-    assert not out.exists()
+    model = untrained_model(tmp_path)
+    for form, message in BAD_FEATURE.items():
+        calls = _calls_in_form(simulate(tmp_path, form), form)
+        path = sorted(calls.glob("*.call"))[1]
+        _garble_features(path, frames={5})  # frame 5 is on line 8
+        argv = (command, "--calls", str(calls), "--out", str(out))
+        if command == "train-vad":
+            argv += ("--epochs", "1")
+        else:
+            argv += ("--vad", f"model:{model}")
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        # two calls at the default holdout fraction hold none out
+        warning = HOLDOUT_WARNING if command == "train-vad" else ""
+        assert capsys.readouterr().err == warning + (
+            f"error: {path}:8: bad frame record: {message}\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("values", ["1 2 3", "1 2 3 4 5"])
 def test_evaluate_refuses_a_frame_line_with_a_wrong_value_count(tmp_path, capsys, values):
     # evaluate reads no feature value, and still counts them
-    calls = simulate(tmp_path)
+    calls = as_decimal(simulate(tmp_path))
     eps = tmp_path / "eps"
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
     path = sorted(calls.glob("*.call"))[0]
@@ -1267,16 +1323,58 @@ def test_evaluate_refuses_a_frame_line_with_a_wrong_value_count(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("x" + "0" * 63, "feature field is not 'x' and 64 hex digits"),
+        ("x" + "0" * 65, "feature field is not 'x' and 64 hex digits"),
+        ("0" * 65, "feature field is not 'x' and 64 hex digits"),
+        ("xx" + "0" * 64, "feature field is not 'x' and 64 hex digits"),
+        ("x" + "0" * 32 + " x" + "0" * 32, "frame line has 6 fields, expected 5"),
+    ],
+    ids=["short", "long", "no-x", "two-x", "split"],
+)
+def test_evaluate_refuses_a_hex_frame_line_of_a_wrong_width(tmp_path, capsys, field, message):
+    # evaluate reads no feature value, and still measures each field
+    calls = simulate(tmp_path)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = sorted(calls.glob("*.call"))[0]
+    lines = path.read_text().splitlines()
+    lines[5] = " ".join(lines[5].split()[:4]) + " " + field  # frame 3, on line 6
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--calls", str(calls), "--endpoints", str(eps)) == 1
+    assert capsys.readouterr().err == f"error: {path}:6: {message}\n"
+
+
 def test_tradeoff_with_a_model_converts_each_call_s_features_once(tmp_path, monkeypatch):
-    calls = simulate(tmp_path, n_calls=3)
     model = untrained_model(tmp_path)
     reads = _counting_feature_reads(monkeypatch)
-    code = run_cli(
-        "tradeoff", "--calls", str(calls), "--out", str(tmp_path / "r.csv"),
-        "--vad", f"model:{model}",
-    )
-    assert code == 0
-    assert sorted(map(str, reads)) == sorted(map(str, calls.glob("*.call")))
+    for form in BAD_FEATURE:
+        calls = _calls_in_form(simulate(tmp_path, form, n_calls=3), form)
+        reads.clear()
+        code = run_cli(
+            "tradeoff", "--calls", str(calls), "--out", str(tmp_path / f"{form}.csv"),
+            "--vad", f"model:{model}",
+        )
+        assert code == 0
+        assert sorted(map(str, reads)) == sorted(map(str, calls.glob("*.call")))
+
+
+@pytest.mark.parametrize("form", BAD_FEATURE)
+def test_train_vad_with_oracle_features_never_reads_the_file_s(tmp_path, form):
+    # the draws that replace the features are sized from the call header
+    checkpoints = []
+    for name in ("intact", "garbled"):
+        calls = _calls_in_form(simulate(tmp_path, name, n_calls=3), form)
+        if name == "garbled":
+            _garble_features(sorted(calls.glob("*.call"))[1], frames={5})
+        model = tmp_path / f"{name}.mdl"
+        argv = ("--calls", str(calls), "--out", str(model), "--features", "oracle:2")
+        assert run_cli("train-vad", *argv, "--epochs", "2") == 0
+        checkpoints.append(model.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):

@@ -1,17 +1,19 @@
 """Seeded mutation fuzzing of every file loader and of ``endpoint`` on bad calls.
 
-Valid files are written by the package's own savers, then mutated from a
-fixed seed by truncation, bit flips, dropped fields and inserted non-ASCII
-bytes, call files also by hostile token fields and feature values, and
+Valid files are written by the package's own savers (the call also in its
+``format=1`` form, decimal features), then mutated from a fixed seed by
+truncation, bit flips, dropped fields and inserted non-ASCII bytes, call
+files also by hostile token fields and feature values or hex fields, and
 endpoint files also by well-formed endpoints that no rule of the file's
 mode writes.
 Whatever the mutant, a loader either parses it or raises an error that
 names the file and line (text formats) or the file and field
-(checkpoints); a feature value is converted, or names its line, only
-when the features are read; the endpoints no rule writes always fail, and make
-``evaluate`` exit 1.  Every mutated call file fed to the ``endpoint``
-command exits 0, 1 or 2; an exception escaping ``cli.main`` fails the
-test.
+(checkpoints); a decimal feature value is converted, or names its line,
+only when the features are read, and a hex field names its line at load
+(its width) or on that read (its digits); the endpoints no rule writes
+always fail, and make ``evaluate`` exit 1.  Every mutated call file fed
+to the ``endpoint`` command exits 0, 1 or 2; an exception escaping
+``cli.main`` fails the test.
 """
 
 import random
@@ -19,6 +21,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import write_decimal_call
 
 from endpoint_rt import callfile, cli, vadnet
 from endpoint_rt.endpointer import EndpointerConfig, Mode, run_call
@@ -100,6 +103,7 @@ def valid_files(tmp_path_factory):
                   turn_dur_ms=(400, 800), gap_dur_ms=(200, 400))
     )
     callfile.save_call(call, d / "c.call")
+    write_decimal_call(d / "c.call", d / "c-decimal.call")
     cfg = EndpointerConfig(Mode.TS_AND_EOW, frame_ms=call.frame_ms)
     endpoints = run_call(cfg, merge_streams(oracle_vad(call), call.tokens))
     callfile.save_endpoints(call.call_id, cfg.mode, endpoints, d / "c.endpoints")
@@ -121,6 +125,7 @@ def valid_files(tmp_path_factory):
     "name, load, sep",
     [
         ("c.call", callfile.load_call, b" "),
+        ("c-decimal.call", callfile.load_call, b" "),
         ("c.endpoints", callfile.load_endpoints, b" "),
         ("r.csv", callfile.load_report, b","),
     ],
@@ -164,14 +169,21 @@ def test_checkpoint_parses_or_names_the_field(valid_files, tmp_path):
             assert isinstance(threshold, float)
 
 
+CALL_FILES = ("c.call", "c-decimal.call")  # format=2 and its format=1 twin
+
+
 def test_endpoint_on_mutated_calls_exits_cleanly(valid_files, tmp_path, capsys):
-    data = (valid_files / "c.call").read_bytes()
     calls = tmp_path / "calls"
     calls.mkdir()
     path = calls / "c.call"
     modes = [m.value for m in Mode]
     codes = set()
-    for k, mutant in enumerate(mutants(data, SEED + 3)):
+    cases = [
+        mutant
+        for name in CALL_FILES
+        for mutant in mutants((valid_files / name).read_bytes(), SEED + 3)
+    ]
+    for k, mutant in enumerate(cases):
         path.write_bytes(mutant)
         code = cli.main(
             ["endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
@@ -207,14 +219,13 @@ def mutate_token(data: bytes, rng: random.Random) -> bytes:
 def test_call_loader_and_endpoint_name_the_line_of_a_mutated_token(
     valid_files, tmp_path, capsys
 ):
-    data = (valid_files / "c.call").read_bytes()
     calls = tmp_path / "calls"
     calls.mkdir()
     path = calls / "c.call"
     rng = random.Random(SEED + 4)
     codes = set()
-    for _ in range(N_MUTANTS):
-        mutant = mutate_token(data, rng)
+    for k in range(2 * N_MUTANTS):
+        mutant = mutate_token((valid_files / CALL_FILES[k % 2]).read_bytes(), rng)
         assert_parses_or_names_line(callfile.load_call, path, mutant)
         code = cli.main(["endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps")])
         err = capsys.readouterr().err
@@ -246,7 +257,7 @@ def mutate_feature(data: bytes, rng: random.Random) -> tuple[bytes, int]:
 
 
 def test_feature_values_convert_or_name_their_line_on_read(valid_files, tmp_path, capsys):
-    data = (valid_files / "c.call").read_bytes()
+    data = (valid_files / "c-decimal.call").read_bytes()
     calls = tmp_path / "calls"
     calls.mkdir()
     path = calls / "c.call"
@@ -281,6 +292,70 @@ def test_feature_values_convert_or_name_their_line_on_read(valid_files, tmp_path
             assert err.startswith(f"error: {path}:{line}: bad frame record: "), err
         codes.add(code)
     assert outcomes == {"parses", "fails", "non-ASCII"}
+    assert codes == {0, 1}
+
+
+# for a 2-value row: a non-hex digit, odd, short and long digit counts, a
+# missing, doubled or uppercase x, a fullwidth digit and no digits at all,
+# with valid rows (one in uppercase digits) so some mutants still parse
+_ROW = np.array([0.25, -0.0]).tobytes().hex()
+HEX_FIELDS = (
+    "x" + _ROW[:-1] + "g", "x" + _ROW[:-1], "x" + _ROW[:16], "x" + _ROW + _ROW[:16],
+    _ROW, "xx" + _ROW, "xx" + _ROW[1:], "X" + _ROW, "x" + "\uff11" + _ROW[1:], "x",
+    "x" + _ROW.upper(), "x" + _ROW,
+    "x" + np.array([float("nan"), 1e-320]).tobytes().hex(),
+)
+
+
+def mutate_hex_field(data: bytes, rng: random.Random) -> tuple[bytes, int]:
+    """``data`` with the hex field of a random frame line replaced by a
+    hostile one, and the number of that line."""
+    lines = data.decode("ascii").split("\n")
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("frame ")])
+    fields = lines[k].split(" ")
+    fields[4] = rng.choice(HEX_FIELDS)
+    lines[k] = " ".join(fields)
+    return "\n".join(lines).encode(), k + 1
+
+
+def test_hex_fields_decode_or_name_their_line(valid_files, tmp_path, capsys):
+    data = (valid_files / "c.call").read_bytes()
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    path = calls / "c.call"
+    model = valid_files / "m.mdl"
+    rng = random.Random(SEED + 7)
+    codes = set()
+    outcomes = set()
+    for _ in range(N_MUTANTS):
+        mutant, line = mutate_hex_field(data, rng)
+        path.write_bytes(mutant)
+        try:
+            call = callfile.load_call(path)
+        except callfile.FormatError as exc:
+            assert str(exc).startswith(f"{path}:{line}: "), str(exc)
+            outcomes.add("fails at load")
+        else:
+            try:
+                got = call.features
+            except callfile.FormatError as exc:
+                assert str(exc).startswith(f"{path}:{line}: bad frame record: "), str(exc)
+                outcomes.add("fails on read")
+            else:
+                outcomes.add("parses")
+                rows = [ln.split()[4][1:] for ln in mutant.decode().splitlines()
+                        if ln[:6] == "frame "]
+                assert got.tobytes() == bytes.fromhex("".join(rows))
+        code = cli.main(
+            ["endpoint", "--calls", str(calls), "--out", str(tmp_path / "eps"),
+             "--vad", f"model:{model}"]
+        )
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 1 and "non-finite" not in err:
+            assert err.startswith(f"error: {path}:{line}: "), err
+        codes.add(code)
+    assert outcomes == {"parses", "fails on read", "fails at load"}
     assert codes == {0, 1}
 
 

@@ -196,6 +196,21 @@ def test_call_checks_features_a_function_returns_on_every_read(features, message
     assert reads == [1, 1]
 
 
+def test_call_feature_dim_calls_no_features_function_that_gives_it():
+    reads = []
+
+    def read():
+        reads.append(1)
+        return np.zeros((2, 3))
+
+    read.dim = 3
+    call = _lazy_call(read)
+    assert call.feature_dim == 3 and reads == []
+    del read.dim  # a function without one is read for it
+    assert call.feature_dim == 3 and reads == [1]
+    assert _call([0, 2]).feature_dim == 2
+
+
 def test_call_retries_a_features_function_that_raised():
     def read():
         raise ValueError("bad value on line 7")
