@@ -20,6 +20,8 @@ Call file layout, one call per file::
 little-endian float64 bytes.  ``load_call`` also reads ``format=1`` call
 files, which hand-written and older calls use: the same lines, but each
 frame's features are ``feature_dim`` decimal fields ``<f0> <f1> ...``.
+``load_call`` converts every field, feature text included, before it
+returns, so a file with a bad feature value or hex row does not load.
 
 Endpoint files carry one ``endpoint`` line per event, each one a rule of
 the file's mode writes (``_check_endpoint``).  Transcript files are
@@ -34,7 +36,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence, Union, get_type_hints
@@ -196,48 +197,25 @@ def save_call(call: CallRecord, path: Union[str, Path]) -> None:
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _read_features(
-    path: Union[str, Path], dim: int, fields: list[str], linenos: list[int], hexed: bool
+def _decode_hex(
+    path: Union[str, Path], dim: int, rows: list[str], linenos: list[int]
 ) -> np.ndarray:
-    """The feature rows of a call file's frame lines (numbered ``linenos``).
-
-    In a ``format=2`` file (``hexed``) ``fields`` are each row's hex digits,
-    ``16 * dim`` of them, and decode to its little-endian float64 bytes.  In
-    a ``format=1`` file they are the whole lines, each of ``4 + dim``
-    fields, whose values convert as ``float()`` converts them.
-
-    A row that does not decode raises FormatError naming its line.
-    """
-    if hexed:
-        try:
-            data = bytes.fromhex("".join(fields))
-        except ValueError:
-            # every field has an even digit count, so a bad digit pair lies
-            # within one field, and the loop names its line
-            for field, lineno in zip(fields, linenos):
-                try:
-                    bytes.fromhex(field)
-                except ValueError as exc:
-                    _fail(path, lineno, f"bad frame record: {exc}")
-            raise
-        return np.frombuffer(data, "<f8").reshape(len(fields), dim)
-    if fields and dim:
-        try:
-            # numpy's parser parts these lines as str.split() does and reads a
-            # value only where float() does, to the same double; the loop
-            # below reads the rest (such as 1_0) and names a bad value's line
-            return np.loadtxt(
-                fields, np.float64, comments=None, usecols=range(4, 4 + dim), ndmin=2
-            )
-        except ValueError:
-            pass
-    values: list[float] = []
-    for line, lineno in zip(fields, linenos):
-        try:
-            values += map(float, line.split()[4:])
-        except ValueError as exc:
-            _fail(path, lineno, f"bad frame record: {exc}")
-    return np.array(values, dtype=np.float64).reshape(len(fields), dim)
+    """The feature rows of a ``format=2`` call's frame lines (numbered
+    ``linenos``): each row's ``16 * dim`` hex digits decode to its
+    little-endian float64 bytes.  A row that is not hex raises FormatError
+    naming its line."""
+    try:
+        data = bytes.fromhex("".join(rows))
+    except ValueError:
+        # every row has an even digit count, so a bad digit pair lies
+        # within one row, and the loop names its line
+        for row, lineno in zip(rows, linenos):
+            try:
+                bytes.fromhex(row)
+            except ValueError as exc:
+                _fail(path, lineno, f"bad frame record: {exc}")
+        raise
+    return np.frombuffer(data, "<f8").reshape(len(rows), dim)
 
 
 def load_call(path: Union[str, Path]) -> CallRecord:
@@ -245,14 +223,13 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     where it is split.
 
     The version line, ``format=2`` or ``format=1``, decides how frame
-    lines hold their features.  Every field is checked here, and a
-    malformed line raises FormatError naming ``path:line`` of the first
-    line at fault, as does a call that the CallRecord constructor refuses:
-    the line is that of the frame, token or segment at fault, or the
-    header for ``frame_ms``.  Feature fields are counted (``format=1``) or
-    measured (``format=2``) here but converted on the first read of
-    ``features``, which raises that FormatError for a value that is not a
-    float or a row that is not hex.
+    lines hold their features.  Every field is checked and converted here,
+    and a malformed line raises FormatError naming ``path:line`` of the
+    first line at fault, as does a call that the CallRecord constructor
+    refuses: the line is that of the frame, token or segment at fault, or
+    the header for ``frame_ms``.  A ``format=1`` feature value converts on
+    its line; ``format=2`` rows decode together once every line's fields
+    have passed, so a row that is not hex is named after them.
     """
     lines = _read_text(path).splitlines()
     if not lines or lines[0] not in (CALL_FORMAT_LINE, FORMAT_LINE):
@@ -265,7 +242,8 @@ def load_call(path: Union[str, Path]) -> CallRecord:
     index: list[int] = []
     labels: list[int] = []
     teachers: list[int] = []
-    frame_fields: list[str] = []  # hex digits or whole lines, converted on first read
+    values: list[float] = []  # format=1 feature values, row after row
+    hex_rows: list[str] = []  # format=2 hex digits, one string a row
     frame_linenos: list[int] = []
     times: list[int] = []
     kinds: list[int] = []
@@ -307,7 +285,10 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                     teachers.append(_LABEL_CODE[parts[3]])
                 except KeyError as exc:
                     raise ValueError(f"{exc.args[0]!r} is not a valid Label") from None
-                frame_fields.append(parts[4][1:] if hexed else line)
+                if hexed:
+                    hex_rows.append(parts[4][1:])
+                else:
+                    values += map(float, parts[4:])
                 frame_linenos.append(lineno)
             elif tag == "token":
                 if not header_lineno:
@@ -344,7 +325,7 @@ def load_call(path: Union[str, Path]) -> CallRecord:
                 call_id, frame_ms, dim = parts[1], int(parts[2]), int(parts[3])
                 if dim < 0:
                     _fail(path, lineno, f"negative feature dim {dim}")
-                np.empty((0, dim))  # a dim numpy cannot shape fails here, not on first read
+                np.empty((0, dim))  # a dim numpy cannot shape fails on this line
                 header_lineno = lineno
             elif tag == "segment":
                 if not header_lineno:
@@ -366,8 +347,10 @@ def load_call(path: Union[str, Path]) -> CallRecord:
             _fail(path, lineno, f"bad {tag} record: {exc}")
     if not header_lineno:
         _fail(path, len(lines), "no call header line")
-    features = partial(_read_features, path, dim, frame_fields, frame_linenos, hexed)
-    features.dim = dim  # type: ignore[attr-defined]  # CallRecord.feature_dim reads it
+    if hexed:
+        features = _decode_hex(path, dim, hex_rows, frame_linenos)
+    else:
+        features = np.array(values, np.float64).reshape(len(frame_linenos), dim)
     try:
         return CallRecord(
             call_id,

@@ -203,8 +203,8 @@ def cmd_train_vad(args: argparse.Namespace) -> int:
         hidden = tuple(int(h) for h in args.hidden.split(","))
         if len(hidden) != 2:
             raise ValueError("expected two comma-separated sizes")
-        if min(hidden) < 1:
-            raise ValueError(f"sizes must be >= 1, got {args.hidden!r}")
+        if not all(1 <= h <= vadnet.MAX_LAYER_DIM for h in hidden):
+            raise ValueError(f"sizes must lie in [1, 2**32 - 1], got {args.hidden!r}")
     except ValueError as exc:
         raise UsageError(f"--hidden: {exc}") from exc
     if not 0.0 <= args.holdout < 1.0:

@@ -35,6 +35,7 @@ from .streams import (
     ReferenceSegment,
     VadDecision,
 )
+from .vadnet import MAX_LAYER_DIM
 
 __all__ = [
     "SimConfig",
@@ -79,8 +80,10 @@ class SimConfig:
             raise ValueError(f"frame_ms: must be positive, got {self.frame_ms}")
         if self.n_turns < 1:
             raise ValueError(f"n_turns: must be positive, got {self.n_turns}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim: must be positive, got {self.feature_dim}")
+        if not 1 <= self.feature_dim <= MAX_LAYER_DIM:
+            raise ValueError(
+                f"feature_dim: must lie in [1, 2**32 - 1], got {self.feature_dim}"
+            )
         sep = self.feature_separability
         if not (math.isfinite(sep) and sep >= 0):
             raise ValueError(
@@ -235,8 +238,7 @@ def resample_features(
         )
     _check_labeled(call)
     rng = np.random.default_rng(seed)
-    # sized without reading the features the draws replace
-    features = rng.standard_normal((len(call.frame_index), call.feature_dim))
+    features = rng.standard_normal(call.features.shape)
     if len(features):  # an empty call may have no feature columns at all
         shift = separability / 2.0
         features[:, 0] += np.where(call.labels == SPEECH_CODE, shift, -shift)

@@ -192,12 +192,6 @@ class CallRecord:
     ``token_text[j]`` (a tuple of strings).  The record owns its arrays
     and marks them read-only; ``frames`` and ``tokens`` derive per-frame
     and per-token views on first use.
-
-    ``features`` may also be given as a zero-argument function: its result
-    becomes the column, checked like a given one, on the first read of
-    ``features``.  A function that raises is called again on the next read.
-    A function with an int attribute ``dim``, the number of values per row,
-    tells ``feature_dim`` that number without being called.
     """
 
     call_id: str
@@ -218,13 +212,7 @@ class CallRecord:
             (_TOKEN_COLUMNS, len(self.token_time)),
         ):
             for name, dtype, ndim in columns:
-                given = getattr(self, name)
-                if name == "features" and callable(given):
-                    # __getattr__ reads the column on first use
-                    object.__delattr__(self, name)
-                    object.__setattr__(self, "_read_features", given)
-                    continue
-                column = _column(self.call_id, name, given, dtype, ndim, rows)
+                column = _column(self.call_id, name, getattr(self, name), dtype, ndim, rows)
                 object.__setattr__(self, name, column)
         texts = tuple(self.token_text)
         if len(texts) != len(self.token_time):
@@ -313,25 +301,6 @@ class CallRecord:
                 prev_end = seg.end_ms
                 continue
             raise InvalidCall(f"{call_id}: segment {k}: {message}", "segment", k)
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for an attribute the instance lacks: a features
-        # column given as a function and not yet read
-        read = self.__dict__.get("_read_features")
-        if name != "features" or read is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = len(self.frame_index)
-        column = _column(self.call_id, name, read(), np.float64, 2, rows)
-        object.__setattr__(self, name, column)
-        del self.__dict__["_read_features"]  # and what it read from
-        return column
-
-    @property
-    def feature_dim(self) -> int:
-        """The number of feature values per frame; a ``features`` function
-        with a ``dim`` attribute is not called for it."""
-        dim = getattr(self.__dict__.get("_read_features"), "dim", None)
-        return self.features.shape[1] if dim is None else dim
 
     @cached_property
     def frames(self) -> tuple[FrameRecord, ...]:

@@ -31,6 +31,7 @@ import numpy as np
 from .streams import FrameRecord, VadDecision
 
 CHECKPOINT_MAGIC = b"VADMLP1\x00"
+MAX_LAYER_DIM = 2**32 - 1  # a checkpoint holds each layer dim as a uint32
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import math
 import os
 import re
@@ -226,6 +225,9 @@ def test_config_file_names_the_line_of_a_value_the_config_refuses(tmp_path, caps
         ("n_turns = 100000000000000000000\n", 1),
         ("frame_ms = 20\nturn_dur_ms = 1, 100000000000000000000\n", 2),
         ("subwords_per_word = 1, 9223372036854775808\n", 1),
+        # a checkpoint holds each layer dim as a uint32
+        ("feature_dim = 99999999999999999999\n", 1),
+        ("seed = 2\nfeature_dim = 4611686018427387904\n", 2),
         # each line alone keeps the bound; together they pass it, and the
         # last of them is named in either order
         ("n_turns = 1000000000000\nturn_dur_ms = 1000, 9000\nseed = 2\n", 2),
@@ -373,6 +375,9 @@ def test_train_vad_rejects_bad_flags(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
     for flag, value in (
         ("--hidden", "0,16"),
+        ("--hidden", "99999999999999999999,2"),
+        ("--hidden", "2,99999999999999999999"),
+        ("--hidden", "4294967296,2"),
         ("--lr", "nan"),
         ("--lr", "-1"),
         ("--lr", "0"),
@@ -1238,49 +1243,38 @@ def _calls_in_form(calls, form):
     return as_decimal(calls) if form == "decimal" else calls
 
 
-def _counting_feature_reads(monkeypatch):
-    """The paths of the call files whose feature text is converted, one per read."""
-    reads = []
-    read = callfile._read_features
-
-    def counted(path, *args):
-        reads.append(path)
-        return read(path, *args)
-
-    monkeypatch.setattr(callfile, "_read_features", counted)
-    return reads
+# each command that reads calls, with the options that decide what it reads
+# of them; "model:" is completed with a checkpoint's path
+CALL_READERS = [
+    ("train-vad", "--features", "file"),
+    ("train-vad", "--features", "oracle:2"),
+    *[(cmd, "--vad", vad) for cmd in ("endpoint", "tradeoff")
+      for vad in ("oracle", "corrupted:0.2", "model:")],
+    ("evaluate",),
+]
 
 
-def _tree(root):
-    return {
-        p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
-    }
-
-
-def test_oracle_runs_and_evaluate_never_read_a_feature(tmp_path, monkeypatch, capsys):
-    dirs = []  # clean and garbled calls, in each call file form
-    for form in BAD_FEATURE:
-        for name in ("clean", "garbled"):
-            calls = simulate(tmp_path, f"{form}-{name}", n_calls=2, config_text=SWEEP_CFG)
-            dirs.append(_calls_in_form(calls, form))
-        for path in dirs[-1].glob("*.call"):
-            _garble_features(path)
-    reads = _counting_feature_reads(monkeypatch)
-    for mode, vad in itertools.product([m.value for m in Mode], ["oracle", "corrupted:0.2"]):
-        outs = []
-        for calls in dirs:
-            out = tmp_path / f"{calls.name}-{mode}-{vad}"
-            argv = ("--calls", str(calls), "--out", str(out / "eps"))
-            assert run_cli("endpoint", *argv, "--mode", mode, "--vad", vad) == 0
-            code = run_cli(
-                "evaluate", "--calls", str(calls), "--endpoints", str(out / "eps"),
-                "--out", str(out / "report.csv"),
-            )
-            assert code == 0
-            outs.append(_tree(out))
-        assert all(o == outs[0] for o in outs) and len(outs[0]) == 5
-    assert reads == []
-    assert "Traceback" not in capsys.readouterr().err
+@pytest.mark.parametrize("form", BAD_FEATURE)
+@pytest.mark.parametrize("argv", CALL_READERS, ids=" ".join)
+def test_every_command_refuses_a_call_with_a_bad_feature_at_load(
+    tmp_path, capsys, argv, form
+):
+    calls = _calls_in_form(simulate(tmp_path, n_calls=3), form)
+    eps = tmp_path / "eps"
+    assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
+    path = sorted(calls.glob("*.call"))[1]
+    _garble_features(path, frames={5})  # frame 5 is on line 8
+    out = tmp_path / "out"
+    if argv[-1] == "model:":
+        argv = (*argv[:-1], f"model:{untrained_model(tmp_path)}")
+    if argv[0] == "evaluate":
+        argv += ("--endpoints", str(eps))
+    capsys.readouterr()
+    assert run_cli(*argv, "--calls", str(calls), "--out", str(out)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}:8: bad frame record: {BAD_FEATURE[form]}\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-vad", "endpoint", "tradeoff"])
@@ -1298,17 +1292,13 @@ def test_model_reads_name_the_line_of_a_feature_that_is_no_float(tmp_path, capsy
             argv += ("--vad", f"model:{model}")
         capsys.readouterr()
         assert run_cli(*argv) == 1
-        # two calls at the default holdout fraction hold none out
-        warning = HOLDOUT_WARNING if command == "train-vad" else ""
-        assert capsys.readouterr().err == warning + (
-            f"error: {path}:8: bad frame record: {message}\n"
-        )
+        assert capsys.readouterr().err == f"error: {path}:8: bad frame record: {message}\n"
         assert not out.exists()
 
 
 @pytest.mark.parametrize("values", ["1 2 3", "1 2 3 4 5"])
 def test_evaluate_refuses_a_frame_line_with_a_wrong_value_count(tmp_path, capsys, values):
-    # evaluate reads no feature value, and still counts them
+    # evaluate reads no feature value, and still refuses a call that does not load
     calls = as_decimal(simulate(tmp_path))
     eps = tmp_path / "eps"
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
@@ -1335,7 +1325,7 @@ def test_evaluate_refuses_a_frame_line_with_a_wrong_value_count(tmp_path, capsys
     ids=["short", "long", "no-x", "two-x", "split"],
 )
 def test_evaluate_refuses_a_hex_frame_line_of_a_wrong_width(tmp_path, capsys, field, message):
-    # evaluate reads no feature value, and still measures each field
+    # evaluate reads no feature value, and still refuses a call that does not load
     calls = simulate(tmp_path)
     eps = tmp_path / "eps"
     assert run_cli("endpoint", "--calls", str(calls), "--out", str(eps)) == 0
@@ -1349,32 +1339,20 @@ def test_evaluate_refuses_a_hex_frame_line_of_a_wrong_width(tmp_path, capsys, fi
 
 
 def test_tradeoff_with_a_model_converts_each_call_s_features_once(tmp_path, monkeypatch):
+    # a call's features convert when it loads, and tradeoff loads each call once
     model = untrained_model(tmp_path)
-    reads = _counting_feature_reads(monkeypatch)
+    loads = []
+    load_call = callfile.load_call
+    monkeypatch.setattr(callfile, "load_call", lambda path: loads.append(path) or load_call(path))
     for form in BAD_FEATURE:
         calls = _calls_in_form(simulate(tmp_path, form, n_calls=3), form)
-        reads.clear()
+        loads.clear()
         code = run_cli(
             "tradeoff", "--calls", str(calls), "--out", str(tmp_path / f"{form}.csv"),
             "--vad", f"model:{model}",
         )
         assert code == 0
-        assert sorted(map(str, reads)) == sorted(map(str, calls.glob("*.call")))
-
-
-@pytest.mark.parametrize("form", BAD_FEATURE)
-def test_train_vad_with_oracle_features_never_reads_the_file_s(tmp_path, form):
-    # the draws that replace the features are sized from the call header
-    checkpoints = []
-    for name in ("intact", "garbled"):
-        calls = _calls_in_form(simulate(tmp_path, name, n_calls=3), form)
-        if name == "garbled":
-            _garble_features(sorted(calls.glob("*.call"))[1], frames={5})
-        model = tmp_path / f"{name}.mdl"
-        argv = ("--calls", str(calls), "--out", str(model), "--features", "oracle:2")
-        assert run_cli("train-vad", *argv, "--epochs", "2") == 0
-        checkpoints.append(model.read_bytes())
-    assert checkpoints[0] == checkpoints[1]
+        assert sorted(map(str, loads)) == sorted(map(str, calls.glob("*.call")))
 
 
 def test_tradeoff_blank_only_never_reads_the_vad(tmp_path):

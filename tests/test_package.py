@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -77,8 +78,9 @@ def test_readme_names_only_flags_its_commands_take():
 
 
 def test_readme_names_only_what_the_package_has():
-    # a backticked call such as `run_sweep(` or `vadnet.posteriors(`, and
-    # every name a README line imports from endpoint_rt or its modules
+    # a backticked call such as `run_sweep(` or `vadnet.posteriors(`, every
+    # name a README line imports from endpoint_rt or its modules, and every
+    # backticked attribute of a call such as `call.frames`
     modules = {
         info.name: importlib.import_module(f"endpoint_rt.{info.name}")
         for info in pkgutil.iter_modules(endpoint_rt.__path__)
@@ -101,3 +103,10 @@ def test_readme_names_only_what_the_package_has():
         owner = modules[module] if module else endpoint_rt
         for name in re.findall(r"\w+", names):
             assert hasattr(owner, name), f"README imports {name} from {owner.__name__}"
+    attrs = re.findall(r"`call\.(\w+)", text)
+    assert len(attrs) >= 6
+    record = {f.name for f in dataclasses.fields(endpoint_rt.CallRecord)}
+    for attr in attrs:
+        assert attr in record or hasattr(endpoint_rt.CallRecord, attr), (
+            f"README names `call.{attr}`, which CallRecord does not have"
+        )

@@ -144,37 +144,6 @@ def test_frames_view_every_column():
     assert call.end_ms == 120
 
 
-def _lazy_call(read):
-    return CallRecord("c", 40, frame_index=[0, 2], features=read, labels=[1, -1],
-                      teacher_labels=[-1, 0])
-
-
-@pytest.mark.parametrize(
-    "read_through",
-    [
-        lambda call: call.features,
-        lambda call: call.frames,
-        lambda call: call == _call([0, 2]),
-        lambda call: replace(call, call_id="d"),
-    ],
-    ids=["features", "frames", "eq", "replace"],
-)
-def test_call_reads_features_given_as_a_function_once_on_first_use(read_through):
-    reads = []
-
-    def read():
-        reads.append(1)
-        return [[1.0, 2.0], [3.0, 4.0]]
-
-    call = _lazy_call(read)
-    assert reads == [] and call.labels.tolist() == [1, -1]
-    read_through(call)
-    assert reads == [1]
-    assert call.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and reads == [1]
-    assert call.features.dtype == np.float64 and not call.features.flags.writeable
-    assert call.frames[1].features.tolist() == [3.0, 4.0] and reads == [1]
-
-
 @pytest.mark.parametrize(
     "features, message",
     [(np.zeros((3, 2)), r"features has shape \(3, 2\), expected 2 dimension\(s\) and 2 rows"),
@@ -182,49 +151,10 @@ def test_call_reads_features_given_as_a_function_once_on_first_use(read_through)
      ([[1.0, 2**1024], [0.0, 0.0]], "features holds a value outside float64")],
     ids=["rows", "ndim", "overflow"],
 )
-def test_call_checks_features_a_function_returns_on_every_read(features, message):
-    reads = []
-
-    def read():
-        reads.append(1)
-        return features
-
-    call = _lazy_call(read)
-    for _ in range(2):
-        with pytest.raises(ValueError, match=f"^c: {message}$"):
-            call.features
-    assert reads == [1, 1]
-
-
-def test_call_feature_dim_calls_no_features_function_that_gives_it():
-    reads = []
-
-    def read():
-        reads.append(1)
-        return np.zeros((2, 3))
-
-    read.dim = 3
-    call = _lazy_call(read)
-    assert call.feature_dim == 3 and reads == []
-    del read.dim  # a function without one is read for it
-    assert call.feature_dim == 3 and reads == [1]
-    assert _call([0, 2]).feature_dim == 2
-
-
-def test_call_retries_a_features_function_that_raised():
-    def read():
-        raise ValueError("bad value on line 7")
-
-    call = _lazy_call(read)
-    for read_through in (lambda: call.features, lambda: call.frames, lambda: call == call):
-        with pytest.raises(ValueError, match="^bad value on line 7$"):
-            read_through()
-    with pytest.raises(AttributeError, match="no attribute 'feature'"):
-        call.feature
-    # the other columns were checked when the call was built
-    with pytest.raises(ValueError, match="^c: frame 1: bad labels code"):
-        CallRecord("c", 40, frame_index=[0, 1], features=read, labels=[1, 5],
-                   teacher_labels=[0, 0])
+def test_call_checks_the_features_it_is_given(features, message):
+    with pytest.raises(ValueError, match=f"^c: {message}$"):
+        CallRecord("c", 40, frame_index=[0, 2], features=features, labels=[1, -1],
+                   teacher_labels=[-1, 0])
 
 
 def test_call_token_columns_must_agree_in_length():
